@@ -299,6 +299,7 @@ from repro.errors import (
     GatewayClosedError,
     GatewayError,
     GatewayOverloadedError,
+    InvalidEventError,
     LocalizationError,
     ReproError,
     ShardQuarantinedError,
@@ -412,6 +413,7 @@ __all__ = [
     "IngestReport",
     "IngestionEngine",
     "InMemoryStorage",
+    "InvalidEventError",
     "LocalAffinityGraph",
     "LocalizationError",
     "Locater",

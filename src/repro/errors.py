@@ -39,6 +39,15 @@ class EmptyHistoryError(EventTableError):
     """An operation required historical events but none were available."""
 
 
+class InvalidEventError(EventTableError, ValueError):
+    """A connectivity event was malformed at the ingest boundary.
+
+    Raised for a non-finite or negative timestamp and for an empty MAC or
+    AP id.  It is also a :class:`ValueError`, the type these checks
+    raised before they were typed.
+    """
+
+
 class LocalizationError(ReproError):
     """A localization query could not be answered."""
 

@@ -46,6 +46,30 @@ coarse models, affinity memos) is a *pure function of the table*, so
 any eviction schedule reloads/recomputes to bitwise-identical answers
 (``tests/integration/test_memory_equivalence.py``,
 ``tests/property/test_prop_memory.py``).
+
+Flat view
+---------
+
+Reads that ask about every device at one time — the neighbor snapshot
+of §4.2, "who is online at t" — go through
+:meth:`~repro.events.table.EventTable.flat_logs`: one
+:class:`~repro.events.table.FlatLogs` holding the non-empty logs
+concatenated in sorted-MAC order (per-device offsets, complex
+``row + i·time`` search keys, AP codes).
+:func:`~repro.events.validity.valid_events_at` applies the §2 window
+rule of :func:`~repro.events.validity.valid_event_at` to every device
+at once over it, reading δ from the registry at call time.
+
+* **Freshness is pulled.** The view is keyed by the table's
+  ``generation``: the first read after a freeze (or an attached view's
+  ``apply_sync``) builds a new one, and nothing patches it, so no ingest
+  path has to notify it.  Every reader of one table object shares it.
+* **Memory.** 20 bytes per event (16 search key, 4 AP code) plus 8 per
+  device, a copy next to the column store.  Under a memory budget it is
+  one evictable ``flat-logs`` entry; evicting it costs a rebuild.  A
+  process shard attached to shared-memory columns builds its own copy
+  in its own heap, which ``BENCH_shared_memory`` (column bytes only)
+  does not count.
 """
 
 from repro.events.columns import (
@@ -61,6 +85,7 @@ from repro.events.gaps import Gap, extract_gaps, find_gap_at
 from repro.events.table import (
     DeviceLog,
     EventTable,
+    FlatLogs,
     TableDescriptor,
     TableSync,
 )
@@ -79,6 +104,7 @@ __all__ = [
     "DeviceLog",
     "DeviceRegistry",
     "EventTable",
+    "FlatLogs",
     "Gap",
     "HeapColumnStore",
     "SharedMemoryColumnStore",

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro.errors import InvalidEventError
 from repro.util.timeutil import format_timestamp
 
 
@@ -27,12 +29,15 @@ class ConnectivityEvent:
     event_id: int = -1
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
+        # NaN fails every comparison, so ``timestamp < 0`` alone would
+        # admit it; a NaN in a sorted log breaks every binary search.
+        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
+            raise InvalidEventError(
+                f"timestamp must be finite and >= 0, got {self.timestamp}")
         if not self.mac:
-            raise ValueError("mac must be non-empty")
+            raise InvalidEventError("mac must be non-empty")
         if not self.ap_id:
-            raise ValueError("ap_id must be non-empty")
+            raise InvalidEventError("ap_id must be non-empty")
 
     def __str__(self) -> str:
         return (f"e{self.event_id if self.event_id >= 0 else '?'}: "

@@ -21,10 +21,16 @@ boundaries:
   view to the owner's exact state (logs, registry deltas, generation
   counters and the change journal all replicated verbatim, so the
   generation-keyed change feed behaves identically on every view).
+
+For reads that touch every device at one time (neighbor snapshots),
+:meth:`EventTable.flat_logs` concatenates the non-empty logs into one
+:class:`FlatLogs` per :attr:`~EventTable.generation`, built lazily on
+the first read after a freeze (or sync) moves it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
@@ -167,6 +173,47 @@ class DeviceLog:
                                     mac=self.device.mac, ap_id=self.ap_at(i))
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class FlatLogs:
+    """Every non-empty log of one table generation, concatenated.
+
+    Row ``k`` is the ``k``-th device in sorted-MAC order (the order
+    neighbor snapshots list devices in); its events occupy positions
+    ``offsets[k]:offsets[k + 1]`` of :attr:`keys` and :attr:`ap_codes`.
+    The key of an event of row ``k`` at time ``t`` is the complex number
+    ``k + t·i``.  numpy orders complex numbers lexicographically, real
+    part first, so the keys are sorted as a whole, and one
+    ``np.searchsorted`` with one probe per row finds every device's
+    position at a time: the vectorized :meth:`DeviceLog.nearest_before`.
+    Rows and timestamps are finite floats (see
+    :class:`ConnectivityEvent`), so every comparison is exact.
+
+    ``devices`` are the registry's live :class:`Device` objects: readers
+    take δ from them at call time, because δ estimates change without a
+    new generation.  ``ap_codes`` index the table's append-only AP
+    vocabulary ``ap_vocab``.  Costs 20 bytes per event (16 key, 4 AP
+    code) plus 8 per device.
+    """
+
+    generation: int
+    macs: tuple[str, ...]
+    devices: tuple[Device, ...]
+    offsets: np.ndarray
+    keys: np.ndarray
+    ap_codes: np.ndarray
+    ap_vocab: Sequence[str]
+
+    @property
+    def times(self) -> np.ndarray:
+        """Event timestamps aligned with :attr:`keys` (a view, no copy)."""
+        return self.keys.imag
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the view's arrays (memory accounting)."""
+        return self.offsets.nbytes + self.keys.nbytes + self.ap_codes.nbytes
+
+
 @dataclass(frozen=True, slots=True)
 class DeviceState:
     """Picklable snapshot of one device's log for cross-process sync.
@@ -261,6 +308,10 @@ class EventTable:
         # manager charged per log, and its LRU entries keyed by mac.
         self._memory: "MemoryManager | None" = None
         self._memory_entries: "dict[str, _Entry]" = {}
+        # The concatenated logs of the current generation (flat_logs)
+        # and, under a memory budget, its LRU entry.
+        self._flat: "FlatLogs | None" = None
+        self._flat_entry: "_Entry | None" = None
 
     #: Entries kept per device before the journal's oldest half is
     #: coalesced; bounds memory and changed_since cost on long-running
@@ -420,7 +471,9 @@ class EventTable:
         Registers every current (and future) non-empty log with the
         :class:`~repro.system.memory.MemoryManager`: access through
         :meth:`log` touches the LRU entry, eviction spills the columns
-        (bitwise-restored on the next read).  Returns False — and does
+        (bitwise-restored on the next read).  The :meth:`flat_logs` copy
+        is charged as one more entry; evicting it drops it, and the next
+        read rebuilds it.  Returns False — and does
         nothing — when the store cannot spill (shared-memory segments
         serve attached readers and are never torn down under them) or
         when a different manager already owns the table.  Idempotent
@@ -437,6 +490,22 @@ class EventTable:
         for mac, log in self._logs.items():
             if not log.is_empty:
                 self._register_log(mac, log.columns)
+        # Through a weakref, so the manager never keeps the table alive.
+        ref = weakref.ref(self)
+
+        def flat_bytes() -> int:
+            table = ref()
+            flat = table._flat if table is not None else None
+            return flat.nbytes if flat is not None else 0
+
+        def drop_flat() -> None:
+            table = ref()
+            if table is not None:
+                table._flat = None
+
+        self._flat_entry = manager.charge(
+            "flat-logs", ("flat-logs", id(self)), size_fn=flat_bytes,
+            evictor=drop_flat, persistent=True)
         return True
 
     def _register_log(self, mac: str, handle: ColumnHandle) -> None:
@@ -671,6 +740,44 @@ class EventTable:
             if entry is not None:
                 self._memory.touch(entry)
         return device_log
+
+    def flat_logs(self) -> FlatLogs:
+        """The current generation's logs as one :class:`FlatLogs`.
+
+        Built on the first call after :attr:`generation` moves (pending
+        rows are frozen first), then shared by every caller until the
+        next generation: it is rebuilt, never patched.
+        """
+        self._ensure_frozen()
+        flat = self._flat
+        if flat is None or flat.generation != self._generation:
+            flat = self._flat = self._build_flat()
+        if self._memory is not None and self._flat_entry is not None:
+            self._memory.touch(self._flat_entry)
+        return flat
+
+    def _build_flat(self) -> FlatLogs:
+        generation = self._generation
+        logs = [(mac, log) for mac, log in sorted(self._logs.items())
+                if not log.is_empty]
+        columns = [log.columns.arrays() for _, log in logs]
+        lengths = np.array([times.size for times, _ in columns],
+                           dtype=np.int64)
+        offsets = np.zeros(len(logs) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        keys = np.empty(int(offsets[-1]), dtype=np.complex128)
+        keys.real = np.repeat(np.arange(len(logs), dtype=np.float64),
+                              lengths)
+        keys.imag = np.concatenate(
+            [np.empty(0, dtype=np.float64), *(times for times, _ in columns)])
+        return FlatLogs(
+            generation=generation,
+            macs=tuple(mac for mac, _ in logs),
+            devices=tuple(self.registry.get(mac) for mac, _ in logs),
+            offsets=offsets, keys=keys,
+            ap_codes=np.concatenate(
+                [np.empty(0, dtype=np.int32), *(aps for _, aps in columns)]),
+            ap_vocab=self._ap_vocab)
 
     def events_of(self, mac: str,
                   interval: "TimeInterval | None" = None

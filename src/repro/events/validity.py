@@ -9,6 +9,11 @@ one room, the log shows how frequently it reconnects.  We implement that as
 a clamped high percentile of the device's *within-session* inter-event
 times, where a session is a run of consecutive events whose spacing stays
 below a session break threshold.
+
+:func:`valid_event_at` answers the query-time test for one device log;
+:func:`valid_events_at` answers it for every device of a table at once,
+over the table's :class:`~repro.events.table.FlatLogs`, with the same
+candidates and the same window rule.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.events.device import DEFAULT_DELTA_SECONDS
-from repro.events.table import DeviceLog, EventTable
+from repro.events.table import DeviceLog, EventTable, FlatLogs
 from repro.util.timeutil import TimeInterval, minutes
 from repro.util.validation import check_fraction, check_positive
 
@@ -102,6 +107,55 @@ def valid_event_at(log: DeviceLog, timestamp: float,
                                     interval=TimeInterval(start, max(start, end)),
                                     ap_id=log.ap_at(i))
     return None
+
+
+def valid_events_at(flat: FlatLogs, timestamp: float
+                    ) -> "tuple[np.ndarray, np.ndarray]":
+    """:func:`valid_event_at` for every device of ``flat`` in one pass.
+
+    Returns ``(rows, positions)``: the rows of the devices with an event
+    valid at ``timestamp``, ascending (so in sorted-MAC order), and the
+    position in ``flat`` of each one's valid event — the event
+    :func:`valid_event_at` returns for that device's log.  δ is read
+    from each device at call time.
+
+    The candidates are those of :func:`valid_event_at`: the latest
+    event at or before ``timestamp``, tried first, then the next one.
+    Since δ > 0 (every writer of ``Device.delta`` keeps it positive),
+    each can miss on one side only.  The event before starts no later
+    than its own time, so only its end can fall short; and when it sits
+    exactly on ``timestamp`` it always covers it, so the scalar rule's
+    other candidate (the first event at ``timestamp``) never decides,
+    and the next position stands in for it.  The event after lies past
+    ``timestamp``, and so does its end, so only its start can miss.
+    """
+    times = flat.times
+    # Windows start at >= 0, so nothing is valid at a negative (or NaN)
+    # time; past this check max(start, 0) <= timestamp iff start does.
+    if times.size == 0 or not timestamp >= 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    count = len(flat.macs)
+    delta = np.fromiter((device.delta for device in flat.devices),
+                        dtype=np.float64, count=count)
+    # complex(0, t), not 1j * t: 1j * inf has a NaN real part.
+    probes = np.arange(count) + complex(0.0, timestamp)
+    before = np.searchsorted(flat.keys, probes, side="right") - 1
+    after = before + 1
+    has_before = before >= flat.offsets[:-1]
+    has_after = after < flat.offsets[1:]
+    # Rows without a candidate read a clamped neighbour, masked below.
+    t_before = times[np.maximum(before, 0)]
+    t_after = times[np.minimum(after, times.size - 1)]
+    start_after = t_after - delta
+    # The before window's end is cut to the next event's time when the
+    # next window starts inside it (paper Fig. 2).
+    end = t_before + delta
+    end = np.where(has_after & (start_after < end), t_after, end)
+    hit_before = has_before & (timestamp <= end)
+    hit_after = has_after & (start_after <= timestamp)
+    rows = np.flatnonzero(hit_before | hit_after)
+    positions = np.where(hit_before, before, after)[rows]
+    return rows, positions
 
 
 class DeltaEstimator:

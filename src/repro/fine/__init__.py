@@ -34,6 +34,16 @@ building's interned room codes (:class:`repro.space.RoomIndex`):
   with the (re)ordered neighbor list (see
   ``CachingEngine.prepare_neighbors``).
 
+Neighbor discovery (§4.2) is vectorized the same way.
+``NeighborIndex.snapshot(t)`` — the devices online at t and their
+regions, memoized per timestamp — is one pass of
+:func:`~repro.events.validity.valid_events_at` over the table's
+generation-keyed :meth:`~repro.events.table.EventTable.flat_logs`
+instead of a loop over devices; ``neighbors_for`` derives each query's
+list from it.  :func:`~repro.fine.neighbors.find_neighbors` and
+:func:`~repro.events.validity.valid_event_at` stay the scalar reference
+(``tests/property/test_prop_snapshot.py``).
+
 The **dict boundary contract**: everything callers consume keeps its
 string-keyed mapping form — ``FineResult.posterior``, ``edge_weights``,
 ``RoomAffinityModel.affinities(_at)``, ``RoomPosterior.observe`` /

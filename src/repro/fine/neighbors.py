@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.events.table import EventTable
-from repro.events.validity import valid_event_at
+from repro.events.validity import valid_event_at, valid_events_at
 from repro.space.building import Building
 from repro.util.timeutil import TimeInterval
 
@@ -49,6 +49,19 @@ class NeighborIndex:
     ``neighbors_for`` returns exactly what :func:`find_neighbors` would
     for the same arguments — same devices, same order, same cap — so the
     batch engine stays bitwise-equivalent to the sequential path.
+
+    A snapshot is one vectorized pass, not a loop over devices:
+    :func:`~repro.events.validity.valid_events_at` finds every device's
+    valid event at once over the table's
+    :meth:`~repro.events.table.EventTable.flat_logs`, the logs of the
+    current generation concatenated in sorted-MAC order.  The table
+    builds that view on the first read after a freeze moves its
+    generation and shares it with every index (and every in-process
+    shard) over the table, so a snapshot computed after an append sees
+    the new rows without any ingest hook.  δ is read from the registry
+    on each snapshot, so a refit δ applies to the next uncached
+    timestamp.  Snapshots already memoized are another matter; see
+    below.
 
     Instances live for one batch (``Locater.locate_batch`` creates a
     fresh one per call, unbounded) or across a streaming session — then
@@ -107,16 +120,14 @@ class NeighborIndex:
         """Online devices at ``timestamp`` as ordered (mac, region) pairs."""
         snap = self._snapshots.get(timestamp)
         if snap is None:
-            online = []
-            for mac in sorted(self._table.macs()):
-                log = self._table.log(mac)
-                if log.is_empty:
-                    continue
-                hit = valid_event_at(log, timestamp)
-                if hit is None:
-                    continue
-                online.append((mac, self._building.region_of_ap(hit.ap_id)))
-            snap = tuple(online)
+            flat = self._table.flat_logs()
+            rows, positions = valid_events_at(flat, timestamp)
+            macs, vocab = flat.macs, flat.ap_vocab
+            region_of_ap = self._building.region_of_ap
+            snap = tuple(
+                (macs[row], region_of_ap(vocab[code]))
+                for row, code in zip(rows.tolist(),
+                                     flat.ap_codes[positions].tolist()))
             if self._max_snapshots is not None and \
                     len(self._snapshots) >= self._max_snapshots:
                 # FIFO eviction (dicts preserve insertion order): a

@@ -6,7 +6,7 @@ import csv
 from pathlib import Path
 from collections.abc import Iterable, Iterator
 
-from repro.errors import EventTableError
+from repro.errors import EventTableError, InvalidEventError
 from repro.events.event import ConnectivityEvent
 
 HEADER = ("timestamp", "mac", "ap_id")
@@ -29,7 +29,9 @@ def read_csv_events(path: "str | Path") -> Iterator[ConnectivityEvent]:
     """Read events from CSV written by :func:`write_csv_events`.
 
     Validates the header and every row; malformed rows raise
-    :class:`EventTableError` with the offending line number.
+    :class:`EventTableError` with the offending line number
+    (:class:`InvalidEventError` when the fields parse but do not form a
+    valid event, e.g. a ``nan`` timestamp).
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -52,5 +54,10 @@ def read_csv_events(path: "str | Path") -> Iterator[ConnectivityEvent]:
                 raise EventTableError(
                     f"{path}:{line_number}: bad timestamp {row[0]!r}"
                 ) from None
-            yield ConnectivityEvent(timestamp=timestamp, mac=row[1],
-                                    ap_id=row[2])
+            try:
+                event = ConnectivityEvent(timestamp=timestamp, mac=row[1],
+                                          ap_id=row[2])
+            except InvalidEventError as exc:
+                raise InvalidEventError(
+                    f"{path}:{line_number}: {exc}") from None
+            yield event

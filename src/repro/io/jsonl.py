@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 from collections.abc import Iterable, Iterator
 
-from repro.errors import EventTableError
+from repro.errors import EventTableError, InvalidEventError
 from repro.events.event import ConnectivityEvent
 
 
@@ -31,7 +31,9 @@ def read_jsonl_events(path: "str | Path") -> Iterator[ConnectivityEvent]:
 
     Unknown extra keys are ignored (forward compatibility); missing
     required keys or malformed JSON raise :class:`EventTableError` with
-    the offending line number.
+    the offending line number, and a record whose fields do not form a
+    valid event (e.g. a ``NaN`` timestamp) raises
+    :class:`InvalidEventError`.
     """
     with open(path, encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -44,10 +46,14 @@ def read_jsonl_events(path: "str | Path") -> Iterator[ConnectivityEvent]:
                 raise EventTableError(
                     f"{path}:{line_number}: invalid JSON: {exc}") from None
             try:
-                yield ConnectivityEvent(timestamp=float(doc["timestamp"]),
-                                        mac=str(doc["mac"]),
-                                        ap_id=str(doc["ap_id"]))
+                event = ConnectivityEvent(timestamp=float(doc["timestamp"]),
+                                          mac=str(doc["mac"]),
+                                          ap_id=str(doc["ap_id"]))
+            except InvalidEventError as exc:
+                raise InvalidEventError(
+                    f"{path}:{line_number}: {exc}") from None
             except (KeyError, TypeError, ValueError) as exc:
                 raise EventTableError(
                     f"{path}:{line_number}: bad event record: {exc}"
                 ) from None
+            yield event

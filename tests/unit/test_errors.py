@@ -14,6 +14,7 @@ from repro.errors import (
     GatewayClosedError,
     GatewayError,
     GatewayOverloadedError,
+    InvalidEventError,
     LocalizationError,
     ReproError,
     ShardQuarantinedError,
@@ -31,7 +32,7 @@ from repro.errors import (
 ALL_ERRORS = [
     ConfigurationError, SpaceModelError, UnknownRoomError,
     UnknownRegionError, UnknownDeviceError, EventTableError,
-    EmptyHistoryError, LocalizationError, TrainingError,
+    EmptyHistoryError, InvalidEventError, LocalizationError, TrainingError,
     SimulationError, StorageError, ClusterError,
     ShardUnavailableError, ShardTimeoutError, ShardQuarantinedError,
     ClusterCallError, GatewayError, GatewayClosedError,
@@ -98,6 +99,8 @@ def test_gateway_overloaded_error_carries_queue_depth():
     (UnknownRoomError, SpaceModelError),
     (UnknownRegionError, SpaceModelError),
     (EmptyHistoryError, EventTableError),
+    (InvalidEventError, EventTableError),
+    (InvalidEventError, ValueError),
     (GatewayClosedError, GatewayError),
 ])
 def test_refinement_subtrees(child, parent):

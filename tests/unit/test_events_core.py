@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import (
     EmptyHistoryError,
+    EventTableError,
+    InvalidEventError,
     UnknownDeviceError,
 )
 from repro.events.device import DEFAULT_DELTA_SECONDS, Device, DeviceRegistry
@@ -27,6 +29,21 @@ class TestConnectivityEvent:
             ConnectivityEvent(1.0, "", "w")
         with pytest.raises(ValueError):
             ConnectivityEvent(1.0, "m", "")
+
+    @pytest.mark.parametrize("timestamp,mac,ap_id", [
+        (float("nan"), "m", "w"),
+        (float("inf"), "m", "w"),
+        (float("-inf"), "m", "w"),
+        (-1.0, "m", "w"),
+        (1.0, "", "w"),
+        (1.0, "m", ""),
+    ])
+    def test_malformed_event_raises_typed_error(self, timestamp, mac, ap_id):
+        # Typed for the ingest boundary, and still a ValueError.
+        with pytest.raises(InvalidEventError) as info:
+            ConnectivityEvent(timestamp, mac, ap_id)
+        assert isinstance(info.value, EventTableError)
+        assert isinstance(info.value, ValueError)
 
     def test_str_contains_mac_and_ap(self):
         text = str(ConnectivityEvent(1.0, "m1", "wap1", event_id=3))

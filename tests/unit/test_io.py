@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import EventTableError
+from repro.errors import EventTableError, InvalidEventError
 from repro.events.event import ConnectivityEvent
 from repro.io.anonymize import MacAnonymizer
 from repro.io.csvlog import read_csv_events, write_csv_events
@@ -57,6 +57,13 @@ class TestCsvLog:
         with pytest.raises(EventTableError):
             list(read_csv_events(path))
 
+    def test_nan_timestamp_row_rejected_with_line(self, tmp_path):
+        # float("nan") parses, so the row reaches the event check.
+        path = tmp_path / "bad.csv"
+        path.write_text("timestamp,mac,ap_id\n1.0,m,w\nnan,m,w\n")
+        with pytest.raises(InvalidEventError, match=":3"):
+            list(read_csv_events(path))
+
 
 class TestJsonlLog:
     def test_roundtrip(self, tmp_path):
@@ -89,6 +96,14 @@ class TestJsonlLog:
         path = tmp_path / "log.jsonl"
         path.write_text('{"timestamp": 1.0, "mac": "m"}\n')
         with pytest.raises(EventTableError, match=":1"):
+            list(read_jsonl_events(path))
+
+    def test_nan_timestamp_record_rejected_with_line(self, tmp_path):
+        # json accepts the NaN literal Python's encoder writes.
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"timestamp": 1.0, "mac": "m", "ap_id": "w"}\n'
+                        '{"timestamp": NaN, "mac": "m", "ap_id": "w"}\n')
+        with pytest.raises(InvalidEventError, match=":2"):
             list(read_jsonl_events(path))
 
 

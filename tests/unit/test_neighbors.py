@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
+import numpy as np
+
+from repro.events.event import ConnectivityEvent
+from repro.events.validity import DeltaEstimator
 from repro.fine.neighbors import NeighborIndex, find_neighbors
+from repro.system.memory import MemoryManager
+from repro.util.timeutil import minutes
 
 
 class TestFindNeighbors:
@@ -92,3 +101,100 @@ class TestNeighborIndex:
         macs = [mac for mac, _ in snap]
         assert macs == sorted(macs)
         assert "d1" in macs and "d2" in macs
+
+
+class TestSnapshotFreshness:
+    """The index reads a view the table rebuilds per generation."""
+
+    def test_append_without_freeze_seen_at_a_new_time(self, fig1_building,
+                                                      fig1_table):
+        index = NeighborIndex(fig1_building, fig1_table)
+        late = 20 * 3600.0
+        assert index.snapshot(late - 3600.0) == ()
+        fig1_table.append(ConnectivityEvent(late, "d3", "wap1"))
+        snap = index.snapshot(late)
+        assert [mac for mac, _ in snap] == ["d3"]
+        wap1 = fig1_building.region_of_ap("wap1").region_id
+        assert index.neighbors_for("d1", late, wap1) == find_neighbors(
+            fig1_building, fig1_table, "d1", late, wap1)
+
+    def test_delta_refit_without_new_generation_is_honoured(
+            self, fig1_building, fig1_table):
+        # d3 logs every 20 min; with δ = 10 min it is online 15 min after
+        # its last event only once its δ is refit to 20 min.
+        index = NeighborIndex(fig1_building, fig1_table)
+        last = float(fig1_table.log("d3").times[-1])
+        assert "d3" not in [mac for mac, _ in index.snapshot(last + 900)]
+        generation = fig1_table.generation
+        DeltaEstimator(minimum=minutes(2), maximum=minutes(30)).fit_devices(
+            fig1_table, ["d3"])
+        assert fig1_table.registry.get("d3").delta == minutes(20)
+        assert fig1_table.generation == generation
+        later = index.snapshot(last + 901)  # an uncached timestamp
+        assert "d3" in [mac for mac, _ in later]
+
+    def test_view_shared_per_generation(self, fig1_building, fig1_table):
+        first = NeighborIndex(fig1_building, fig1_table)
+        second = NeighborIndex(fig1_building, fig1_table)
+        first.snapshot(9 * 3600.0)
+        second.snapshot(10 * 3600.0)
+        view = fig1_table.flat_logs()
+        assert fig1_table.flat_logs() is view
+        fig1_table.append(ConnectivityEvent(21 * 3600.0, "d1", "wap3"))
+        assert fig1_table.flat_logs() is not view
+        assert fig1_table.flat_logs().generation == view.generation + 1
+
+
+class TestFlatLogsMemory:
+    """Under a budget the view is one evictable entry of the manager."""
+
+    def test_charged_as_one_entry_and_rebuilt_after_eviction(
+            self, fig1_building, fig1_table):
+        manager = MemoryManager(budget_bytes=0)
+        assert fig1_table.enable_eviction(manager)
+        index = NeighborIndex(fig1_building, fig1_table)
+        before = index.snapshot(9 * 3600.0)
+        view = fig1_table.flat_logs()
+        devices = len(view.macs)
+        assert view.nbytes == 20 * len(fig1_table) + 8 * (devices + 1)
+        assert manager.stats()["by_category"]["flat-logs"] == view.nbytes
+        manager.enforce()
+        assert manager.stats()["by_category"]["flat-logs"] == 0
+        index.invalidate_all()
+        assert index.snapshot(9 * 3600.0) == before
+        rebuilt = fig1_table.flat_logs()
+        assert rebuilt is not view
+        np.testing.assert_array_equal(rebuilt.keys, view.keys)
+        np.testing.assert_array_equal(rebuilt.ap_codes, view.ap_codes)
+
+
+def test_concurrent_first_reads_share_one_generation(fig1_building,
+                                                     fig1_table):
+    # In-process shards read one table from several lane threads; the
+    # first reads after a new generation may race to build the view.
+    times = [8 * 3600.0 + 97.0 * i for i in range(120)]
+    expected = [NeighborIndex(fig1_building, fig1_table).snapshot(t)
+                for t in times]
+    fig1_table.append(ConnectivityEvent(23 * 3600.0, "d2", "wap2"))
+    results: dict[int, list] = {}
+
+    def read(worker: int) -> None:
+        index = NeighborIndex(fig1_building, fig1_table)
+        results[worker] = [index.snapshot(t) for t in times]
+
+    # Ingest, and so freeze, runs between windows, never during them.
+    fig1_table.freeze()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(worker,))
+                   for worker in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {worker: expected for worker in range(6)}
+    assert fig1_table.flat_logs().generation == fig1_table.generation
