@@ -2,12 +2,12 @@
 
 Workload: the isolated campus (three disjoint building populations →
 three affinity components) served with the caching engine off and on at
-1, 2 and 4 shards, every configuration routed by the
-``ComponentAffinityRouter`` and costed like Fig. 12 (D-LOCATER,
-per-query affinity mining, cross-query memoization off).  The
-experiment raises if any cluster's answers — or, with caching on, its
-summed cache counters — differ from the matching lone system, so no
-reported number is bought with divergence.
+1, 2 and 4 shards, each routed the cluster's way (by co-presence
+component with caching on, by MAC hash with caching off) and costed
+like Fig. 12 (D-LOCATER, per-query affinity mining, cross-query
+memoization off).  The experiment raises if any cluster's answers —
+or, with caching on, its summed cache counters — differ from the
+matching lone system, so no reported number is bought with divergence.
 
 Assertion style follows the Fig. 12 bench: the deterministic signals
 are asserted hard (bitwise identity, cache accounting, hit rate — all

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 
 from repro import (
     AsyncGateway,
@@ -26,7 +27,6 @@ from repro import (
     ScenarioSpec,
     ShardedLocater,
     Simulator,
-    ThreadShardExecutor,
 )
 from repro.sim.scenarios import closed_loop_clients, open_loop_arrivals
 from repro.util.timeutil import format_timestamp
@@ -66,11 +66,14 @@ async def main() -> None:
     dataset = Simulator(ScenarioSpec.dbh_like(seed=42,
                                               population=20)).run(days=6)
     cluster = ShardedLocater(dataset.building, dataset.metadata,
-                             dataset.table, shard_count=2,
-                             executor=ThreadShardExecutor())
+                             dataset.table, shard_count=2)
     print(f"dataset : {len(dataset.macs())} devices, "
           f"{len(dataset.table)} events over 6 days")
-    print(f"cluster : {cluster.shard_count} shards behind one gateway\n")
+    load = Counter(cluster.shard_of(mac) for mac in dataset.macs())
+    print(f"cluster : {cluster.shard_count} shards behind one gateway, "
+          f"devices per shard {dict(sorted(load.items()))}")
+    print("          (caching on: the building is one co-presence "
+          "component, served whole by one shard)\n")
 
     # 2. Serve 24 concurrent closed-loop clients through a 2 ms
     #    batching window.  Every caller just awaits `locate`; the

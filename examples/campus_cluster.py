@@ -6,12 +6,15 @@ Run with::
 
 Three corridor buildings — disjoint AP vocabularies, commuter devices
 crossing between them — are served by a 4-shard
-:class:`repro.ShardedLocater`.  Devices are routed to shards by the
-building they were first observed in
-(:class:`repro.BuildingAffinityRouter`), each shard persists its
-answers under its own namespace of one shared storage backend, and a
-simulated live day streams in through ``cluster.ingest``: one merge
-into the authoritative table, invalidation fanned out to every shard.
+:class:`repro.ShardedLocater` with the caching engine off.  The cluster
+routes devices itself: with caching off, answers are pure functions of
+the table, so devices spread over the shards by a stable hash of their
+MAC.  (With caching on it routes by co-presence component instead, and
+the commuters join this campus into one component, so one shard would
+own it all.)  Each shard persists its answers under its own namespace
+of one shared storage backend, and a simulated live day streams in
+through ``cluster.ingest``: one merge into the authoritative table,
+invalidation fanned out to every shard.
 """
 
 from __future__ import annotations
@@ -19,14 +22,11 @@ from __future__ import annotations
 from collections import Counter
 
 from repro import (
-    BuildingAffinityRouter,
     InMemoryStorage,
     LocaterConfig,
     ScenarioSpec,
     ShardedLocater,
     Simulator,
-    ThreadShardExecutor,
-    campus_ap_buildings,
 )
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
@@ -47,22 +47,22 @@ def main() -> None:
     print(f"live day : {workload.event_count - len(workload.warmup)} "
           f"events in {len(workload.batches)} ticks\n")
 
-    # 2. Stand the cluster up on the warm-up history.  The router binds
-    #    every already-seen device to its first-observed building; the
-    #    4th shard stays ready for a 4th building (or hash-routed
-    #    devices that never touch a mapped AP).
+    # 2. Stand the cluster up on the warm-up history.  Caching off:
+    #    every device routes by a stable hash of its MAC, for good.
     table = EventTable.from_events(workload.warmup)
     DeltaEstimator().fit_table(table)
-    router = BuildingAffinityRouter.from_table(
-        table, campus_ap_buildings(building))
     storage = InMemoryStorage()
     cluster = ShardedLocater(building, dataset.metadata, table,
-                             shard_count=4, router=router,
-                             executor=ThreadShardExecutor(),
+                             shard_count=4,
                              config=LocaterConfig(use_caching=False),
                              storage=storage)
     load = Counter(cluster.shard_of(mac) for mac in table.macs())
-    print("shard load:", dict(sorted(load.items())), "\n")
+    print("shard load:", dict(sorted(load.items())))
+    with ShardedLocater(building, dataset.metadata, table,
+                        shard_count=4) as caching:
+        owners = {caching.shard_of(mac) for mac in table.macs()}
+    print(f"caching on would use {len(owners)} of 4 shards: commuters "
+          "join the campus into one co-presence component\n")
 
     # 3. The serve loop: one cluster.ingest per tick (merge once, fan
     #    out), then the burst routed to the owning shards.

@@ -6,12 +6,11 @@ Run with::
 
 Per-shard caching is exact only if every device that can ever share an
 affinity edge with a queried device lives on the queried device's
-shard.  The :class:`repro.ComponentAffinityRouter` guarantees that by
-routing whole connected components of the potential co-presence graph
-(devices whose observed APs cover intersecting rooms) to one shard —
-so, unlike hash or building-affinity routing, the cluster can keep the
-caching engine on and still answer bitwise exactly like a lone
-:class:`repro.Locater`.
+shard.  With caching on (the default), :class:`repro.ShardedLocater`
+guarantees that itself: it routes whole connected components of the
+potential co-presence graph (devices whose observed APs cover
+intersecting rooms) to one shard, so the cluster answers bitwise
+exactly like a lone :class:`repro.Locater` — no router to pick.
 
 This example builds an isolated campus (three buildings that never
 exchange devices → three affinity components), serves a query batch
@@ -25,12 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro import (
-    ComponentAffinityRouter,
-    ConnectivityEvent,
-    Locater,
-    ShardedLocater,
-)
+from repro import ConnectivityEvent, Locater, ShardedLocater
 from repro.eval.queries import generated_query_set, labeled_query_set
 from repro.system.ingestion import IngestionEngine
 from repro.sim.scenarios import isolated_campus_dataset
@@ -51,13 +45,13 @@ def main() -> None:
     lone = Locater(dataset.building, dataset.metadata, lone_table)
     lone_engine = IngestionEngine(lone_table)
 
-    # 3. The cluster: component routing + caching on.
+    # 3. The cluster, with its defaults: caching on, so it routes by
+    #    co-presence component.
     table = dataset.table.restrict(dataset.table.span())
-    router = ComponentAffinityRouter.from_table(table, dataset.building)
     cluster = ShardedLocater(dataset.building, dataset.metadata, table,
-                             shard_count=4, router=router)
+                             shard_count=4)
     load = Counter(cluster.shard_of(mac) for mac in table.macs())
-    print(f"router  : {router}")
+    print(f"router  : {cluster.router}")
     print("shards  :", dict(sorted(load.items())), "\n")
 
     # 4. Serve with warm caches: answers and *summed* cache counters
@@ -82,7 +76,7 @@ def main() -> None:
               for i in range(3)]
     lone.on_ingest(lone_engine.ingest(bridge))
     cluster.ingest(bridge)
-    merged = router.component_of(bridge_mac)
+    merged = cluster.router.component_of(bridge_mac)
     print(f"\nmerge   : {bridge_mac} bridged b0+b1 → "
           f"{len(merged)}-device component on shard "
           f"{cluster.shard_of(bridge_mac)}")

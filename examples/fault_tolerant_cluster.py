@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import Counter
 
 from repro import (
-    ComponentAffinityRouter,
     Fault,
     FaultInjectingExecutor,
     FaultPlan,
@@ -41,8 +40,8 @@ from repro.sim.scenarios import isolated_campus_dataset
 
 def main() -> None:
     # 1. Three isolated buildings → three affinity components, so the
-    #    component router genuinely spreads devices over the shards and
-    #    a kill takes down a real slice of the population.
+    #    cluster's component routing genuinely spreads devices over the
+    #    shards and a kill takes down a real slice of the population.
     dataset = isolated_campus_dataset(buildings=3, population=24,
                                       days=3, seed=17)
     queries = generated_query_set(dataset, count=60, seed=5)
@@ -50,12 +49,18 @@ def main() -> None:
     print(f"campus  : {dataset.table.device_count} devices, "
           f"{len(dataset.table)} events, {len(queries)} queries")
 
-    def router():
-        return ComponentAffinityRouter.from_table(dataset.table,
-                                                  dataset.building)
-
-    victim = Counter(router().shard_of(query.mac, 4)
-                     for query in queries).most_common(1)[0][0]
+    # A healthy in-process control cluster routes exactly like the
+    # supervised ones below: it names the victim and, replaying the
+    # dispatch sequence the survivors will see — full batch, then the
+    # survivors-only batch — gives the bitwise oracle for step 4.
+    with ShardedLocater(dataset.building, dataset.metadata,
+                        dataset.table, shard_count=4) as control:
+        victim = Counter(control.shard_of(query.mac)
+                         for query in queries).most_common(1)[0][0]
+        survivors = [query for query in queries
+                     if control.shard_of(query.mac) != victim]
+        control.locate_batch(queries)
+        expected_survivors = control.locate_batch(survivors)
     print(f"victim  : shard {victim} (busiest under the workload)\n")
 
     # 2. The oracle: a lone system serving the same two batches.
@@ -69,7 +74,7 @@ def main() -> None:
     plan = FaultPlan([Fault(shard_id=victim, kind="kill",
                             method="locate_batch", call_index=1)])
     with ShardedLocater(dataset.building, dataset.metadata,
-                        dataset.table, shard_count=4, router=router(),
+                        dataset.table, shard_count=4,
                         executor=FaultInjectingExecutor(
                             ProcessShardExecutor(), plan),
                         recovery=RecoveryPolicy(max_restarts=2,
@@ -91,22 +96,11 @@ def main() -> None:
     #    of one: the shard is retired for good and only *its* devices
     #    degrade (here: a typed error naming them; fallback mode would
     #    serve them from a parent-side cache-less Locater instead).
-    #    The healthy control replays the same dispatch sequence the
-    #    survivors saw — full batch, then the survivors-only batch —
-    #    so its second batch is the bitwise oracle for theirs.
-    survivors = [query for query in queries
-                 if router().shard_of(query.mac, 4) != victim]
-    with ShardedLocater(dataset.building, dataset.metadata,
-                        dataset.table, shard_count=4,
-                        router=router()) as control:
-        control.locate_batch(queries)
-        expected_survivors = control.locate_batch(survivors)
-
     storm = FaultPlan([Fault(shard_id=victim, kind="kill",
                              method="locate_batch", call_index=index)
                        for index in range(3)])
     with ShardedLocater(dataset.building, dataset.metadata,
-                        dataset.table, shard_count=4, router=router(),
+                        dataset.table, shard_count=4,
                         executor=FaultInjectingExecutor(
                             ProcessShardExecutor(), storm),
                         recovery=RecoveryPolicy(max_restarts=1,

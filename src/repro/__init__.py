@@ -95,33 +95,32 @@ Past one process, :class:`~repro.cluster.ShardedLocater` serves the
 same query surface from N shards.  The event log is *replicated* to
 every shard (cleaning couples devices through co-location — neighbor
 discovery, affinity mining and the population aggregate read the whole
-log) while serving state is *partitioned* by a pluggable
-:class:`~repro.cluster.ShardRouter`: each device's queries, trained
-models, storage namespace (:meth:`StorageEngine.namespace
+log) while serving state is *partitioned*: each device's queries,
+trained models, storage namespace (:meth:`StorageEngine.namespace
 <repro.system.storage.StorageEngine.namespace>`) and cache warm state
-live on exactly one shard.  A swappable
-:class:`~repro.cluster.ShardExecutor` decides placement — serial and
-thread-pool shards share the cluster's table in-process; the
-process-pool executor runs one actor worker per shard, either with a
-fork copy-on-write replica or (``shared_memory=True``) *attached* to
-the one shared-memory table copy — see the memory architecture below.
-Answers are bitwise identical to a lone
-``Locater`` whenever they are pure functions of the table
-(``tests/integration/test_cluster_equivalence.py``) — and with the §5
-caching engine on as well, under the
-:class:`~repro.cluster.ComponentAffinityRouter`: devices are routed by
-connected component of their potential co-presence (affinity edges
-never leave a component), so each shard's cache warms exactly like the
-lone system's, aggregated hit/miss counters included, and component
-merges migrate recorded edges between shards at ingest boundaries.
-``ingest`` merges once, then fans invalidation out through the
-existing ``on_ingest`` machinery, so ``StreamingSession``, the CLI,
-analytics and the eval runner work unchanged against a cluster::
+live on exactly one shard.  The cluster routes devices itself, with one
+built-in :class:`~repro.cluster.ComponentAffinityRouter`.  With the §5
+caching engine on (the default), devices are routed by connected
+component of their potential co-presence (affinity edges never leave a
+component), so each shard's cache warms exactly like the lone
+system's, aggregated hit/miss counters included, and component merges
+migrate recorded edges between shards at ingest boundaries.  With
+caching off, answers are pure functions of the table and devices
+spread by a stable hash of their MAC.  Either way answers are bitwise
+identical to a lone ``Locater``
+(``tests/integration/test_cluster_equivalence.py``).  A swappable
+:class:`~repro.cluster.ShardExecutor` decides placement — serial shards
+share the cluster's table in-process; the process-pool executor runs
+one actor worker per shard, either with a fork copy-on-write replica or
+(``shared_memory=True``) *attached* to the one shared-memory table copy
+— see the memory architecture below.  ``ingest`` merges once, then
+fans invalidation out through the existing ``on_ingest`` machinery, so
+``StreamingSession``, the CLI, analytics and the eval runner work
+unchanged against a cluster::
 
-    from repro import ShardedLocater, ThreadShardExecutor
+    from repro import ShardedLocater
 
-    cluster = ShardedLocater(building, metadata, table, shard_count=4,
-                             executor=ThreadShardExecutor())
+    cluster = ShardedLocater(building, metadata, table, shard_count=4)
     answers = cluster.locate_batch(queries)   # route → execute → merge
     cluster.ingest(new_events)                # merge once, fan out
     cluster.close()
@@ -177,33 +176,38 @@ archived as ``results/BENCH_shared_memory.json``)::
 Serving architecture
 --------------------
 
-The batch engine answers many queries at once; the cluster spreads
-them over shards; :class:`~repro.serve.AsyncGateway` turns *concurrency
+The batch engine answers many queries at once; the cluster spreads them
+over shards; :class:`~repro.serve.AsyncGateway` turns *concurrency
 itself* into batches.  Callers await ``gateway.locate(mac, t)`` as
 single-query coroutines; the gateway admits each query past a bounded
 pending queue (past the bound it sheds immediately with a typed
 :class:`~repro.errors.GatewayOverloadedError` — rejections, not
 unbounded latency; ``await gateway.ready()`` is the backpressure
-signal), routes it to a per-shard submission lane, and each lane
+signal), routes it to its owning shard's submission lane
+(:meth:`ShardedLocater.shard_of
+<repro.cluster.ShardedLocater.shard_of>`; with caching on, a whole
+co-presence component shares one lane and one cache), and each lane
 coalesces whatever arrives within a batching window (``max_wait`` /
 ``max_batch``) into one planner batch executed off the event loop — so
-one slow shard never stalls another's windows, and per-dispatch
-overhead (a pipe round-trip, for process shards) is paid once per
-window instead of once per query.  ``max_wait`` is the knob: longer
-windows coalesce more (throughput) at a latency floor, ``max_wait=0``
-still coalesces opportunistically under load.  Ingest ticks serialize
-against in-flight windows through the streaming machinery that owns
-the gateway's warm state, and the concurrent equivalence contract
-extends the core invariant: any interleaving of gateway calls returns
-bitwise the answers, storage writes and summed cache counters of the
-same queries run through plain ``locate_batch``
+one slow shard never stalls another's windows, and per-dispatch overhead
+(a pipe round-trip, for process shards) is paid once per window instead
+of once per query.  ``max_wait`` is the knob: longer windows coalesce
+more (throughput) at a latency floor, ``max_wait=0`` still coalesces
+opportunistically under load.  Ingest ticks serialize against in-flight
+windows through the streaming machinery that owns the gateway's warm
+state, and the concurrent equivalence contract extends the core
+invariant: any interleaving of gateway calls returns bitwise the
+answers, storage writes and summed cache counters of the same queries
+run through plain ``locate_batch``, and a default cluster behind the
+gateway answers like a lone ``Locater`` replaying the same windows
 (``tests/integration/test_gateway_equivalence.py`` — the realized
 schedule is journaled and replayed).  The window/latency trade-off is
 measured in ``benchmarks/test_bench_gateway.py`` (archived as
 ``results/BENCH_gateway.json``)::
 
-    from repro import AsyncGateway
+    from repro import AsyncGateway, ShardedLocater
 
+    cluster = ShardedLocater(building, metadata, table, shard_count=2)
     async with AsyncGateway(cluster, max_wait=0.002, max_batch=64) as gw:
         answers = await asyncio.gather(*(gw.locate(mac, t)
                                          for mac, t in calls))
@@ -269,23 +273,19 @@ from repro.cache import (
     LocalAffinityGraph,
 )
 from repro.cluster import (
-    BuildingAffinityRouter,
     ClusterCacheStats,
     ClusterIngestReport,
     ComponentAffinityRouter,
     Fault,
     FaultInjectingExecutor,
     FaultPlan,
-    HashRouter,
     ProcessShardExecutor,
     RecoveryEvent,
     RecoveryPolicy,
     SerialShardExecutor,
     ShardExecutor,
-    ShardRouter,
     ShardSupervisor,
     ShardedLocater,
-    ThreadShardExecutor,
 )
 from repro.coarse import (
     BootstrapLabeler,
@@ -343,7 +343,6 @@ from repro.space import (
     RoomType,
     SpaceMetadata,
     airport_blueprint,
-    campus_ap_buildings,
     campus_blueprint,
     dbh_blueprint,
     mall_blueprint,
@@ -378,7 +377,6 @@ __all__ = [
     "Baseline2",
     "BootstrapLabeler",
     "Building",
-    "BuildingAffinityRouter",
     "BuildingBuilder",
     "CachingEngine",
     "ClusterCacheStats",
@@ -408,7 +406,6 @@ __all__ = [
     "GatewayStats",
     "GlobalAffinityGraph",
     "GroupAffinityModel",
-    "HashRouter",
     "HeapColumnStore",
     "IngestReport",
     "IngestionEngine",
@@ -439,7 +436,6 @@ __all__ = [
     "SerialShardExecutor",
     "ShardExecutor",
     "ShardQuarantinedError",
-    "ShardRouter",
     "ShardSupervisor",
     "ShardTimeoutError",
     "ShardUnavailableError",
@@ -452,10 +448,8 @@ __all__ = [
     "SqliteStorage",
     "StorageError",
     "StreamingSession",
-    "ThreadShardExecutor",
     "TrainingError",
     "airport_blueprint",
-    "campus_ap_buildings",
     "campus_blueprint",
     "dbh_blueprint",
     "extract_gaps",

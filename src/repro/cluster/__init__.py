@@ -8,26 +8,26 @@ query surface:
 Architecture
 ------------
 
-Three orthogonal pieces, each swappable:
+Three pieces; only the executor is a choice:
 
 * **Router** (:mod:`repro.cluster.router`) — which shard *owns* which
   device.  Ownership covers a device's queries, trained coarse models,
-  cleaned-answer storage namespace and cache warm state.  Routers must
-  be deterministic, and route upgrades happen only at ingest
+  cleaned-answer storage namespace and cache warm state.  The cluster
+  builds one :class:`ComponentAffinityRouter` itself, and the
+  configuration picks the routes.  With caching on (the default) every
+  device routes by its co-presence component, which is what makes
+  per-shard caching exact (below); routes change only at ingest
   boundaries, where the cluster migrates what a move would strand
-  (stored answers, recorded cache edges).  :class:`HashRouter` spreads
-  devices uniformly; :class:`BuildingAffinityRouter` keeps a campus
-  building's population on one shard so shared-computation memos hit
-  across its query stream; :class:`ComponentAffinityRouter` co-locates
-  whole affinity components, which is what makes per-shard caching
-  exact (below).
+  (stored answers, recorded cache edges).  With caching off the router
+  is never fed, and every device routes by ``stable_hash(mac)``,
+  spreading even one giant component over every shard.
 * **Executor** (:mod:`repro.cluster.executor`) — where shards live and
-  how calls reach them.  :class:`SerialShardExecutor` and
-  :class:`ThreadShardExecutor` keep shards in-process (sharing the
-  cluster's event table object); :class:`ProcessShardExecutor` forks
-  one actor worker per shard with a copy-on-write table replica and
-  speaks pickled (method, args) over a pipe.  All three return results
-  in shard order, so executor choice never changes an answer.
+  how calls reach them.  :class:`SerialShardExecutor` keeps shards
+  in-process (sharing the cluster's event table object);
+  :class:`ProcessShardExecutor` forks one actor worker per shard with a
+  copy-on-write table replica and speaks pickled (method, args) over a
+  pipe.  Both return results in shard order, so executor choice never
+  changes an answer.
 * **Shard** (:mod:`repro.cluster.shard`) — one full ``Locater`` plus,
   for process workers, its own ingestion engine and streaming session.
   Shards are created by the executor from a factory at
@@ -43,17 +43,18 @@ mining and the population aggregate read the whole log — so partial
 logs would change answers; replication keeps the load-bearing
 invariant instead:
 
-    With any deterministic router, any shard count and any executor,
-    cluster answers are bitwise identical to a lone ``Locater`` over
-    the same table whenever answers are pure functions of the table.
+    With any shard count and any executor, cluster answers are bitwise
+    identical to a lone ``Locater`` over the same table, with caching
+    on or off.
 
-The §5 caching engine is deliberate cross-query warm state, not a pure
-function of the table — and the cluster keeps the invariant anyway,
-through the **component-routing contract**: the global affinity graph
-only ever couples devices inside a connected component of the
-potential co-presence graph (two devices can share an affinity edge
-only if their observed APs' room coverage intersects, the precondition
-for ever being neighbors).  The
+With caching off that is replication alone: answers are pure functions
+of the table.  The §5 caching engine is deliberate cross-query warm
+state, not a pure function of the table — and the cluster keeps the
+invariant anyway, through the **component-routing contract**: the
+global affinity graph only ever couples devices inside a connected
+component of the potential co-presence graph (two devices can share an
+affinity edge only if their observed APs' room coverage intersects, the
+precondition for ever being neighbors).  With caching on, the cluster's
 :class:`~repro.cluster.router.ComponentAffinityRouter` co-locates
 every device of a component on one shard, so each per-shard cache
 performs exactly the edge reads and writes — in exactly the order —
@@ -69,26 +70,22 @@ owner, observation order preserved, and the devices' stale namespaced
 answers are cleared.  Residual *cut* edges (only reachable through
 pathological coarse fallbacks that place a device outside its own
 observed coverage) stay best-effort: a shard consulting an edge it
-never recorded treats it as unseen.  Under any *other* router, per-
-shard caches warm like N independent paper deployments — run those
-configurations with the caching engine off when bitwise equality to a
-lone system matters.
+never recorded treats it as unseen.
 
-Ingest fans out through the same routers: one merge into the
+Ingest fans out through the same router: one merge into the
 authoritative table stamps ids and re-estimates δ exactly like a lone
-engine, the router observes the stamped batch (binding first-seen
-devices and reporting re-keyed ones for migration), each shard's slice
-of the dirty stream is persisted under its storage namespace, and
-shards invalidate surgically via the existing
-:meth:`Locater.on_ingest` path (replica shards merge the stamped batch
-themselves, reproducing identical ids).
+engine, the router re-binds the changed devices when caching is on
+(reporting re-keyed ones for migration), each shard's slice of the
+dirty stream is persisted under its storage namespace, and shards
+invalidate surgically via the existing :meth:`Locater.on_ingest` path
+(replica shards merge the stamped batch themselves, reproducing
+identical ids).
 
 Typical use::
 
-    from repro import ShardedLocater, ThreadShardExecutor
+    from repro import ShardedLocater
 
-    cluster = ShardedLocater(building, metadata, table, shard_count=4,
-                             executor=ThreadShardExecutor())
+    cluster = ShardedLocater(building, metadata, table, shard_count=4)
     answers = cluster.locate_batch(queries)     # partition → merge
     cluster.ingest(new_events)                  # merge once, fan out
     cluster.close()
@@ -166,7 +163,7 @@ Typical use::
 
 ``examples/campus_cluster.py`` walks a 3-building campus on a 4-shard
 cluster with streaming ingest; ``examples/cluster_caching.py`` shows
-caching-on cluster serving under the component router;
+caching-on cluster serving through a component merge;
 ``benchmarks/test_bench_cluster.py`` tracks throughput versus shard
 count and executor choice, and
 ``benchmarks/test_bench_cluster_caching.py`` tracks the Fig. 9/12
@@ -177,7 +174,6 @@ from repro.cluster.executor import (
     ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
-    ThreadShardExecutor,
 )
 from repro.cluster.faults import (
     Fault,
@@ -185,10 +181,7 @@ from repro.cluster.faults import (
     FaultPlan,
 )
 from repro.cluster.router import (
-    BuildingAffinityRouter,
     ComponentAffinityRouter,
-    HashRouter,
-    ShardRouter,
     partition_events,
     stable_hash,
 )
@@ -206,7 +199,6 @@ from repro.cluster.supervision import (
 )
 
 __all__ = [
-    "BuildingAffinityRouter",
     "ClusterBatchState",
     "ClusterCacheStats",
     "ClusterIngestReport",
@@ -214,17 +206,14 @@ __all__ = [
     "Fault",
     "FaultInjectingExecutor",
     "FaultPlan",
-    "HashRouter",
     "ProcessShardExecutor",
     "RecoveryEvent",
     "RecoveryPolicy",
     "SerialShardExecutor",
     "Shard",
     "ShardExecutor",
-    "ShardRouter",
     "ShardSupervisor",
     "ShardedLocater",
-    "ThreadShardExecutor",
     "partition_events",
     "stable_hash",
 ]

@@ -10,11 +10,6 @@ swaps the deployment shape without changing any cluster logic:
   another.  Zero overhead; the baseline every benchmark compares
   against, and the executor under which equivalence proofs are easiest
   to read.
-* :class:`ThreadShardExecutor` — shards in-process, calls run on a
-  thread pool.  Python's GIL serializes the pure-Python parts, so the
-  win is bounded by the numpy fraction of the pipeline; what it buys
-  cheaply is overlap of shard calls that block (storage I/O) and a
-  drop-in dress rehearsal for the process executor.
 * :class:`ProcessShardExecutor` — each shard is an *actor* in a worker
   process: forked with a private copy-on-write replica of everything
   the factory closed over, or (``start_method='spawn'``, or any worker
@@ -26,8 +21,8 @@ swaps the deployment shape without changing any cluster logic:
   serialization and no shared mutable state (a cluster with process
   shards therefore refuses external storage and batch states).
 
-Determinism contract shared by all three: ``call_all`` returns results
-in shard order no matter which shard finished first, and each shard
+Determinism contract shared by both: ``call_all`` returns results in
+shard order no matter which shard finished first, and each shard
 executes its own calls sequentially — so any per-shard computation is
 bit-for-bit reproducible across executor choices.
 
@@ -50,7 +45,6 @@ import multiprocessing
 import signal as _signal
 import traceback
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
@@ -268,57 +262,6 @@ class SerialShardExecutor(_InProcessExecutor):
         return "SerialShardExecutor()"
 
 
-class ThreadShardExecutor(_InProcessExecutor):
-    """Run shard calls on a thread pool (one worker per shard by default).
-
-    Each ``call_all`` dispatches one task per shard; a shard never sees
-    concurrent calls (the pool is fed at most one task per shard per
-    dispatch, and the cluster layer issues dispatches sequentially), so
-    per-shard state needs no locking.
-    """
-
-    def __init__(self, max_workers: "int | None" = None) -> None:
-        super().__init__()
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1, got {max_workers}")
-        self._max_workers = max_workers
-
-    def _start(self, factory: ShardFactory, shard_count: int) -> None:
-        super()._start(factory, shard_count)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._max_workers or shard_count,
-            thread_name_prefix="shard")
-
-    def _call_all(self, method: str,
-                  args_per_shard: Sequence[tuple]) -> list[Any]:
-        futures = [
-            self._pool.submit(getattr(shard, method), *args)
-            for shard, args in zip(self._shards, args_per_shard)]
-        # Collect in shard order; a raised shard call surfaces here with
-        # its original traceback.
-        return [future.result() for future in futures]
-
-    def _call_some(self, shard_ids: list[int], method: str,
-                   args_per_shard: Sequence[tuple]) -> list[Any]:
-        futures = [
-            self._pool.submit(getattr(self._shards[shard_id], method), *args)
-            for shard_id, args in zip(shard_ids, args_per_shard)]
-        return [future.result() for future in futures]
-
-    def _close(self) -> None:
-        # ``_pool`` may not exist if the factory raised before the pool
-        # was built; close() must still tear down the built shards.
-        pool = getattr(self, "_pool", None)
-        if pool is not None:
-            pool.shutdown(wait=True)
-            self._pool = None
-        super()._close()
-
-    def __repr__(self) -> str:
-        return f"ThreadShardExecutor(max_workers={self._max_workers})"
-
-
 def _worker_send(connection, payload) -> bool:
     """Send on the worker side; ``False`` when the parent is gone.
 
@@ -409,7 +352,7 @@ class ProcessShardExecutor(ShardExecutor):
                     "ProcessShardExecutor defaults to the 'fork' start "
                     "method (unavailable on this platform); pass "
                     "start_method='spawn' with a shared-memory table, or "
-                    "use ThreadShardExecutor / SerialShardExecutor")
+                    "use SerialShardExecutor")
             start_method = "fork"
         if start_method not in ("fork", "spawn"):
             raise ConfigurationError(

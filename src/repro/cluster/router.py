@@ -5,48 +5,40 @@ log to every shard (cleaning couples devices through co-location, so a
 shard answering queries from a partial log would change answers) and
 partitions *serving ownership*: each device's queries, trained coarse
 models, cleaned-answer storage and cache warm state live on exactly one
-shard.  The router decides that assignment.
+shard.  The cluster builds one :class:`ComponentAffinityRouter` to
+decide that assignment, and its configuration decides how the router is
+fed:
 
-Routers must be **deterministic and ingest-bound**: ``shard_of`` may
-never depend on query order, process identity or Python's salted
-``hash`` — assignment state changes only through the observe hooks,
-which run during ingests, never during queries.  Routes may *upgrade*
-at those ingest boundaries: a device the affinity router has not yet
-bound serves from its hash-fallback shard until its first observation
-at a mapped AP binds it, and a component router re-binds whole device
-groups when their components merge.  Every upgrade is accounted for —
-``observe_table`` returns the set of devices whose route changed, and
-the cluster migrates what a move would otherwise strand: stored
+* **Caching on** — the cluster binds every device of its table at
+  construction and re-binds changed devices at every ingest.  Each
+  device then routes by its co-presence component (see the class
+  docstring), so every device that can ever share a §5 affinity edge
+  with it shares its shard and its cache.
+* **Caching off** — answers are pure functions of the table, so nothing
+  needs co-locating: the cluster never feeds the router, and every
+  device keeps its unbound route, ``stable_hash(mac) % shard_count``.
+  That spreads a single giant component (a whole building) over every
+  shard.
+
+Routes are **deterministic and ingest-bound**: ``shard_of`` never
+depends on query order, process identity or Python's salted ``hash``,
+and binding state changes only in
+:meth:`ComponentAffinityRouter.observe_table`, which the cluster calls
+during ingests, never during queries.  A merge of two components
+re-keys one side; ``observe_table`` returns every re-keyed device, and
+the cluster migrates what the move would otherwise strand: stored
 answers are cleared from the old shard's namespace (so a re-query can
 never serve a stale namespaced answer) and recorded cache edges are
 exchanged to the new owning shard (so its affinity reads stay exactly
 what a lone deployment would see).  Trained models and memos are pure
 functions of the replicated log and need no migration — the old shard
-merely keeps warm state it will no longer use.  Three routers ship:
-
-* :class:`HashRouter` — a stable CRC32 of the MAC, modulo the shard
-  count.  Uniform, metadata-free, the right default.
-* :class:`BuildingAffinityRouter` — for multi-building campuses whose
-  AP ids map to buildings: a device is assigned to the shard of the
-  building where it was *first observed* (sticky thereafter), so
-  co-located populations land on the same shard and the shard's
-  shared-computation memos (neighbor snapshots, pair affinities) hit
-  across its whole query stream.  Devices never observed at a mapped AP
-  fall back to the hash route.
-* :class:`ComponentAffinityRouter` — routes by connected component of
-  the *potential co-presence graph* (two devices couple if the rooms
-  their observed APs cover intersect — the precondition for ever being
-  neighbors, and hence for ever sharing an affinity edge).  Every
-  device of a component lands on one shard, which is what makes
-  per-shard §5 caching **exact**: see
-  :mod:`repro.cache.components` and the cluster package docstring.
+merely keeps warm state it will no longer use.
 """
 
 from __future__ import annotations
 
 import zlib
-from abc import ABC, abstractmethod
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TypeVar
 
 import numpy as np
@@ -65,184 +57,6 @@ def stable_hash(mac: str) -> int:
     return zlib.crc32(mac.encode("utf-8"))
 
 
-class ShardRouter(ABC):
-    """Maps a device id to the shard that owns it."""
-
-    @abstractmethod
-    def shard_of(self, mac: str, shard_count: int) -> int:
-        """The owning shard of ``mac``, in ``range(shard_count)``.
-
-        Must be a pure function of (mac, shard_count) and the
-        assignment state accumulated through the observe hooks — which
-        only ever run during ingests — never of query order (see the
-        module docstring for the one-time bind upgrade this allows).
-        """
-
-    def observe(self, events: Iterable[ConnectivityEvent]) -> None:
-        """Feed routing-relevant events (default: routers are stateless).
-
-        Assignment-learning routers (building affinity) bind first-seen
-        devices here.  Implementations must keep already-assigned
-        devices where they are.
-        """
-
-    def observe_table(self, table: EventTable,
-                      macs: Iterable[str]) -> frozenset[str]:
-        """Bind ``macs`` from their merged logs (default: stateless).
-
-        The cluster calls this on *every* ingest path — including
-        ``on_ingest``, which carries only a change report, no events —
-        so devices are bound no matter which entry point their first
-        events arrived through.  Binding reads each device's log in
-        chronological order.
-
-        Returns:
-            The devices whose route may have changed (a superset is
-            fine — the cluster's migration of a device that did not
-            actually move is a no-op).  A component router may return
-            devices *outside* ``macs``: a merge triggered by one
-            device's new events can re-key a whole component.
-        """
-        return frozenset()
-
-    def partition(self, items: Sequence[T], macs: Sequence[str],
-                  shard_count: int) -> "list[list[T]]":
-        """Split ``items`` (with parallel ``macs``) into per-shard lists.
-
-        Order within each shard preserves input order — which is what
-        keeps duplicate (mac, timestamp) queries short-circuiting
-        through storage exactly as the single-system path does.
-        """
-        if len(items) != len(macs):
-            raise ConfigurationError(
-                f"items and macs must align, got {len(items)} vs "
-                f"{len(macs)}")
-        out: "list[list[T]]" = [[] for _ in range(shard_count)]
-        for item, mac in zip(items, macs):
-            out[self.shard_of(mac, shard_count)].append(item)
-        return out
-
-
-class HashRouter(ShardRouter):
-    """Uniform device-hash routing (stable CRC32, no metadata needed)."""
-
-    def shard_of(self, mac: str, shard_count: int) -> int:
-        return stable_hash(mac) % shard_count
-
-    def __repr__(self) -> str:
-        return "HashRouter()"
-
-
-class BuildingAffinityRouter(ShardRouter):
-    """Route by the building a device was first observed in.
-
-    Args:
-        ap_buildings: AP id → building key (e.g. from
-            :func:`repro.space.blueprints.campus_ap_buildings`).  APs
-            absent from the map contribute nothing to assignment.
-        fallback: Router consulted for devices with no building
-            assignment (never observed, or only at unmapped APs).
-
-    Buildings are mapped to shards round-robin over the sorted distinct
-    building keys, so a 3-building campus on 4 shards uses 3 of them
-    and a 6-building campus doubles buildings up deterministically.
-    Assignments are *sticky*: commuter devices that later roam to other
-    buildings keep their first shard, because moving them would strand
-    trained models and stored answers.  Until a device is bound it
-    serves from its fallback (hash) shard; the binding upgrade happens
-    at most once, at its first mapped-AP observation during an ingest
-    (see the module docstring for why this beats pinning the fallback).
-    """
-
-    def __init__(self, ap_buildings: Mapping[str, str],
-                 fallback: "ShardRouter | None" = None) -> None:
-        if not ap_buildings:
-            raise ConfigurationError(
-                "building-affinity routing needs at least one AP→building "
-                "mapping")
-        self._ap_buildings = dict(ap_buildings)
-        self._building_index = {
-            building: index for index, building in
-            enumerate(sorted(set(self._ap_buildings.values())))}
-        self._assigned: dict[str, int] = {}
-        self._fallback = fallback if fallback is not None else HashRouter()
-
-    @classmethod
-    def from_table(cls, table: EventTable,
-                   ap_buildings: Mapping[str, str],
-                   fallback: "ShardRouter | None" = None
-                   ) -> "BuildingAffinityRouter":
-        """Bind every device already in ``table`` to its first-seen building.
-
-        The scan is chronological per device (each log is sorted), so
-        the assignment equals what observing the original stream would
-        have produced.
-        """
-        router = cls(ap_buildings, fallback=fallback)
-        router.observe_table(table, table.macs())
-        return router
-
-    def _assign(self, mac: str, ap_id: str) -> bool:
-        """Bind ``mac`` to ``ap_id``'s building; True when now assigned."""
-        if mac in self._assigned:
-            return True
-        building = self._ap_buildings.get(ap_id)
-        if building is None:
-            return False
-        self._assigned[mac] = self._building_index[building]
-        return True
-
-    def observe(self, events: Iterable[ConnectivityEvent]) -> None:
-        """Bind devices appearing in ``events`` to their first mapped AP."""
-        for event in events:
-            self._assign(event.mac, event.ap_id)
-
-    def observe_table(self, table: EventTable,
-                      macs: Iterable[str]) -> frozenset[str]:
-        """Bind each unassigned device from its merged, sorted log.
-
-        A full chronological scan per still-unassigned device: merges
-        may insert late-arriving rows anywhere in the log, so a resume
-        offset could skip a mapped AP.  The scan usually stops at the
-        first event; only devices that never touch a mapped AP pay the
-        full log length, and only while they stay unassigned.
-
-        Returns the devices bound by *this* call — each just upgraded
-        off its hash-fallback shard, so the cluster clears their
-        answers from the fallback namespace (see the module docstring).
-        """
-        bound: set[str] = set()
-        for mac in sorted(set(macs)):
-            if mac in self._assigned or mac not in table.registry:
-                continue
-            log = table.log(mac)
-            for position in range(len(log)):
-                if self._assign(mac, log.ap_at(position)):
-                    bound.add(mac)
-                    break
-        return frozenset(bound)
-
-    def building_of(self, mac: str) -> "str | None":
-        """The building key ``mac`` is bound to, or None (fallback route)."""
-        index = self._assigned.get(mac)
-        if index is None:
-            return None
-        for building, candidate in self._building_index.items():
-            if candidate == index:
-                return building
-        return None
-
-    def shard_of(self, mac: str, shard_count: int) -> int:
-        index = self._assigned.get(mac)
-        if index is None:
-            return self._fallback.shard_of(mac, shard_count)
-        return index % shard_count
-
-    def __repr__(self) -> str:
-        return (f"BuildingAffinityRouter({len(self._building_index)} "
-                f"buildings, {len(self._assigned)} devices bound)")
-
-
 #: Node tags of the router's bipartite device↔room union-find.  Devices
 #: sort before rooms, so a component's minimum member is always a device
 #: node and the routing representative is the smallest device MAC.
@@ -250,7 +64,7 @@ _DEVICE_TAG = "0:"
 _ROOM_TAG = "1:"
 
 
-class ComponentAffinityRouter(ShardRouter):
+class ComponentAffinityRouter:
     """Route by connected component of the potential co-presence graph.
 
     Two devices can ever become fine-inference neighbors — and hence
@@ -260,35 +74,33 @@ class ComponentAffinityRouter(ShardRouter):
     a device at an AP unions the device with every room of the AP's
     region, so two devices share a component iff their room sets are
     connected (possibly transitively, through other devices).  Every
-    device of a component routes to ``stable_hash(representative) %
+    bound device routes to ``stable_hash(representative) %
     shard_count`` with the representative the component's smallest
     device MAC — a pure function of the component's member set,
-    invariant to event order.
+    invariant to event order.  An unbound device (never observed, or
+    only at APs the building does not know) routes by
+    ``stable_hash(mac)``.
 
     Because the query path only ever touches affinity edges between a
     queried device and its neighbors, co-locating whole components
     makes each shard's cache **exact**: it performs the same edge reads
     and writes, in the same order, as a lone deployment (see
     :mod:`repro.cache.components`).  A singleton component hashes to
-    the device's own MAC — identical to the :class:`HashRouter`
-    fallback used before the device is first bound, so binding a
-    loner never moves it.
+    the device's own MAC — the unbound route — so binding a loner never
+    moves it.
 
-    Components merge as logs grow; a merge re-keys the smaller-MAC
-    side's devices, and :meth:`observe_table` reports every re-keyed
-    device so the cluster can migrate its cache edges and clear its
-    stale namespaced answers (see the module docstring).
+    Components merge as logs grow; a merge re-keys the devices of the
+    side with the larger representative, and :meth:`observe_table`
+    reports every re-keyed device so the cluster can migrate its cache
+    edges and clear its stale namespaced answers (see the module
+    docstring).
 
     Args:
         building: The space model (a single building or merged campus);
             only its AP → region-rooms covering map is retained.
-        fallback: Router for devices never observed at a known AP
-            (default :class:`HashRouter` — keep it: the component
-            route deliberately degenerates to the same hash).
     """
 
-    def __init__(self, building: Building,
-                 fallback: "ShardRouter | None" = None) -> None:
+    def __init__(self, building: Building) -> None:
         self._rooms_of_ap: dict[str, frozenset[str]] = {
             region.ap_id: region.rooms for region in building.regions}
         if not self._rooms_of_ap:
@@ -297,25 +109,16 @@ class ComponentAffinityRouter(ShardRouter):
                 "least one AP region")
         self._components = AffinityComponents()
         self._seen_aps: dict[str, set[str]] = {}
-        self._fallback = fallback if fallback is not None else HashRouter()
-        self._hash_fallback = isinstance(self._fallback, HashRouter)
 
     @classmethod
-    def from_table(cls, table: EventTable, building: Building,
-                   fallback: "ShardRouter | None" = None
-                   ) -> "ComponentAffinityRouter":
+    def from_table(cls, table: EventTable,
+                   building: Building) -> "ComponentAffinityRouter":
         """Bind every device already in ``table`` to its component."""
-        router = cls(building, fallback=fallback)
+        router = cls(building)
         router.observe_table(table, table.macs())
         return router
 
     # ------------------------------------------------------------------
-    def observe(self, events: Iterable[ConnectivityEvent]) -> None:
-        """Absorb routing-relevant events directly (no table needed)."""
-        moved: set[str] = set()
-        for event in events:
-            self._absorb(event.mac, (event.ap_id,), moved)
-
     def observe_table(self, table: EventTable,
                       macs: Iterable[str]) -> frozenset[str]:
         """Union each changed device with its newly observed APs' rooms.
@@ -323,12 +126,14 @@ class ComponentAffinityRouter(ShardRouter):
         Scans only the *distinct* APs of each device's log (a vectorized
         unique over its AP index column), skipping APs already
         absorbed, so repeated observation of a busy device costs one
-        ``np.unique`` plus O(new APs) union work.
+        ``np.unique`` plus O(new APs) union work.  Components depend
+        only on the set of (device, AP) pairs seen, so observing a
+        table after each of several ingests binds exactly what one
+        :meth:`from_table` over the final table binds.
 
-        Returns every device whose routing key changed: devices whose
-        component merged into one with a smaller representative —
-        including devices far outside ``macs`` — plus, under a
-        non-hash fallback, devices bound for the first time.
+        Returns every device whose routing key changed: the devices of
+        each component that merged into one with a smaller
+        representative — including devices far outside ``macs``.
         """
         moved: set[str] = set()
         for mac in sorted(set(macs)):
@@ -350,7 +155,6 @@ class ComponentAffinityRouter(ShardRouter):
         """
         seen = self._seen_aps.setdefault(mac, set())
         node = _DEVICE_TAG + mac
-        was_bound = node in self._components
         for ap_id in ap_ids:
             if ap_id in seen:
                 continue
@@ -372,11 +176,6 @@ class ComponentAffinityRouter(ShardRouter):
                     for member in self._components.component(loser)
                     if member.startswith(_DEVICE_TAG))
                 self._components.add_edge(node, room_node)
-        if not was_bound and node in self._components \
-                and not self._hash_fallback:
-            # First binding flips the route off a non-hash fallback even
-            # when the component hash alone would not move the device.
-            moved.add(mac)
 
     # ------------------------------------------------------------------
     def representative(self, mac: str) -> "str | None":
@@ -397,10 +196,27 @@ class ComponentAffinityRouter(ShardRouter):
             if member.startswith(_DEVICE_TAG))
 
     def shard_of(self, mac: str, shard_count: int) -> int:
+        """The owning shard of ``mac``, in ``range(shard_count)``."""
         representative = self.representative(mac)
-        if representative is None:
-            return self._fallback.shard_of(mac, shard_count)
-        return stable_hash(representative) % shard_count
+        return stable_hash(representative if representative is not None
+                           else mac) % shard_count
+
+    def partition(self, items: Sequence[T], macs: Sequence[str],
+                  shard_count: int) -> "list[list[T]]":
+        """Split ``items`` (with parallel ``macs``) into per-shard lists.
+
+        Order within each shard preserves input order — which is what
+        keeps duplicate (mac, timestamp) queries short-circuiting
+        through storage exactly as the single-system path does.
+        """
+        if len(items) != len(macs):
+            raise ConfigurationError(
+                f"items and macs must align, got {len(items)} vs "
+                f"{len(macs)}")
+        out: "list[list[T]]" = [[] for _ in range(shard_count)]
+        for item, mac in zip(items, macs):
+            out[self.shard_of(mac, shard_count)].append(item)
+        return out
 
     def __repr__(self) -> str:
         return (f"ComponentAffinityRouter({len(self._seen_aps)} devices "
@@ -408,7 +224,7 @@ class ComponentAffinityRouter(ShardRouter):
 
 
 def partition_events(events: Sequence[ConnectivityEvent],
-                     router: ShardRouter,
+                     router: ComponentAffinityRouter,
                      shard_count: int) -> "list[list[ConnectivityEvent]]":
     """Split an event batch into per-shard sub-batches by owner device.
 

@@ -1,29 +1,30 @@
 """``ShardedLocater``: one query surface over N independent shards.
 
 The cluster replicates the event log to every shard and partitions
-*serving ownership* by a :class:`~repro.cluster.router.ShardRouter`:
-each device's queries, trained coarse models, cleaned-answer storage
-namespace and cache warm state live on exactly one shard.  Replication
-is not an implementation shortcut — it is what makes the cluster
-*correct*: cleaning couples devices through co-location (neighbor
-discovery, device-affinity mining and the population aggregate all read
-the whole log), so a shard serving from a partial log would change
-answers.  What scales out is everything downstream of the log: model
-training, gap-feature extraction, fine-grained inference, caching and
-answer storage — the dominant costs.
+*serving ownership* by its built-in
+:class:`~repro.cluster.router.ComponentAffinityRouter`: each device's
+queries, trained coarse models, cleaned-answer storage namespace and
+cache warm state live on exactly one shard.  Replication is not an
+implementation shortcut — it is what makes the cluster *correct*:
+cleaning couples devices through co-location (neighbor discovery,
+device-affinity mining and the population aggregate all read the whole
+log), so a shard serving from a partial log would change answers.  What
+scales out is everything downstream of the log: model training,
+gap-feature extraction, fine-grained inference, caching and answer
+storage — the dominant costs.
 
 The serving contract is the repo's strongest invariant, extended to the
-cluster: with any deterministic router, any shard count and any
-executor, answers are **bitwise identical** to a lone
-:class:`~repro.system.locater.Locater` over the same table whenever
-answers are pure functions of the table — and, under the
-:class:`~repro.cluster.router.ComponentAffinityRouter`, *with the §5
-caching engine on as well*: the global affinity graph couples devices
-only within connected components of the potential co-presence graph,
-so co-locating whole components makes each shard's cache perform the
-same edge reads and writes, in the same order, as the lone system
-(aggregated cache counters included).  When components merge at an
-ingest boundary, the cluster migrates the re-keyed devices' recorded
+cluster: with any shard count and any executor, answers are **bitwise
+identical** to a lone :class:`~repro.system.locater.Locater` over the
+same table — *with the §5 caching engine on as well*.  With caching
+off, answers are pure functions of the table and devices spread by a
+stable hash of their MAC.  With caching on, the cluster routes every
+device by its co-presence component: the global affinity graph couples
+devices only within connected components of the potential co-presence
+graph, so co-locating whole components makes each shard's cache
+perform the same edge reads and writes, in the same order, as the lone
+system (aggregated cache counters included).  When components merge at
+an ingest boundary, the cluster migrates the re-keyed devices' recorded
 edges and clears their stale namespaced answers (see
 :meth:`ShardedLocater._migrate_moved`).  The equivalence suite in
 ``tests/integration/test_cluster_equivalence.py`` enforces all of this
@@ -49,7 +50,7 @@ from repro.cluster.executor import (
     ShardExecutor,
     ShardFactory,
 )
-from repro.cluster.router import HashRouter, ShardRouter, partition_events
+from repro.cluster.router import ComponentAffinityRouter, partition_events
 from repro.cluster.shard import Shard
 from repro.cluster.supervision import (
     RecoveryEvent,
@@ -230,12 +231,16 @@ class ShardedLocater:
             this object; process shards inherit a bitwise replica at
             fork time.
         shard_count: Number of shards.
-        router: Device → shard assignment (default
-            :class:`~repro.cluster.router.HashRouter`).
         executor: Shard placement and call dispatch (default
             :class:`~repro.cluster.executor.SerialShardExecutor`).  The
             cluster owns it from here: ``close`` tears it down.
-        config: Pipeline configuration shared by every shard.
+        config: Pipeline configuration shared by every shard.  It also
+            picks the routes: with caching on (the default) every device
+            routes by its co-presence component, bound from ``table``
+            here and re-bound at every ingest, so each component's §5
+            cache lives whole on one shard; with caching off every
+            device routes by ``stable_hash(mac) % shard_count`` for
+            good (see :mod:`repro.cluster.router`).
         storage: Optional shared backend; shard ``i`` persists its
             answers under namespace ``"shard<i>"`` and its slice of the
             dirty event stream (globally unique ids, stored once).
@@ -266,8 +271,7 @@ class ShardedLocater:
 
     Example:
         >>> cluster = ShardedLocater(building, metadata, table,
-        ...                          shard_count=4,
-        ...                          executor=ThreadShardExecutor())
+        ...                          shard_count=4)
         >>> answers = cluster.locate_batch(queries)
         >>> cluster.ingest(new_events)       # merge once, fan out
         >>> cluster.close()
@@ -275,7 +279,6 @@ class ShardedLocater:
 
     def __init__(self, building: Building, metadata: SpaceMetadata,
                  table: EventTable, *, shard_count: int,
-                 router: "ShardRouter | None" = None,
                  executor: "ShardExecutor | None" = None,
                  config: "LocaterConfig | None" = None,
                  storage: "StorageEngine | None" = None,
@@ -288,7 +291,14 @@ class ShardedLocater:
         self._metadata = metadata
         self._table = table
         self._config = config
-        self._router = router if router is not None else HashRouter()
+        self._caching = config.use_caching if config is not None else True
+        # Caching on: each component's cache must live whole on one
+        # shard, so bind every device now and re-bind at each ingest.
+        # Caching off: nothing to co-locate, so the router is never fed
+        # and every device keeps its stable-hash route.
+        self._router = ComponentAffinityRouter(building)
+        if self._caching:
+            self._router.observe_table(table, table.macs())
         self._executor = executor if executor is not None \
             else SerialShardExecutor()
         self._shard_count = shard_count
@@ -346,7 +356,6 @@ class ShardedLocater:
         self._recovery = recovery
         self._fallback: "Locater | None" = None
         if recovery is not None:
-            caching_on = config.use_caching if config is not None else True
             self._supervisor: "ShardSupervisor | None" = ShardSupervisor(
                 self._executor, policy=recovery,
                 # Attached workers must map the table's *current*
@@ -356,7 +365,7 @@ class ShardedLocater:
                 # own (a re-fork inherits the merged table).
                 factory_provider=self._shard_factory
                 if self._attached_shards else None,
-                checkpoints=caching_on)
+                checkpoints=self._caching)
         else:
             self._supervisor = None
         # States handed out by make_batch_state, pruned on every ingest
@@ -391,8 +400,8 @@ class ShardedLocater:
         return self._config
 
     @property
-    def router(self) -> ShardRouter:
-        """The device → shard assignment."""
+    def router(self) -> ComponentAffinityRouter:
+        """The device → shard assignment (never fed with caching off)."""
         return self._router
 
     @property
@@ -573,8 +582,8 @@ class ShardedLocater:
         complement — dispatch *one* shard's window without touching the
         others, so one slow shard never stalls another lane's batches.
         The caller owns the routing invariant: every query must route
-        to ``shard_id`` under the current router (re-check after any
-        ingest, which is when affinity routers re-key devices).
+        to ``shard_id`` under the current routes (re-check after any
+        ingest, which is when a caching cluster re-keys devices).
         Answers come back in slice order, bitwise what
         :meth:`locate_batch` would return for the same slice.
 
@@ -637,24 +646,23 @@ class ShardedLocater:
 
         The cluster's engine stamps ids and merges into the
         authoritative table (identically to a lone system's engine).
-        The stamped batch then feeds the router (so assignment-learning
-        routers bind first-seen devices), is partitioned to persist each
-        shard's slice of the dirty stream, and finally reaches the
-        shards: in-process shards invalidate against the shared table
-        (live batch states handed out by :meth:`make_batch_state` are
-        pruned along the way); replica shards merge the stamped batch
-        themselves; attached shards receive a
-        :class:`~repro.events.table.TableSync` — the new segment names
-        and counters, no event data — and invalidate off the owner's
-        report.
+        With caching on, the router then re-binds the changed devices
+        from the merged table (merging components, and migrating the
+        devices that re-keyed).  The stamped batch is partitioned to
+        persist each shard's slice of the dirty stream, and finally
+        reaches the shards: in-process shards invalidate against the
+        shared table (live batch states handed out by
+        :meth:`make_batch_state` are pruned along the way); replica
+        shards merge the stamped batch themselves; attached shards
+        receive a :class:`~repro.events.table.TableSync` — the new
+        segment names and counters, no event data — and invalidate off
+        the owner's report.
         """
         self._check_open()
         generation_before = self._table.generation
         report = self._engine.ingest(events)
         stamped = self._tap.take()
-        # Bind assignment-learning routers from the merged table (same
-        # first-seen-in-log-order semantics as the on_ingest path).
-        moved = self._router.observe_table(self._table, report.macs)
+        moved = self._rebind(report.macs)
         partitions = partition_events(stamped, self._router,
                                       self._shard_count)
         for view, partition in zip(self._views, partitions):
@@ -702,10 +710,10 @@ class ShardedLocater:
         self._check_open()
         self._require_in_process("on_ingest")
         # The external engine merged into the shared table already, so
-        # assignment-learning routers can bind the changed devices from
-        # their logs — queries must never route a device differently
-        # depending on which ingest entry point saw it first.
-        moved = self._router.observe_table(self._table, report.macs)
+        # the changed devices re-bind from their logs — queries must
+        # never route a device differently depending on which ingest
+        # entry point saw it first.
+        moved = self._rebind(report.macs)
         with self._poison_on_failure():
             self._migrate_moved(moved)
             summaries: "list[InvalidationSummary | None]" = \
@@ -716,13 +724,20 @@ class ShardedLocater:
         self._checkpoint()
         return merged
 
-    def _migrate_moved(self, moved: frozenset[str]) -> None:
-        """Move what a route upgrade would otherwise strand.
+    def _rebind(self, macs: frozenset[str]) -> frozenset[str]:
+        """Re-bind changed devices (caching on); returns the re-keyed."""
+        if not self._caching:
+            return frozenset()
+        return self._router.observe_table(self._table, macs)
 
-        The router just re-keyed ``moved`` devices (first binding off
-        the hash fallback, or a component merge).  Two kinds of owned
-        state must follow them — runs inside ``_poison_on_failure``
-        because a partial migration leaves shards diverged:
+    def _migrate_moved(self, moved: frozenset[str]) -> None:
+        """Move what a route change would otherwise strand.
+
+        The router just re-keyed ``moved`` devices in a component merge
+        (a device's first binding into an existing component is one).
+        Two kinds of owned state must follow them — runs inside
+        ``_poison_on_failure`` because a partial migration leaves shards
+        diverged:
 
         * **Stored answers**: cleared from every namespace but the new
           owner's, so a re-query can never serve a stale namespaced
@@ -823,8 +838,8 @@ class ShardedLocater:
         """Caching-engine counters, per shard and summed cluster-wide.
 
         The aggregated ``total`` is what equivalence checks compare: it
-        is insensitive to shard order and — under component routing —
-        bitwise equal to a lone system's ``cache.stats()``.
+        is insensitive to shard order and bitwise equal to a lone
+        system's ``cache.stats()`` over the same query stream.
         """
         self._check_open()
         per_shard = self._call_all("cache_stats")
@@ -923,7 +938,7 @@ class _EventTap:
     """The engine-facing storage stub of a cluster.
 
     Captures the stamped events of the current ingest call (the cluster
-    partitions and persists them *after* the router has observed them)
+    partitions and persists them once the ingest's routes are final)
     and answers ``max_event_id`` from the real backend so id seeding
     matches a lone system's engine exactly.
     """

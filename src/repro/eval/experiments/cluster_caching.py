@@ -3,10 +3,12 @@
 The isolated-campus workload (disjoint per-building populations, so the
 potential co-presence graph has one affinity component per building —
 see :func:`~repro.sim.scenarios.isolated_campus_dataset`) is served at
-several shard counts with the caching engine off and on, always routed
-by the :class:`~repro.cluster.ComponentAffinityRouter`.  Two contracts
-are enforced before any number is reported, each against the matching
-lone :class:`~repro.system.locater.Locater`:
+several shard counts with the caching engine off and on, routed as the
+cluster routes by default: by co-presence component with caching on
+(:class:`~repro.cluster.ComponentAffinityRouter`), by a stable hash of
+the MAC with caching off.  Two contracts are enforced before any number
+is reported, each against the matching lone
+:class:`~repro.system.locater.Locater`:
 
 * **bitwise identity** — per caching setting, every cluster answers
   exactly what the lone system answers (component routing makes the
@@ -181,12 +183,9 @@ def run(buildings: int = 3, population: int = 36, days: int = 10,
     runs: list[CachingRun] = []
     for shards in shard_counts:
         for caching in (False, True):
-            # A fresh router per cluster: binding state is the router's.
-            router = ComponentAffinityRouter.from_table(dataset.table,
-                                                        dataset.building)
             with ShardedLocater(
                     dataset.building, dataset.metadata, dataset.table,
-                    shard_count=shards, router=router,
+                    shard_count=shards,
                     config=_config(caching)) as cluster:
                 start = time.perf_counter()
                 answers = cluster.locate_batch(queries,
@@ -219,6 +218,5 @@ def run(buildings: int = 3, population: int = 36, days: int = 10,
         workload={"buildings": buildings, "population": population,
                   "days": days, "seed": seed,
                   "shard_counts": list(shard_counts),
-                  "router": "component",
                   "cost_model": "dependent, per-query affinity mining, "
                                 "no cross-query memoization"})

@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.cluster import (
-    ComponentAffinityRouter,
     Fault,
     FaultInjectingExecutor,
     FaultPlan,
@@ -34,7 +33,6 @@ from repro.cluster import (
     RecoveryPolicy,
     SerialShardExecutor,
     ShardedLocater,
-    ThreadShardExecutor,
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.eval.queries import generated_query_set
@@ -43,7 +41,6 @@ from repro.sim.scenarios import isolated_campus_dataset
 
 _EXECUTORS = {
     "serial": SerialShardExecutor,
-    "thread": ThreadShardExecutor,
     "process": ProcessShardExecutor,
 }
 
@@ -135,16 +132,10 @@ def run(buildings: int = 3, population: int = 24, days: int = 3,
               for index in range(batches - 1)]
     chunks.append(batch[(batches - 1) * size:])
 
-    def router():
-        return ComponentAffinityRouter.from_table(dataset.table,
-                                                  dataset.building)
-
-    victim = Counter(router().shard_of(query.mac, shards)
-                     for query in batch).most_common(1)[0][0]
-
     with ShardedLocater(dataset.building, dataset.metadata,
-                        dataset.table, shard_count=shards,
-                        router=router()) as control:
+                        dataset.table, shard_count=shards) as control:
+        victim = Counter(control.shard_of(query.mac)
+                         for query in batch).most_common(1)[0][0]
         start = time.perf_counter()
         expected = [control.locate_batch(chunk) for chunk in chunks]
         control_seconds = time.perf_counter() - start
@@ -161,7 +152,7 @@ def run(buildings: int = 3, population: int = 24, days: int = 3,
     injector = FaultInjectingExecutor(_EXECUTORS[executor](), plan)
     with ShardedLocater(dataset.building, dataset.metadata,
                         dataset.table, shard_count=shards,
-                        router=router(), executor=injector,
+                        executor=injector,
                         recovery=RecoveryPolicy(max_restarts=kills,
                                                 backoff=(0.0,))
                         ) as cluster:

@@ -1,21 +1,19 @@
 """Cluster scaling experiment: throughput versus shard count and executor.
 
 The campus workload (multi-building space model, commuter devices, see
-:meth:`repro.sim.scenarios.ScenarioSpec.campus`) is served three ways —
+:meth:`repro.sim.scenarios.ScenarioSpec.campus`) is served two ways —
 a lone :class:`~repro.system.locater.Locater` baseline, then a
-:class:`~repro.cluster.ShardedLocater` for every (shard count,
-executor) combination — and every configuration's answers are verified
-**bitwise identical** to the baseline before its throughput is
-reported, so no speedup is ever bought with divergence.  A final
-configuration swaps the hash router for the
-:class:`~repro.cluster.BuildingAffinityRouter` to show routing by
-campus building on the same workload.
+:class:`~repro.cluster.ShardedLocater` for every (shard count, executor)
+combination — and every configuration's answers are verified **bitwise
+identical** to the baseline before its throughput is reported, so no
+speedup is ever bought with divergence.  Caching is off, so the cluster
+spreads devices by a stable hash of their MAC (the campus is one
+co-presence component, which caching-on routing would put on a single
+shard).
 
-Executors tell three different stories on purpose:
+The two executors tell different stories on purpose:
 
 * ``serial`` isolates pure partition-and-merge overhead;
-* ``thread`` is GIL-bound on this pure-Python pipeline, so it measures
-  dispatch overhead more than parallelism;
 * ``process`` forks one worker per shard and scales with the machine's
   cores — on a single-core host it degrades to serial-plus-pickling,
   which the result records honestly (``cpu_count`` is part of the
@@ -30,18 +28,14 @@ from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 
 from repro.cluster import (
-    BuildingAffinityRouter,
-    HashRouter,
     ProcessShardExecutor,
     SerialShardExecutor,
     ShardedLocater,
-    ThreadShardExecutor,
 )
 from repro.errors import ReproError
 from repro.eval.experiments.common import campus_dataset
 from repro.eval.queries import generated_query_set
 from repro.eval.reporting import format_table
-from repro.space.blueprints import campus_ap_buildings
 from repro.system.config import LocaterConfig
 from repro.system.locater import Locater
 
@@ -52,7 +46,6 @@ class ClusterRun:
 
     shards: int
     executor: str
-    router: str
     seconds: float
     identical: bool
 
@@ -62,7 +55,7 @@ class ClusterRun:
 
 @dataclass(slots=True)
 class ClusterScalingResult:
-    """Baseline vs every (shard count, executor, router) combination."""
+    """Baseline vs every (shard count, executor) combination."""
 
     runs: list[ClusterRun]
     query_count: int
@@ -88,13 +81,13 @@ class ClusterScalingResult:
 
     def render(self) -> str:
         """Scaling table plus the baseline line."""
-        rows = [[run.shards, run.executor, run.router,
-                 f"{run.seconds:.2f}", f"{run.qps(self.query_count):.0f}",
+        rows = [[run.shards, run.executor, f"{run.seconds:.2f}",
+                 f"{run.qps(self.query_count):.0f}",
                  f"{self.speedup(run):.2f}x",
                  "yes" if run.identical else "NO"]
                 for run in self.runs]
         table = format_table(
-            ["shards", "executor", "router", "seconds", "qps",
+            ["shards", "executor", "seconds", "qps",
              "vs lone", "identical"], rows,
             title=(f"Campus cluster scaling: {self.query_count} queries, "
                    f"{self.event_count} events, {self.device_count} "
@@ -132,41 +125,28 @@ def run(days: int = 6, population: int = 48, buildings: int = 3,
 
     executors: "list[tuple[str, Callable[[], object]]]" = [
         ("serial", SerialShardExecutor),
-        ("thread", ThreadShardExecutor),
         ("process", ProcessShardExecutor),
     ]
     runs: list[ClusterRun] = []
-
-    def measure(shards: int, executor_name: str, executor_factory,
-                router, router_name: str) -> None:
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=shards,
-                            router=router, executor=executor_factory(),
-                            config=config) as cluster:
-            start = time.perf_counter()
-            answers = cluster.locate_batch(batch)
-            seconds = time.perf_counter() - start
-        identical = answers == expected
-        # Recorded before the divergence check so a caller catching the
-        # raise still sees the failed configuration in the partial runs.
-        runs.append(ClusterRun(shards=shards, executor=executor_name,
-                               router=router_name, seconds=seconds,
-                               identical=identical))
-        if not identical:
-            raise ReproError(
-                f"cluster ({shards} shards, {executor_name}, "
-                f"{router_name}) diverged from the lone Locater")
-
     for shards in shard_counts:
         for executor_name, executor_factory in executors:
-            measure(shards, executor_name, executor_factory,
-                    HashRouter(), "hash")
-    # Building-affinity routing on the widest configuration: same
-    # answers, load partitioned along campus-building lines.
-    affinity = BuildingAffinityRouter.from_table(
-        dataset.table, campus_ap_buildings(dataset.building))
-    measure(max(shard_counts), "process", ProcessShardExecutor,
-            affinity, "building")
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                dataset.table, shard_count=shards,
+                                executor=executor_factory(),
+                                config=config) as cluster:
+                start = time.perf_counter()
+                answers = cluster.locate_batch(batch)
+                seconds = time.perf_counter() - start
+            identical = answers == expected
+            # Recorded before the divergence check so a caller catching
+            # the raise still sees the failed configuration in the
+            # partial runs.
+            runs.append(ClusterRun(shards=shards, executor=executor_name,
+                                   seconds=seconds, identical=identical))
+            if not identical:
+                raise ReproError(
+                    f"cluster ({shards} shards, {executor_name}) "
+                    f"diverged from the lone Locater")
 
     return ClusterScalingResult(
         runs=runs, query_count=len(batch),

@@ -5,7 +5,7 @@ Architecture (one box per concern)::
     locate(mac, t) ──► admission ──► lane queue ──► window ──► executor
       coroutine        (bounded       (one per       (max_wait /   off-ramp
                         pending,       shard, routed   max_batch)   (thread
-                        typed shed)    by ShardRouter)              pool)
+                        typed shed)    by shard_of)                 pool)
 
 * **Admission control** — a global bound on queries admitted but not
   yet answered.  Past it, :meth:`AsyncGateway.locate` raises
@@ -33,7 +33,7 @@ Architecture (one box per concern)::
 * **Ingest serialization** — :meth:`AsyncGateway.ingest` acquires every
   lane's lock, so it runs strictly *between* windows: no window ever
   straddles an invalidation, and queued queries are re-routed before
-  lanes resume (affinity routers re-key devices at ingest boundaries).
+  lanes resume (a caching cluster re-keys devices at ingest boundaries).
 
 Equivalence contract — the repo's core invariant, extended to the
 concurrent world: any interleaving of concurrent gateway calls returns
@@ -359,8 +359,8 @@ class AsyncGateway:
 
         Acquires all lane locks (in lane order — workers hold only
         their own, so this cannot deadlock), runs the backend's ingest
-        off the loop, re-routes queued queries whose devices an
-        affinity router re-keyed, and releases the lanes.  Returns the
+        off the loop, re-routes queued queries whose devices the ingest
+        re-keyed, and releases the lanes.  Returns the
         backend's ingest report.
         """
         await self.start()

@@ -215,9 +215,8 @@ class ScenarioSpec:
         offices spread across the buildings, so their traffic stays on
         one AP vocabulary — while a commuter tail (high wander, campus
         events in building 0 open to everyone) keeps crossing building
-        boundaries, which is exactly what stresses a building-affinity
-        shard router: sticky assignments must stay correct for devices
-        whose logs span several buildings.
+        boundaries, which joins the whole campus into one co-presence
+        component (compare :func:`isolated_campus_dataset`).
         """
         if buildings < 1:
             raise SimulationError(
@@ -373,15 +372,15 @@ def isolated_campus_dataset(buildings: int = 3, population: int = 24,
 
     The stock :meth:`ScenarioSpec.campus` population genuinely crosses
     building boundaries (commuters, campus-wide gatherings, wandering
-    over the merged room pool) — good for stressing sticky routing, but
-    it collapses the potential co-presence graph into one connected
-    component, which makes component routing degenerate to a single
-    shard.  This composer builds the complementary workload: each
-    building's population is simulated *separately* (its own rooms, its
-    own wander pool) and the runs are merged onto one campus space
-    model with per-building id prefixes, so the resulting dataset has
-    exactly ``buildings`` affinity components — the shape the
-    cluster-caching distribution tests and benchmark need.
+    over the merged room pool), which collapses the potential
+    co-presence graph into one connected component, so component
+    routing puts every device on a single shard.  This composer builds
+    the complementary workload: each building's population is
+    simulated *separately* (its own rooms, its own wander pool) and the
+    runs are merged onto one campus space model with per-building id
+    prefixes, so the resulting dataset has exactly ``buildings``
+    affinity components — the shape the cluster-caching distribution
+    tests and benchmark need.
 
     Returns:
         A :class:`~repro.sim.dataset.Dataset` over

@@ -23,7 +23,6 @@ from repro.space.room import Room, RoomType
 from repro.space.room_index import RoomIndex
 from repro.space.blueprints import (
     airport_blueprint,
-    campus_ap_buildings,
     campus_blueprint,
     dbh_blueprint,
     grid_building,
@@ -42,7 +41,6 @@ __all__ = [
     "RoomType",
     "SpaceMetadata",
     "airport_blueprint",
-    "campus_ap_buildings",
     "campus_blueprint",
     "dbh_blueprint",
     "grid_building",

@@ -181,10 +181,9 @@ def campus_blueprint(buildings: int = 3, rooms_per_building: int = 16,
     Each sub-building is an independent corridor grid whose room and AP
     ids carry a ``b<k>-`` prefix; the grids sit far apart, so every AP
     covers rooms of its own building only — per-building AP
-    vocabularies, the partition boundary the cluster layer's
-    :class:`~repro.cluster.router.BuildingAffinityRouter` exploits.
-    Movement between buildings is entirely possible (one space graph),
-    it just never shares an AP region, exactly like a real campus WLAN.
+    vocabularies.  Movement between buildings is entirely possible (one
+    space graph), it just never shares an AP region, exactly like a
+    real campus WLAN.
     """
     if buildings < 1:
         raise SpaceModelError(
@@ -201,18 +200,3 @@ def campus_blueprint(buildings: int = 3, rooms_per_building: int = 16,
             # two buildings, whatever the grid parameters.
             origin=(0.0, k * 500.0))
     return builder.build()
-
-
-def campus_ap_buildings(building: Building) -> dict[str, str]:
-    """AP id → building key for a :func:`campus_blueprint` campus.
-
-    Reads the ``b<k>-`` prefix convention; APs without a prefix (a
-    non-campus building) are absent from the map, which makes the
-    building-affinity router fall back to hash routing for them.
-    """
-    out: dict[str, str] = {}
-    for ap_id in building.access_points:
-        prefix, _, rest = ap_id.partition("-")
-        if rest and prefix.startswith("b") and prefix[1:].isdigit():
-            out[ap_id] = prefix
-    return out

@@ -1,18 +1,18 @@
 """Cluster equivalence suite: ``ShardedLocater`` ≡ a lone ``Locater``.
 
-The load-bearing invariant of the cluster layer: with any deterministic
-router, any shard count and any executor, cluster answers are **bitwise
-identical** to a lone system over the same table whenever answers are
-pure functions of the table.  Arbitrary routers (hash, building
-affinity) guarantee that only with the caching engine off — the global
-affinity graph is deliberate cross-query warm state whose undirected
-edges would couple devices across shards.  The
-``ComponentAffinityRouter`` restores the guarantee with caching ON: it
-co-locates every affinity component on one shard, so each per-shard
-cache performs the same edge reads and writes as the lone deployment
-(``TestCachingEquivalence`` demands bitwise answers *and* matching
-cluster-wide cache totals, through batch serving, streaming ingest and
-mid-stream component merges with their cache-edge migration).
+The load-bearing invariant of the cluster layer: with any shard count
+and any executor, cluster answers are **bitwise identical** to a lone
+system over the same table.  With the caching engine off, answers are
+pure functions of the table and the cluster spreads devices by a stable
+hash of their MAC.  With caching ON (the default) the global affinity
+graph is deliberate cross-query warm state whose undirected edges would
+couple devices across shards, so the cluster routes by co-presence
+component: every affinity component lives on one shard, and each
+per-shard cache performs the same edge reads and writes as the lone
+deployment (``TestCachingEquivalence`` demands bitwise answers *and*
+matching cluster-wide cache totals, through batch serving, streaming
+ingest and mid-stream component merges with their cache-edge
+migration).
 
 Mirrors ``test_batch_equivalence.py`` (batch workloads) and
 ``test_streaming_equivalence.py`` (interleaved ingest ⇄ query).
@@ -26,38 +26,31 @@ from collections import Counter
 import pytest
 
 from repro.cluster import (
-    BuildingAffinityRouter,
     ComponentAffinityRouter,
     Fault,
     FaultInjectingExecutor,
     FaultPlan,
-    HashRouter,
     ProcessShardExecutor,
     RecoveryPolicy,
     SerialShardExecutor,
     ShardedLocater,
-    ThreadShardExecutor,
 )
 from repro.eval.queries import generated_query_set, labeled_query_set
 from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
 from repro.sim.scenarios import (
-    ScenarioSpec,
     isolated_campus_dataset,
     streaming_day_workload,
 )
-from repro.sim.simulator import Simulator
-from repro.space.blueprints import campus_ap_buildings
 from repro.system.config import LocaterConfig
 from repro.system.ingestion import IngestionEngine
 from repro.system.locater import Locater
-from repro.system.storage import InMemoryStorage, SqliteStorage
+from repro.system.storage import InMemoryStorage
 from repro.system.streaming import StreamingSession
 
 EXECUTORS = {
     "serial": SerialShardExecutor,
-    "thread": ThreadShardExecutor,
     "process": ProcessShardExecutor,
 }
 
@@ -70,13 +63,6 @@ def world(small_dataset):
     queries += generated_query_set(small_dataset, count=20, seed=3)
     queries += queries[:3]  # duplicates exercise storage short-circuits
     return small_dataset, queries
-
-
-@pytest.fixture(scope="module")
-def campus_world():
-    dataset = Simulator(
-        ScenarioSpec.campus(seed=17, population=24)).run(days=3)
-    return dataset, generated_query_set(dataset, count=30, seed=5)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +85,7 @@ def _lone_answers(dataset, queries, config, storage=None):
 
 class TestBatchEquivalence:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_identical_to_lone_locater(self, world, shards, executor):
         dataset, queries = world
         config = LocaterConfig(use_caching=False)
@@ -161,51 +147,6 @@ class TestBatchEquivalence:
             assert stats.per_shard == (lone.cache.stats(),)
             assert stats.total == lone.cache.stats()
 
-    def test_campus_building_affinity_router(self, campus_world):
-        dataset, queries = campus_world
-        config = LocaterConfig(use_caching=False)
-        expected = _lone_answers(dataset, queries, config)
-        router = BuildingAffinityRouter.from_table(
-            dataset.table, campus_ap_buildings(dataset.building))
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=4, router=router,
-                            executor=ThreadShardExecutor(),
-                            config=config) as cluster:
-            assert cluster.locate_batch(queries) == expected
-            # The campus population actually spreads over several shards
-            # (otherwise this parametrization proves nothing).
-            assert len({cluster.shard_of(mac)
-                        for mac in dataset.macs()}) >= 3
-
-    def test_router_binds_devices_on_every_ingest_entry_point(
-            self, campus_world):
-        # Regression: a device whose first events arrive through the
-        # StreamingSession wiring (on_ingest carries a report, not
-        # events) must still be bound by the affinity router — never
-        # left hash-routed only to be reassigned by a later
-        # cluster.ingest.
-        dataset, _ = campus_world
-        config = LocaterConfig(use_caching=False)
-        router = BuildingAffinityRouter(
-            campus_ap_buildings(dataset.building))  # nothing pre-bound
-        # Private copy: this test appends events and the fixture table
-        # is shared module-wide.
-        table = dataset.table.restrict(dataset.table.span())
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            table, shard_count=3, router=router,
-                            config=config) as cluster:
-            session = StreamingSession(cluster)
-            start = table.span().end + 60.0
-            session.ingest([ConnectivityEvent(
-                timestamp=start, mac="fresh-device", ap_id="b2-wap1")])
-            assert router.building_of("fresh-device") == "b2"
-            before = cluster.shard_of("fresh-device")
-            cluster.ingest([ConnectivityEvent(
-                timestamp=start + 30.0, mac="fresh-device",
-                ap_id="b0-wap1")])
-            assert cluster.shard_of("fresh-device") == before  # sticky
-            session.close()
-
 
 class TestStreamingEquivalence:
     @pytest.fixture(scope="class")
@@ -228,7 +169,7 @@ class TestStreamingEquivalence:
         return table
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_cluster_ingest_matches_cold_rebuild(self, streaming_world,
                                                  shards, executor):
         dataset, workload = streaming_world
@@ -258,7 +199,6 @@ class TestStreamingEquivalence:
         config = LocaterConfig(use_caching=False)
         with ShardedLocater(dataset.building, dataset.metadata,
                             self._warm_table(workload), shard_count=3,
-                            executor=ThreadShardExecutor(),
                             config=config) as cluster:
             session = StreamingSession(cluster)
             for batch in workload.batches:
@@ -293,29 +233,6 @@ class TestStreamingEquivalence:
                                             state=state) == \
                     cold.locate_batch(batch.queries)
 
-    def test_thread_shards_share_a_storage_backend_safely(
-            self, streaming_world):
-        # Regression: concurrent shard threads persist answers and
-        # clear their namespaces on one shared backend; both backends
-        # serialize internally (SQLite additionally needs
-        # check_same_thread=False), so no call may raise or corrupt.
-        dataset, workload = streaming_world
-        config = LocaterConfig(use_caching=False)
-        backend = SqliteStorage()
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            self._warm_table(workload), shard_count=4,
-                            executor=ThreadShardExecutor(),
-                            config=config, storage=backend) as cluster:
-            for batch in workload.batches:
-                cluster.ingest(batch.ingest)  # concurrent clear_answers
-                answers = cluster.locate_batch(batch.queries)
-                for query, answer in zip(batch.queries, answers):
-                    namespace = f"shard{cluster.shard_of(query.mac)}"
-                    assert backend.find_answer(
-                        f"{namespace}:{query.mac}", query.timestamp) == \
-                        answer.location_label
-        backend.close()
-
     def test_replica_tables_track_the_authoritative_one(
             self, streaming_world):
         dataset, workload = streaming_world
@@ -334,7 +251,7 @@ class TestStreamingEquivalence:
 
 
 class TestCachingEquivalence:
-    """Caching ON: component routing keeps per-shard caches exact.
+    """Caching ON (the default): component routing keeps caches exact.
 
     Every test compares against a *persistent* lone system (caching is
     deliberate cross-query warm state — a cold rebuild would erase
@@ -343,17 +260,14 @@ class TestCachingEquivalence:
     """
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_batch_identical_including_cache_totals(
             self, isolated_world, shards, executor):
         dataset, queries = isolated_world
         lone = Locater(dataset.building, dataset.metadata, dataset.table)
         expected = lone.locate_batch(queries)
-        router = ComponentAffinityRouter.from_table(dataset.table,
-                                                    dataset.building)
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=shards,
-                            router=router,
                             executor=EXECUTORS[executor]()) as cluster:
             assert cluster.locate_batch(queries) == expected
             # The shards' caches, summed, saw exactly the lone system's
@@ -369,8 +283,7 @@ class TestCachingEquivalence:
         assert len({router.representative(mac)
                     for mac in dataset.macs()}) == 3
         with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=4,
-                            router=router) as cluster:
+                            dataset.table, shard_count=4) as cluster:
             assert len({cluster.shard_of(mac)
                         for mac in dataset.macs()}) >= 2
             cluster.locate_batch(queries)
@@ -391,7 +304,7 @@ class TestCachingEquivalence:
         return table
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_streaming_matches_persistent_lone_system(
             self, caching_streaming_world, shards, executor):
         dataset, workload = caching_streaming_world
@@ -399,11 +312,8 @@ class TestCachingEquivalence:
         lone = Locater(dataset.building, dataset.metadata, lone_table)
         lone_engine = IngestionEngine(lone_table)
         cluster_table = self._warm_table(workload)
-        router = ComponentAffinityRouter.from_table(cluster_table,
-                                                    dataset.building)
         with ShardedLocater(dataset.building, dataset.metadata,
                             cluster_table, shard_count=shards,
-                            router=router,
                             executor=EXECUTORS[executor]()) as cluster:
             for batch in workload.batches:
                 lone.on_ingest(lone_engine.ingest(batch.ingest))
@@ -422,23 +332,20 @@ class TestCachingEquivalence:
         lone = Locater(dataset.building, dataset.metadata, lone_table)
         lone_engine = IngestionEngine(lone_table)
         cluster_table = dataset.table.restrict(dataset.table.span())
-        router = ComponentAffinityRouter.from_table(cluster_table,
-                                                    dataset.building)
         bridge_mac = sorted(mac for mac in dataset.macs()
                             if mac.startswith("b0:"))[0]
         with ShardedLocater(dataset.building, dataset.metadata,
-                            cluster_table, shard_count=4,
-                            router=router) as cluster:
+                            cluster_table, shard_count=4) as cluster:
             assert cluster.locate_batch(queries) == \
                 lone.locate_batch(queries)  # warm both caches
-            before = router.component_of(bridge_mac)
+            before = cluster.router.component_of(bridge_mac)
             start = cluster_table.span().end + 120.0
             bridge = [ConnectivityEvent(timestamp=start + i * 30.0,
                                         mac=bridge_mac, ap_id="b1-wap1")
                       for i in range(3)]
             lone.on_ingest(lone_engine.ingest(bridge))
             cluster.ingest(bridge)
-            after = router.component_of(bridge_mac)
+            after = cluster.router.component_of(bridge_mac)
             assert before < after  # strictly grew: b0 absorbed b1
             assert any(mac.startswith("b1:") for mac in after)
             # The merged component is whole again on a single shard.
@@ -451,17 +358,14 @@ class TestCachingEquivalence:
         # Regression: a stored answer persisted under a device's old
         # shard namespace must not survive the device's route change —
         # a later re-query through the old shard would serve it stale.
+        # Caching on: only a caching cluster re-keys devices.
         dataset, queries = isolated_world
-        config = LocaterConfig(use_caching=False)
         table = dataset.table.restrict(dataset.table.span())
-        router = ComponentAffinityRouter.from_table(table,
-                                                    dataset.building)
         backend = InMemoryStorage()
         bridge_mac = sorted(mac for mac in dataset.macs()
                             if mac.startswith("b0:"))[0]
         with ShardedLocater(dataset.building, dataset.metadata, table,
-                            shard_count=4, router=router, config=config,
-                            storage=backend) as cluster:
+                            shard_count=4, storage=backend) as cluster:
             cluster.locate_batch(queries)  # persist under old routes
             movable = sorted(mac for mac in dataset.macs()
                              if mac.startswith("b1:"))
@@ -526,9 +430,7 @@ class TestChaosEquivalence:
         dataset, queries = isolated_world
         halves = self._halves(queries)
         with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=4,
-                            router=ComponentAffinityRouter.from_table(
-                                dataset.table, dataset.building)) as control:
+                            dataset.table, shard_count=4) as control:
             expected = [control.locate_batch(half) for half in halves]
             expected_totals = control.cache_stats().total
         probe = ComponentAffinityRouter.from_table(dataset.table,
@@ -539,8 +441,6 @@ class TestChaosEquivalence:
         executor = FaultInjectingExecutor(ProcessShardExecutor(), plan)
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=4,
-                            router=ComponentAffinityRouter.from_table(
-                                dataset.table, dataset.building),
                             executor=executor,
                             recovery=RecoveryPolicy(backoff=(0.0,))
                             ) as cluster:
@@ -562,9 +462,7 @@ class TestChaosEquivalence:
         halves = self._halves(queries)
         control_table = dataset.table.restrict(dataset.table.span())
         with ShardedLocater(dataset.building, dataset.metadata,
-                            control_table, shard_count=2,
-                            router=ComponentAffinityRouter.from_table(
-                                control_table, dataset.building)) as control:
+                            control_table, shard_count=2) as control:
             expected = [control.locate_batch(half) for half in halves]
             expected_totals = control.cache_stats().total
         table = dataset.table.restrict(dataset.table.span())
@@ -577,8 +475,6 @@ class TestChaosEquivalence:
         try:
             with ShardedLocater(dataset.building, dataset.metadata,
                                 table, shard_count=2,
-                                router=ComponentAffinityRouter.from_table(
-                                    table, dataset.building),
                                 executor=executor, shared_memory=True,
                                 recovery=RecoveryPolicy(backoff=(0.0,))
                                 ) as cluster:
@@ -609,9 +505,7 @@ class TestChaosEquivalence:
         control_table = warm_table()
         expected = []
         with ShardedLocater(dataset.building, dataset.metadata,
-                            control_table, shard_count=3,
-                            router=ComponentAffinityRouter.from_table(
-                                control_table, dataset.building)) as control:
+                            control_table, shard_count=3) as control:
             for batch in workload.batches:
                 control.ingest(batch.ingest)
                 expected.append(control.locate_batch(batch.queries))
@@ -626,8 +520,6 @@ class TestChaosEquivalence:
         executor = FaultInjectingExecutor(ProcessShardExecutor(), plan)
         with ShardedLocater(dataset.building, dataset.metadata,
                             chaos_table, shard_count=3,
-                            router=ComponentAffinityRouter.from_table(
-                                chaos_table, dataset.building),
                             executor=executor,
                             recovery=RecoveryPolicy(backoff=(0.0,))
                             ) as cluster:
@@ -652,10 +544,12 @@ class TestChaosEquivalence:
         lone = Locater(dataset.building, dataset.metadata, dataset.table,
                        config=config, storage=lone_storage)
         expected = [lone.locate_batch(half) for half in halves]
-        victim = self._busiest_shard(HashRouter(), queries, 3)
+        # Never fed: the hash route of a caching-off cluster.
+        victim = self._busiest_shard(
+            ComponentAffinityRouter(dataset.building), queries, 3)
         plan = FaultPlan([Fault(shard_id=victim, kind="kill",
                                 method="locate_batch", call_index=1)])
-        executor = FaultInjectingExecutor(ThreadShardExecutor(), plan)
+        executor = FaultInjectingExecutor(SerialShardExecutor(), plan)
         backend = InMemoryStorage()
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=3, config=config,

@@ -22,7 +22,6 @@ from repro.cluster import (
     Fault,
     FaultInjectingExecutor,
     FaultPlan,
-    HashRouter,
     ProcessShardExecutor,
     RecoveryPolicy,
     SerialShardExecutor,
@@ -82,8 +81,7 @@ class TestRecovery:
         dataset, queries = chaos_world
         thirds = _split(queries, 3)
         with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=4,
-                            router=_component_router(dataset)) as control:
+                            dataset.table, shard_count=4) as control:
             expected = [control.locate_batch(third) for third in thirds]
             expected_totals = control.cache_stats().total
         victim = _busiest_shard(_component_router(dataset), queries, 4)
@@ -99,7 +97,6 @@ class TestRecovery:
         executor = FaultInjectingExecutor(SerialShardExecutor(), plan)
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=4,
-                            router=_component_router(dataset),
                             executor=executor,
                             recovery=RecoveryPolicy(max_restarts=2,
                                                     backoff=(0.0,))
@@ -122,8 +119,7 @@ class TestRecovery:
         dataset, queries = chaos_world
         halves = _split(queries, 2)
         with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=2,
-                            router=_component_router(dataset)) as control:
+                            dataset.table, shard_count=2) as control:
             expected = [control.locate_batch(half) for half in halves]
             expected_totals = control.cache_stats().total
         victim = _busiest_shard(_component_router(dataset), queries, 2)
@@ -133,7 +129,6 @@ class TestRecovery:
             ProcessShardExecutor(call_timeout=0.5), plan)
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=2,
-                            router=_component_router(dataset),
                             executor=executor,
                             recovery=RecoveryPolicy(backoff=(0.0,))
                             ) as cluster:
@@ -172,7 +167,8 @@ class TestRecovery:
                 control.ingest(batch.ingest)
                 expected.append(control.locate_batch(batch.queries))
         chaos_table = warm_table()
-        victim = _busiest_shard(HashRouter(),
+        # Never fed: the hash route of a caching-off cluster.
+        victim = _busiest_shard(ComponentAffinityRouter(dataset.building),
                                 workload.batches[1].queries, 3)
         plan = FaultPlan([Fault(shard_id=victim, kind="kill",
                                 method="ingest_events", call_index=1)])
@@ -217,9 +213,7 @@ class TestRecovery:
         control_table = warm_table()
         expected = []
         with ShardedLocater(dataset.building, dataset.metadata,
-                            control_table, shard_count=2,
-                            router=_component_router(
-                                dataset, control_table)) as control:
+                            control_table, shard_count=2) as control:
             for batch in workload.batches:
                 control.ingest(batch.ingest)
                 expected.append(control.locate_batch(batch.queries))
@@ -234,8 +228,6 @@ class TestRecovery:
         try:
             with ShardedLocater(dataset.building, dataset.metadata,
                                 chaos_table, shard_count=2,
-                                router=_component_router(
-                                    dataset, chaos_table),
                                 executor=executor, shared_memory=True,
                                 recovery=RecoveryPolicy(backoff=(0.0,))
                                 ) as cluster:
@@ -269,8 +261,7 @@ class TestDegradation:
         executor = FaultInjectingExecutor(SerialShardExecutor(), plan)
         cluster = ShardedLocater(
             dataset.building, dataset.metadata, dataset.table,
-            shard_count=4, router=_component_router(dataset),
-            executor=executor,
+            shard_count=4, executor=executor,
             recovery=RecoveryPolicy(max_restarts=0, backoff=(0.0,),
                                     degraded=degraded))
         return dataset, queries, victim, survivors, orphans, cluster
@@ -280,8 +271,7 @@ class TestDegradation:
         dataset, queries, victim, survivors, orphans, cluster = \
             self._quarantine_setup(chaos_world, degraded="error")
         with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=4,
-                            router=_component_router(dataset)) as control:
+                            dataset.table, shard_count=4) as control:
             control.locate_batch(queries)
             expected_survivors = control.locate_batch(survivors)
             control_per_shard = control.cache_stats().per_shard
@@ -313,8 +303,7 @@ class TestDegradation:
             self._quarantine_setup(chaos_world, degraded="fallback")
         probe = _component_router(dataset)
         with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=4,
-                            router=_component_router(dataset)) as control:
+                            dataset.table, shard_count=4) as control:
             expected_first = control.locate_batch(queries)
             expected_second = control.locate_batch(queries)
             control_per_shard = control.cache_stats().per_shard

@@ -5,7 +5,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.eval.experiments import (
+    cluster_caching,
+    cluster_recovery,
+    cluster_scaling,
     fig7_thresholds,
     fig9_caching,
     fig10_efficiency,
@@ -126,3 +130,85 @@ class TestEfficiencyFigures:
         variants = {variant for variant, _ in result.mean_ms}
         assert variants == {"D-LOCATER", "D-LOCATER+C"}
         assert all(ms > 0 for ms in result.mean_ms.values())
+
+
+class TestClusterScaling:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return cluster_scaling.run(days=2, population=12, buildings=2,
+                                   queries=40, shard_counts=(1, 2), seed=7)
+
+    def test_sweep_covers_both_executors_per_shard_count(self, result):
+        assert [(run.shards, run.executor) for run in result.runs] == [
+            (1, "serial"), (1, "process"), (2, "serial"), (2, "process")]
+
+    def test_every_configuration_matches_the_lone_system(self, result):
+        assert result.all_identical
+        assert result.best("process") is not None
+        assert all(result.speedup(run) > 0 for run in result.runs)
+
+    def test_render(self, result):
+        text = result.render()
+        assert "answers identical: True" in text
+        assert "serial" in text and "process" in text
+
+
+#: One chaos run: two kills of the busiest of three shards, absorbed
+#: across three batches of a three-building isolated campus.
+RECOVERY = dict(buildings=3, population=24, days=3, queries=30, shards=3,
+                batches=3, kills=2, seed=17)
+
+
+class TestClusterRecovery:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return cluster_recovery.run(executor="serial", **RECOVERY)
+
+    def test_every_kill_is_absorbed_bitwise(self, result):
+        assert result.equivalence_verified
+        assert result.availability == 1.0
+        assert [episode["outcome"] for episode in result.episodes] == \
+            ["recovered"] * RECOVERY["kills"]
+        assert {episode["shard_id"] for episode in result.episodes} == \
+            {result.victim_shard}
+
+    def test_render(self, result):
+        text = result.render()
+        assert "bitwise identical: True" in text
+        assert f"shard {result.victim_shard}" in text
+
+    def test_unknown_executor_rejected(self):
+        with pytest.raises(ConfigurationError):
+            cluster_recovery.run(executor="thread", **RECOVERY)
+
+
+class TestClusterCaching:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return cluster_caching.run(buildings=3, population=24, days=3,
+                                   labeled_per_device=1, generated=20,
+                                   shard_counts=(1, 2), seed=17)
+
+    def test_both_settings_match_the_lone_system(self, result):
+        assert result.all_identical
+        assert [(run.shards, run.caching) for run in result.runs] == [
+            (1, False), (1, True), (2, False), (2, True)]
+        assert result.component_count == 3
+
+    def test_sharding_leaves_cache_traffic_unchanged(self, result):
+        # Component routing makes the per-shard caches exact, so the
+        # summed counters cannot depend on the shard count.
+        traffic = {(run.hits, run.misses) for run in result.runs
+                   if run.caching}
+        assert len(traffic) == 1
+        hits, misses = traffic.pop()
+        assert hits + misses > 0
+        assert all(run.hit_rate is None for run in result.runs
+                   if not run.caching)
+
+    def test_json_mirrors_the_runs(self, result):
+        payload = result.to_json()
+        assert payload["workload"]["component_count"] == 3
+        assert [(row["shards"], row["caching"], row["identical"])
+                for row in payload["runs"]] == [
+            (run.shards, run.caching, True) for run in result.runs]

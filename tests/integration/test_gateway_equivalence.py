@@ -14,7 +14,8 @@ The core invariant, extended to the concurrent world.  Two oracles:
   in serialization order; replaying that journal through plain
   ``locate_batch`` calls on an identically built system must reproduce
   every answer, every storage write and the summed cache counters
-  bitwise.
+  bitwise — and so must replaying a default cluster's journal through
+  a lone ``Locater``.
 
 Schedules are randomized (seeded permutations, per-query event-loop
 yields, a background client racing every ingest tick) — whatever
@@ -35,7 +36,6 @@ from repro.cluster import (
     ProcessShardExecutor,
     SerialShardExecutor,
     ShardedLocater,
-    ThreadShardExecutor,
 )
 from repro.eval.queries import generated_query_set, labeled_query_set
 from repro.events.table import EventTable
@@ -50,7 +50,7 @@ from repro.util.rng import make_rng
 
 EXECUTORS = {
     "serial": SerialShardExecutor,
-    "thread": ThreadShardExecutor,
+    "process": ProcessShardExecutor,
 }
 
 #: (label, max_wait, max_batch): per-query baseline, opportunistic
@@ -129,7 +129,7 @@ class TestPurityOracle:
 
         assert asyncio.run(main()) == expected
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("label,max_wait,max_batch",
                              WINDOW_SETTINGS[1:3])
     def test_cluster_backend_any_schedule(self, pure_world, executor,
@@ -216,19 +216,29 @@ class TestJournalReplay:
         asyncio.run(self._drive(gateway, workload, background))
 
         replay_storage = InMemoryStorage()
-        replay = Locater(dataset.building, dataset.metadata,
-                         _warm_table(workload), storage=replay_storage)
-        session = StreamingSession(replay)
-        for record in gateway.journal:
+        replay = self._replay_through_lone(dataset, workload,
+                                           gateway.journal, replay_storage)
+        assert replay.cache.stats() == lone.cache.stats()
+        self._assert_storage_matches(gateway.journal, storage,
+                                     replay_storage)
+
+    @staticmethod
+    def _replay_through_lone(dataset, workload, journal, storage):
+        """Replay a journal through a lone Locater's streaming session.
+
+        Asserts every window's answers; returns the replayed system.
+        """
+        lone = Locater(dataset.building, dataset.metadata,
+                       _warm_table(workload), storage=storage)
+        session = StreamingSession(lone)
+        for record in journal:
             if isinstance(record, IngestRecord):
                 session.ingest(list(record.events))
             else:
                 assert session.query(list(record.queries)) == \
                     list(record.answers)
         session.close()
-        assert replay.cache.stats() == lone.cache.stats()
-        self._assert_storage_matches(gateway.journal, storage,
-                                     replay_storage)
+        return lone
 
     async def _drive(self, gateway, workload, background):
         async with gateway:
@@ -240,7 +250,6 @@ class TestJournalReplay:
         storage = InMemoryStorage()
         with ShardedLocater(dataset.building, dataset.metadata,
                             _warm_table(workload), shard_count=2,
-                            executor=ThreadShardExecutor(),
                             storage=storage) as cluster:
             gateway = AsyncGateway(cluster, max_wait=0.002, max_batch=16,
                                    journal=True)
@@ -262,7 +271,6 @@ class TestJournalReplay:
             replay_storage = InMemoryStorage()
             with ShardedLocater(dataset.building, dataset.metadata,
                                 _warm_table(workload), shard_count=2,
-                                executor=ThreadShardExecutor(),
                                 storage=replay_storage) as replay:
                 state = replay.make_batch_state(
                     max_snapshots=MAX_SNAPSHOTS)
@@ -278,6 +286,13 @@ class TestJournalReplay:
                     gateway.journal, storage, replay_storage,
                     namespace_of=lambda mac:
                         f"shard{replay.shard_of(mac)}:")
+
+        # The default cluster is lone-exact: a lone Locater replaying
+        # the same windows answers identically, with the same summed
+        # cache counters.
+        lone = self._replay_through_lone(dataset, workload,
+                                         gateway.journal, InMemoryStorage())
+        assert lone.cache.stats() == live_stats.total
 
     def test_process_cluster_replay(self, day):
         # Process replicas keep their warm state worker-side; the

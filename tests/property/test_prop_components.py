@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.components import AffinityComponents
 from repro.cluster.router import ComponentAffinityRouter
 from repro.events.event import ConnectivityEvent
+from repro.events.table import EventTable
 from repro.space.access_point import AccessPoint
 from repro.space.building import Building
 from repro.space.room import Room, RoomType
+from repro.system.ingestion import IngestionEngine
 
 nodes = st.integers(min_value=0, max_value=15).map(lambda i: f"n{i:02d}")
 edge_lists = st.lists(st.tuples(nodes, nodes), max_size=40)
@@ -31,6 +33,31 @@ _BUILDING = Building(
 devices = st.integers(min_value=0, max_value=9).map(lambda i: f"d{i}")
 ap_ids = st.sampled_from(["ap0", "ap1", "ap2", "ap3", "ap4", "ghost"])
 observations = st.lists(st.tuples(devices, ap_ids), max_size=30)
+#: A stream of observations cut into successive ingests.
+ingests = st.lists(st.lists(st.tuples(devices, ap_ids), max_size=10),
+                   min_size=1, max_size=4)
+
+
+def _ingest_one_by_one(chunks):
+    """Ingest ``chunks`` in turn; yield the table and the ingested MACs.
+
+    Timestamps increase across the whole stream, as a live log's do.
+    """
+    table = EventTable.from_events([])
+    engine = IngestionEngine(table)
+    clock = 0
+    for chunk in chunks:
+        events = []
+        for mac, ap_id in chunk:
+            events.append(ConnectivityEvent(timestamp=float(clock),
+                                            mac=mac, ap_id=ap_id))
+            clock += 1
+        yield table, engine.ingest(events).macs
+
+
+def _route_key(router, mac):
+    representative = router.representative(mac)
+    return mac if representative is None else representative
 
 
 @given(edge_lists)
@@ -77,10 +104,10 @@ def test_edge_sharing_devices_route_to_the_same_shard(pairs, shards):
     # Two devices observed at the same AP share a room, hence can share
     # an affinity edge — the router must co-locate them (transitive
     # overlaps only tighten this, so same-AP pairs are the floor).
-    router = ComponentAffinityRouter(_BUILDING)
-    router.observe([ConnectivityEvent(timestamp=float(i), mac=mac,
-                                      ap_id=ap_id)
-                    for i, (mac, ap_id) in enumerate(pairs)])
+    table = EventTable.from_events([
+        ConnectivityEvent(timestamp=float(i), mac=mac, ap_id=ap_id)
+        for i, (mac, ap_id) in enumerate(pairs)])
+    router = ComponentAffinityRouter.from_table(table, _BUILDING)
     seen_at: "defaultdict[str, set[str]]" = defaultdict(set)
     for mac, ap_id in pairs:
         if ap_id != "ghost":
@@ -89,3 +116,51 @@ def test_edge_sharing_devices_route_to_the_same_shard(pairs, shards):
         routes = {router.shard_of(mac, shards) for mac in group}
         assert len(routes) == 1
         assert routes <= set(range(shards))
+
+
+@given(ingests)
+@settings(max_examples=60)
+def test_observing_each_ingest_equals_one_from_table(chunks):
+    # Components depend only on the (device, AP) pairs seen, so a router
+    # fed ingest by ingest binds what one router over the final table
+    # binds — the cluster re-binds at every ingest and relies on it.
+    router = ComponentAffinityRouter(_BUILDING)
+    for table, macs in _ingest_one_by_one(chunks):
+        router.observe_table(table, macs)
+    whole = ComponentAffinityRouter.from_table(table, _BUILDING)
+    for mac in table.macs():
+        assert router.representative(mac) == whole.representative(mac)
+        assert router.component_of(mac) == whole.component_of(mac)
+
+
+@given(ingests)
+@settings(max_examples=60)
+def test_observe_table_reports_exactly_the_rerouted_devices(chunks):
+    # The cluster migrates cache edges and clears stored answers of the
+    # devices observe_table reports: it must name every device whose
+    # route key changed (an unbound device's key is its own MAC) and
+    # no other.
+    router = ComponentAffinityRouter(_BUILDING)
+    for table, macs in _ingest_one_by_one(chunks):
+        before = {mac: _route_key(router, mac) for mac in table.macs()}
+        moved = router.observe_table(table, macs)
+        assert moved == {mac for mac in table.macs()
+                         if _route_key(router, mac) != before[mac]}
+
+
+@given(st.lists(devices, max_size=40), st.integers(min_value=1, max_value=5),
+       observations)
+@settings(max_examples=60)
+def test_partition_sends_each_item_once_to_its_owner(macs, shards, pairs):
+    table = EventTable.from_events([
+        ConnectivityEvent(timestamp=float(i), mac=mac, ap_id=ap_id)
+        for i, (mac, ap_id) in enumerate(pairs)])
+    router = ComponentAffinityRouter.from_table(table, _BUILDING)
+    items = list(range(len(macs)))
+    parts = router.partition(items, macs, shards)
+    assert len(parts) == shards
+    assert sorted(item for part in parts for item in part) == items
+    for shard, part in enumerate(parts):
+        assert part == sorted(part)  # input order kept per shard
+        assert all(router.shard_of(macs[item], shards) == shard
+                   for item in part)

@@ -13,7 +13,6 @@ import pytest
 from repro.cluster.executor import (
     ProcessShardExecutor,
     SerialShardExecutor,
-    ThreadShardExecutor,
 )
 from repro.errors import (
     ClusterCallError,
@@ -50,8 +49,7 @@ class Echo:
         self.closed = True
 
 
-IN_PROCESS = {"serial": SerialShardExecutor, "thread": ThreadShardExecutor}
-ALL = dict(IN_PROCESS, process=ProcessShardExecutor)
+ALL = {"serial": SerialShardExecutor, "process": ProcessShardExecutor}
 
 
 @pytest.mark.parametrize("kind", list(ALL))
@@ -65,9 +63,8 @@ def test_call_all_returns_results_in_shard_order(kind):
         assert executor.call_one(1, "add", 10, 20) == 130
 
 
-@pytest.mark.parametrize("kind", list(IN_PROCESS))
-def test_in_process_shards_share_the_calling_process(kind):
-    with IN_PROCESS[kind]() as executor:
+def test_in_process_shards_share_the_calling_process():
+    with SerialShardExecutor() as executor:
         executor.start(Echo, 2)
         for shard_id, (echo_id, pid) in enumerate(
                 executor.call_all("whoami")):
@@ -120,8 +117,6 @@ def test_lifecycle_guards():
 
     with pytest.raises(ConfigurationError):
         SerialShardExecutor().start(Echo, 0)
-    with pytest.raises(ConfigurationError):
-        ThreadShardExecutor(max_workers=0)
 
 
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
@@ -153,18 +148,16 @@ def test_in_process_partial_start_closes_built_shards():
         built.append(shard)
         return shard
 
-    for executor_cls in (SerialShardExecutor, ThreadShardExecutor):
-        built.clear()
-        executor = executor_cls()
-        with pytest.raises(RuntimeError, match="factory exploded"):
-            executor.start(flaky_factory, 3)
-        assert [shard.shard_id for shard in built] == [0, 1]
-        assert all(shard.closed for shard in built), \
-            "a failed start leaked live shards"
-        executor.close()  # idempotent after a failed start
-        executor.close()
-        with pytest.raises(ConfigurationError):
-            executor.call_all("whoami")
+    executor = SerialShardExecutor()
+    with pytest.raises(RuntimeError, match="factory exploded"):
+        executor.start(flaky_factory, 3)
+    assert [shard.shard_id for shard in built] == [0, 1]
+    assert all(shard.closed for shard in built), \
+        "a failed start leaked live shards"
+    executor.close()  # idempotent after a failed start
+    executor.close()
+    with pytest.raises(ConfigurationError):
+        executor.call_all("whoami")
 
 
 @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")

@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import (
-    ProcessShardExecutor,
-    ShardedLocater,
-    ThreadShardExecutor,
-)
+from repro.cluster import ProcessShardExecutor, ShardedLocater
 from repro.errors import ClusterError, ConfigurationError
 from repro.events.event import ConnectivityEvent
 from repro.system.config import LocaterConfig
@@ -206,8 +202,7 @@ class TestLifecycle:
     def test_cache_stats_per_shard(self, small_dataset):
         with ShardedLocater(small_dataset.building,
                             small_dataset.metadata, small_dataset.table,
-                            shard_count=2,
-                            executor=ThreadShardExecutor()) as cluster:
+                            shard_count=2) as cluster:
             stats = cluster.cache_stats()
             assert len(stats) == 2
             assert all(s is not None and "hits" in s
