@@ -92,8 +92,8 @@ Sharded cluster layer
 ---------------------
 
 Past one process, :class:`~repro.cluster.ShardedLocater` serves the
-same query surface from N shards.  The event log is *replicated* to
-every shard (cleaning couples devices through co-location — neighbor
+same query surface from N shards.  Every shard reads the whole event
+log (cleaning couples devices through co-location — neighbor
 discovery, affinity mining and the population aggregate read the whole
 log) while serving state is *partitioned*: each device's queries,
 trained models, storage namespace (:meth:`StorageEngine.namespace
@@ -110,13 +110,12 @@ spread by a stable hash of their MAC.  Either way answers are bitwise
 identical to a lone ``Locater``
 (``tests/integration/test_cluster_equivalence.py``).  A swappable
 :class:`~repro.cluster.ShardExecutor` decides placement — serial shards
-share the cluster's table in-process; the process-pool executor runs
-one actor worker per shard, either with a fork copy-on-write replica or
-(``shared_memory=True``) *attached* to the one shared-memory table copy
-— see the memory architecture below.  ``ingest`` merges once, then
-fans invalidation out through the existing ``on_ingest`` machinery, so
-``StreamingSession``, the CLI, analytics and the eval runner work
-unchanged against a cluster::
+share the cluster's table object in-process; the process-pool executor
+runs one actor worker per shard, *attached* to the one shared-memory
+copy of the table — see the memory architecture below.  ``ingest``
+merges once, then fans invalidation out (``on_ingest`` in-process, a
+segment-name sync to process workers), so ``StreamingSession``, the
+CLI, analytics and the eval runner work unchanged against a cluster::
 
     from repro import ShardedLocater
 
@@ -143,15 +142,17 @@ rather than bare attributes.  The default
 :class:`~repro.events.HeapColumnStore` keeps ordinary heap arrays and
 can *spill* cold device logs to compressed temp files;
 :class:`~repro.events.SharedMemoryColumnStore` places them in named
-``multiprocessing.shared_memory`` segments, so a
-``ShardedLocater(..., shared_memory=True)`` process cluster holds **one
-physical copy** of the table regardless of shard count — workers attach
-read-only views by segment name (``EventTable.describe()`` /
-``EventTable.attach()``), and ingest fans out generation-keyed
-``sync_payload`` diffs instead of replicating merged tables.  This also
-lifts the fork-only restriction: attached workers run under ``spawn``
-too.  Ownership rule: the process that built the store unlinks its
-segments on ``close``; attached processes never do.
+``multiprocessing.shared_memory`` segments, so a process-shard
+``ShardedLocater`` holds **one physical copy** of the table regardless
+of shard count — workers attach read-only views by segment name
+(``EventTable.describe()`` / ``EventTable.attach()``), under ``fork``
+or ``spawn``, and ingest fans out generation-keyed ``sync_payload``
+diffs instead of event batches.  Ownership rule: the process that
+built the store unlinks its segments on ``close``; attached processes
+never do.  A process cluster given a heap table moves it into a shared
+store at construction and back to the heap on ``close``, so it unlinks
+every segment it created and the caller's table outlives it; a table
+that arrives on a shared store stays the caller's to close.
 
 Above the stores sits an opt-in eviction tier.  Setting
 ``LocaterConfig(memory_budget_bytes=...)`` gives the ``Locater`` a
@@ -162,9 +163,9 @@ are dropped (models, memos) or spilled (device logs) — and because
 every evictable is a pure function of the event table, *any* eviction
 schedule yields bitwise-identical answers, batch and streaming alike
 (``tests/integration/test_memory_equivalence.py``,
-``tests/property/test_prop_memory.py`` prove this; the zero-copy
-memory claim is measured in ``benchmarks/test_bench_shared_memory.py``,
-archived as ``results/BENCH_shared_memory.json``)::
+``tests/property/test_prop_memory.py`` prove this; the one-copy claim
+is asserted exactly, per shard and after every ingest, in
+``tests/integration/test_shared_memory_cluster.py``)::
 
     from repro import Locater, LocaterConfig
 

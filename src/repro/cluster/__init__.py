@@ -24,30 +24,35 @@ Three pieces; only the executor is a choice:
 * **Executor** (:mod:`repro.cluster.executor`) — where shards live and
   how calls reach them.  :class:`SerialShardExecutor` keeps shards
   in-process (sharing the cluster's event table object);
-  :class:`ProcessShardExecutor` forks one actor worker per shard with a
-  copy-on-write table replica and speaks pickled (method, args) over a
-  pipe.  Both return results in shard order, so executor choice never
-  changes an answer.
+  :class:`ProcessShardExecutor` starts one actor worker per shard
+  (``fork`` or ``spawn``) and speaks pickled (method, args) over a
+  pipe.  Every worker attaches, read-only and by segment name, to one
+  shared-memory copy of the table: the cluster moves a heap table into
+  a :class:`~repro.events.SharedMemoryColumnStore` at construction and
+  back to the heap on ``close()``, so it unlinks every segment it
+  created.  Both executors return results in shard order, so executor
+  choice never changes an answer.
 * **Shard** (:mod:`repro.cluster.shard`) — one full ``Locater`` plus,
-  for process workers, its own ingestion engine and streaming session.
-  Shards are created by the executor from a factory at
+  for process workers, the streaming session over its attached table
+  view.  Shards are created by the executor from a factory at
   :meth:`ShardedLocater <repro.cluster.sharded.ShardedLocater>`
   construction and torn down by ``close()`` (context manager
-  supported); worker sessions unsubscribe from their engines on close,
-  so no callback leaks outlive the cluster.
+  supported); worker sessions unsubscribe and unmap their views on
+  close, so no callback or mapping outlives the cluster.
 
-Data placement is the key decision: the event log is **replicated** to
-every shard, serving state is **partitioned**.  Cleaning couples
+Data placement is the key decision: every shard reads the **whole**
+event log, serving state is **partitioned**.  Cleaning couples
 devices through co-location — neighbor discovery, device-affinity
 mining and the population aggregate read the whole log — so partial
-logs would change answers; replication keeps the load-bearing
-invariant instead:
+logs would change answers; the whole log keeps the load-bearing
+invariant instead, at the cost of one copy however many shards read
+it:
 
     With any shard count and any executor, cluster answers are bitwise
     identical to a lone ``Locater`` over the same table, with caching
     on or off.
 
-With caching off that is replication alone: answers are pure functions
+With caching off the whole log suffices: answers are pure functions
 of the table.  The §5 caching engine is deliberate cross-query warm
 state, not a pure function of the table — and the cluster keeps the
 invariant anyway, through the **component-routing contract**: the
@@ -77,9 +82,11 @@ authoritative table stamps ids and re-estimates δ exactly like a lone
 engine, the router re-binds the changed devices when caching is on
 (reporting re-keyed ones for migration), each shard's slice of the
 dirty stream is persisted under its storage namespace, and shards
-invalidate surgically via the existing :meth:`Locater.on_ingest` path
-(replica shards merge the stamped batch themselves, reproducing
-identical ids).
+invalidate surgically: in-process shards via the existing
+:meth:`Locater.on_ingest` path, process shards by applying a
+:class:`~repro.events.table.TableSync` — the merge's new segment names,
+no event data — to their attached views before invalidating off the
+same report.
 
 Typical use::
 
@@ -122,7 +129,7 @@ worker crashes instead of surfacing them:
   failures under the policy's restart budget with deterministic
   backoff, resurrects the shard from its factory, and restores the §5
   cache from the last post-operation checkpoint.  Shard state outside
-  the cache is a pure function of the replicated log, so a resurrected
+  the cache is a pure function of the log, so a resurrected
   shard answers **bitwise identically** to one that never died — cache
   contents and hit/miss counters included — as long as the crash fell
   between operations (the checkpoint granularity; a crash *inside* an

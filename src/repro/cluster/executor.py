@@ -11,15 +11,14 @@ swaps the deployment shape without changing any cluster logic:
   against, and the executor under which equivalence proofs are easiest
   to read.
 * :class:`ProcessShardExecutor` — each shard is an *actor* in a worker
-  process: forked with a private copy-on-write replica of everything
-  the factory closed over, or (``start_method='spawn'``, or any worker
-  given a shared-memory table) attached by segment name to the one
-  physical copy of the event log.  Calls travel a pipe as pickled
-  (method, args) tuples; results return pickled, which roundtrips
-  floats and numpy arrays bitwise, so answers are indistinguishable
-  from in-process ones.  True parallelism, at the cost of per-call
-  serialization and no shared mutable state (a cluster with process
-  shards therefore refuses external storage and batch states).
+  process (``fork`` or ``spawn``) that the cluster's factory attaches,
+  by segment name, to the one shared-memory copy of the event log.
+  Calls travel a pipe as pickled (method, args) tuples; results return
+  pickled, which roundtrips floats and numpy arrays bitwise, so answers
+  are indistinguishable from in-process ones.  True parallelism, at
+  the cost of per-call serialization and no shared mutable state (a
+  cluster with process shards therefore refuses external storage and
+  batch states).
 
 Determinism contract shared by both: ``call_all`` returns results in
 shard order no matter which shard finished first, and each shard
@@ -277,10 +276,10 @@ def _worker_send(connection, payload) -> bool:
 
 
 def _worker_main(connection, factory: ShardFactory, shard_id: int) -> None:
-    """Actor loop of one forked shard worker.
+    """Actor loop of one shard worker.
 
-    Builds the shard from the (fork-inherited) factory, then serves
-    pickled ``(method, args)`` commands until the parent sends ``None``.
+    Builds the shard from the factory, then serves pickled
+    ``(method, args)`` commands until the parent sends ``None``.
     Failures are answered as ``(False, message)`` rather than killing
     the worker, so one bad call doesn't take the shard down.
     """
@@ -320,18 +319,13 @@ def _worker_main(connection, factory: ShardFactory, shard_id: int) -> None:
 class ProcessShardExecutor(ShardExecutor):
     """One worker process per shard, spoken to over a pipe.
 
-    Under the default ``fork`` start method the factory and its closure
-    — building, metadata, the replicated event table — are *inherited*
-    copy-on-write, never pickled, so each worker starts with a private
-    bitwise-identical replica of the cluster's state at start time.
-    Under ``spawn`` the factory itself crosses the process boundary
-    pickled, so it must be picklable and self-contained — the cluster
-    provides one that carries a
-    :class:`~repro.events.table.TableDescriptor` and *attaches* the
-    shared-memory event table by segment name instead of copying it
-    (``ShardedLocater(..., shared_memory=True)``).  After start, workers
-    receive only picklable payloads: stamped event batches or table
-    syncs in, answers and reports out.
+    Under the default ``fork`` start method the factory is inherited;
+    under ``spawn`` it crosses the process boundary pickled, so it must
+    be picklable and self-contained.  The cluster's factory is both: it
+    carries a :class:`~repro.events.table.TableDescriptor`, and each
+    worker *attaches* the shared-memory event table by segment name
+    instead of copying it.  After start, workers receive only picklable
+    payloads: queries and table syncs in, answers and reports out.
 
     ``call_timeout`` (seconds) bounds every receive: a worker that does
     not answer in time is declared hung and its shard marked dead
@@ -351,8 +345,7 @@ class ProcessShardExecutor(ShardExecutor):
                 raise ConfigurationError(
                     "ProcessShardExecutor defaults to the 'fork' start "
                     "method (unavailable on this platform); pass "
-                    "start_method='spawn' with a shared-memory table, or "
-                    "use SerialShardExecutor")
+                    "start_method='spawn', or use SerialShardExecutor")
             start_method = "fork"
         if start_method not in ("fork", "spawn"):
             raise ConfigurationError(

@@ -1,13 +1,13 @@
 """Shard routing: which shard owns which device.
 
-A :class:`~repro.cluster.sharded.ShardedLocater` replicates the event
-log to every shard (cleaning couples devices through co-location, so a
-shard answering queries from a partial log would change answers) and
-partitions *serving ownership*: each device's queries, trained coarse
-models, cleaned-answer storage and cache warm state live on exactly one
-shard.  The cluster builds one :class:`ComponentAffinityRouter` to
-decide that assignment, and its configuration decides how the router is
-fed:
+Every shard of a :class:`~repro.cluster.sharded.ShardedLocater` reads
+the whole event log (cleaning couples devices through co-location, so a
+shard answering queries from a partial log would change answers), and
+the cluster partitions *serving ownership*: each device's queries,
+trained coarse models, cleaned-answer storage and cache warm state live
+on exactly one shard.  The cluster builds one
+:class:`ComponentAffinityRouter` to decide that assignment, and its
+configuration decides how the router is fed:
 
 * **Caching on** — the cluster binds every device of its table at
   construction and re-binds changed devices at every ingest.  Each
@@ -31,7 +31,7 @@ answers are cleared from the old shard's namespace (so a re-query can
 never serve a stale namespaced answer) and recorded cache edges are
 exchanged to the new owning shard (so its affinity reads stay exactly
 what a lone deployment would see).  Trained models and memos are pure
-functions of the replicated log and need no migration — the old shard
+functions of the shared log and need no migration — the old shard
 merely keeps warm state it will no longer use.
 """
 

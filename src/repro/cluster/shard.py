@@ -1,24 +1,23 @@
 """One shard of a cluster: a full ``Locater`` serving its owned devices.
 
-A shard wraps everything one serving slice needs — the cleaning system,
-optionally its own ingestion engine — behind the small method surface
-the executors dispatch to (see :mod:`repro.cluster.executor`).  Shards
-come in two wirings, chosen by the cluster from the executor's
-placement:
+A shard wraps everything one serving slice needs behind the small
+method surface the executors dispatch to (see
+:mod:`repro.cluster.executor`).  Its wiring follows from its table,
+which the cluster chose from the executor's placement:
 
 * **shared-table** (in-process executors): every shard's ``Locater``
   reads the *same* :class:`~repro.events.table.EventTable` object.  The
   cluster merges each ingest batch once and fans the resulting
   :class:`~repro.system.ingestion.IngestReport` out to
   :meth:`Shard.on_ingest`, which invalidates that shard's models.
-* **replica** (process executor): the shard lives in a forked worker
-  with a private copy of the table and owns a
-  :class:`~repro.system.streaming.StreamingSession` over it, so
-  :meth:`Shard.ingest_events` merges the stamped batch into the replica
-  and prunes the shard's persistent memos, exactly like a single-node
-  streaming deployment would.  Event ids arrive already stamped by the
-  cluster and the replica engine re-derives identical ids (same seed,
-  same order), keeping replicas bitwise interchangeable.
+* **attached** (process executor): the shard lives in a worker process
+  and reads a read-only view of the cluster's table, attached by
+  segment name to its shared-memory columns.  The shard owns a
+  :class:`~repro.system.streaming.StreamingSession` over the view, so
+  repeated bursts share memos worker-side.  After each merge the
+  cluster sends :meth:`Shard.apply_table_sync` the owner's new segment
+  names and its report; the view advances and the session invalidates
+  and prunes exactly as if it had merged the batch itself.
 """
 
 from __future__ import annotations
@@ -27,8 +26,7 @@ import os
 from collections.abc import Sequence
 
 from repro.errors import ClusterError
-from repro.events.event import ConnectivityEvent
-from repro.system.ingestion import IngestionEngine, IngestReport
+from repro.system.ingestion import IngestReport
 from repro.system.locater import (
     BatchState,
     InvalidationSummary,
@@ -46,25 +44,17 @@ class Shard:
     Args:
         shard_id: Position in the cluster (also the storage namespace
             the cluster derived for this shard).
-        locater: The cleaning system; shares the cluster's table in
-            shared-table wiring, owns a replica in worker processes.
-        engine: In replica wiring, the shard's own ingestion engine over
-            its table; the shard then runs a persistent
-            :class:`StreamingSession` so repeated bursts share memos and
-            every ingest prunes them.  None in shared-table wiring.
+        locater: The cleaning system.  Over the cluster's own table the
+            shard is shared-table wired; over an attached table view
+            it runs a persistent :class:`StreamingSession`, so repeated
+            bursts share memos and every table sync prunes them.
     """
 
-    def __init__(self, shard_id: int, locater: Locater,
-                 engine: "IngestionEngine | None" = None) -> None:
+    def __init__(self, shard_id: int, locater: Locater) -> None:
         self.shard_id = shard_id
         self.locater = locater
-        self._session = StreamingSession(locater, engine) \
-            if engine is not None else None
-
-    @property
-    def is_replica(self) -> bool:
-        """Whether this shard owns a private table replica."""
-        return self._session is not None
+        self._session = StreamingSession(locater) \
+            if locater.table.store.is_attached else None
 
     # ------------------------------------------------------------------
     # Serving
@@ -83,7 +73,7 @@ class Shard:
 
         Returns the answers in slice order plus, when requested, the
         per-query timings as (slice index, seconds) pairs — the cluster
-        maps both back to the caller's input indices.  A replica shard
+        maps both back to the caller's input indices.  An attached shard
         substitutes its session's persistent state when none is given,
         so streaming bursts keep their memos warm worker-side.
         """
@@ -103,18 +93,8 @@ class Shard:
         """Shared-table wiring: the cluster merged; invalidate locally."""
         if self._session is not None:
             raise ClusterError(
-                "replica shards merge events themselves; send the batch "
-                "via ingest_events")
+                "attached shards advance through apply_table_sync")
         return self.locater.on_ingest(report)
-
-    def ingest_events(self, events: Sequence[ConnectivityEvent]
-                      ) -> IngestReport:
-        """Replica wiring: merge a stamped batch into the private table."""
-        if self._session is None:
-            raise ClusterError(
-                "shared-table shards do not merge events; the cluster "
-                "ingests once and fans out on_ingest")
-        return self._session.ingest(events)
 
     def apply_table_sync(self, payload, report: IngestReport
                          ) -> InvalidationSummary:
@@ -125,14 +105,13 @@ class Shard:
         swaps them into this shard's attached table and ``report`` — the
         owner's merge report, bitwise what a local engine would have
         produced — then drives the same invalidation + memo pruning a
-        replica's own merge would.
+        local merge would.
         """
-        table = self.locater.table
-        if self._session is None or not table.store.is_attached:
+        if self._session is None:
             raise ClusterError(
                 "apply_table_sync targets shards serving an attached "
                 "shared-memory table view")
-        table.apply_sync(payload)
+        self.locater.table.apply_sync(payload)
         return self._session.observe_report(report)
 
     # ------------------------------------------------------------------
@@ -217,13 +196,13 @@ class Shard:
         return out
 
     def table_memory(self) -> dict:
-        """This shard's event-table memory accounting (benchmarks).
+        """This shard's event-table memory accounting.
 
-        Combines the column store's logical byte accounting (exact — the
-        quantity the shared-vs-replicated comparison is judged on) with
-        the process's ``VmRSS`` as an auxiliary physical signal; RSS
-        alone is dishonest under fork, where copy-on-write pages are
-        counted in every child until written.
+        Combines the column store's logical byte accounting (exact; an
+        attached view reads kind ``shared-attached`` and the owner's
+        column bytes) with the process's ``VmRSS`` as an auxiliary
+        physical signal; RSS alone is dishonest for shared pages, which
+        are counted in every process that touched them.
         """
         out = self.locater.table.memory_stats()
         out["pid"] = os.getpid()
@@ -240,12 +219,11 @@ class Shard:
     def close(self) -> None:
         """Detach the session; unmap an attached table view.  Idempotent.
 
-        Never touches a shared-table (in-process) or replica table's
-        store — those belong to the cluster / die with the worker — but
-        an attached view's mappings are explicitly closed so worker
-        shutdown never depends on GC ordering against live segments.
+        Never touches a shared-table (in-process) shard's store — it
+        belongs to the cluster — but an attached view's mappings are
+        explicitly closed so worker shutdown never depends on GC
+        ordering against live segments.
         """
         if self._session is not None:
             self._session.close()
-        if self.locater.table.store.is_attached:
             self.locater.table.close()

@@ -1,14 +1,16 @@
 """``ShardedLocater``: one query surface over N independent shards.
 
-The cluster replicates the event log to every shard and partitions
+Every shard serves from the whole event log, and the cluster partitions
 *serving ownership* by its built-in
 :class:`~repro.cluster.router.ComponentAffinityRouter`: each device's
 queries, trained coarse models, cleaned-answer storage namespace and
-cache warm state live on exactly one shard.  Replication is not an
+cache warm state live on exactly one shard.  The whole log is not an
 implementation shortcut — it is what makes the cluster *correct*:
 cleaning couples devices through co-location (neighbor discovery,
 device-affinity mining and the population aggregate all read the whole
-log), so a shard serving from a partial log would change answers.  What
+log), so a shard serving from a partial log would change answers.  It
+costs one copy: in-process shards read the cluster's table object, and
+process shards attach its shared-memory segments read-only.  What
 scales out is everything downstream of the log: model training,
 gap-feature extraction, fine-grained inference, caching and answer
 storage — the dominant costs.
@@ -62,7 +64,7 @@ from repro.errors import (
     ConfigurationError,
     ShardQuarantinedError,
 )
-from repro.events.columns import SharedMemoryColumnStore
+from repro.events.columns import HeapColumnStore, SharedMemoryColumnStore
 from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable, TableDescriptor
 from repro.space.building import Building
@@ -194,16 +196,15 @@ class ClusterBatchState:
 
 
 class _AttachedShardFactory:
-    """Picklable shard factory for workers that *attach* the table.
+    """Picklable shard factory for process workers: *attach* the table.
 
-    Instead of closing over the live table (fork-only, one replica per
-    worker), it carries a :class:`~repro.events.table.TableDescriptor` —
-    segment names, registry order, generations — and each worker maps
-    the owner's shared-memory segments read-only.  Picklable and
-    self-contained, so it crosses a ``spawn`` boundary too; under
-    ``fork`` it still wins by never letting workers privatize column
-    pages.  The shard gets a streaming session whose state is advanced
-    by :meth:`Shard.apply_table_sync` fan-outs.
+    It carries a :class:`~repro.events.table.TableDescriptor` — segment
+    names, registry order, generations — and each worker maps the
+    owner's shared-memory segments read-only, so N workers hold one
+    physical copy of the log.  Picklable and self-contained, so it
+    crosses a ``spawn`` boundary as well as a ``fork``.  The shard gets
+    a streaming session whose state is advanced by
+    :meth:`Shard.apply_table_sync` fan-outs.
     """
 
     def __init__(self, building: Building, metadata: SpaceMetadata,
@@ -216,9 +217,8 @@ class _AttachedShardFactory:
 
     def __call__(self, shard_id: int) -> Shard:
         table = EventTable.attach(self.descriptor)
-        locater = Locater(self.building, self.metadata, table,
-                          config=self.config)
-        return Shard(shard_id, locater, engine=IngestionEngine(table))
+        return Shard(shard_id, Locater(self.building, self.metadata, table,
+                                       config=self.config))
 
 
 class ShardedLocater:
@@ -228,8 +228,14 @@ class ShardedLocater:
         building: Space model (a single building or a merged campus).
         metadata: Per-device preferred-room metadata.
         table: The authoritative event table.  In-process shards share
-            this object; process shards inherit a bitwise replica at
-            fork time.
+            this object.  Process shards attach its columns read-only
+            from shared memory: a heap table moves into a
+            :class:`~repro.events.columns.SharedMemoryColumnStore` here
+            and back to a :class:`~repro.events.columns.HeapColumnStore`
+            on :meth:`close` (or when construction fails), so the
+            cluster unlinks every segment it created and the table
+            outlives it, bitwise unchanged.  A table that arrives on a
+            shared store stays the caller's to close.
         shard_count: Number of shards.
         executor: Shard placement and call dispatch (default
             :class:`~repro.cluster.executor.SerialShardExecutor`).  The
@@ -246,16 +252,6 @@ class ShardedLocater:
             dirty event stream (globally unique ids, stored once).
             Incompatible with process executors, whose shards cannot
             reach the caller's backend.
-        shared_memory: Publish the table's hot columns as named
-            shared-memory segments (migrating the table's column store
-            in place if needed).  Process shard workers then *attach*
-            the one physical copy of the log by segment name instead of
-            holding a private replica — N shards cost ~1× the table —
-            and ingests fan out as cheap segment-name syncs instead of
-            per-worker re-merges.  Required for
-            ``ProcessShardExecutor(start_method='spawn')``.  The caller
-            still owns the table: close it (``table.close()``) after
-            the cluster to unlink the segments.
         recovery: Opt into fault tolerance: a
             :class:`~repro.cluster.supervision.RecoveryPolicy` puts a
             :class:`~repro.cluster.supervision.ShardSupervisor` between
@@ -282,7 +278,6 @@ class ShardedLocater:
                  executor: "ShardExecutor | None" = None,
                  config: "LocaterConfig | None" = None,
                  storage: "StorageEngine | None" = None,
-                 shared_memory: bool = False,
                  recovery: "RecoveryPolicy | None" = None) -> None:
         if shard_count < 1:
             raise ConfigurationError(
@@ -314,37 +309,15 @@ class ShardedLocater:
         self._tap = _EventTap(storage)
         self._engine = IngestionEngine(table, storage=self._tap)
         in_process = self._executor.in_process
-        views = self._views if in_process else [None] * shard_count
-        if shared_memory and not table.store.is_shared:
-            table.migrate_store(SharedMemoryColumnStore())
-        # Attach mode: process shards map the owner's segments by name
-        # (one physical copy) instead of inheriting a fork replica.
-        self._attached_shards = (not in_process) and table.store.is_shared
-        if getattr(self._executor, "start_method", None) == "spawn" and \
-                not self._attached_shards:
-            raise ConfigurationError(
-                "spawned shard workers cannot inherit the event table; "
-                "construct the cluster with shared_memory=True (or a "
-                "table on a SharedMemoryColumnStore) so workers attach "
-                "by segment name")
+        views = self._views
 
-        if self._attached_shards:
-            factory = _AttachedShardFactory(
-                building, metadata, config, table.describe())
-        else:
-            def factory(shard_id: int) -> Shard:
-                # In-process: every shard's Locater reads the shared
-                # table.  In a forked worker this closure runs
-                # post-fork, so ``table`` is the worker's private
-                # copy-on-write replica and the shard gets its own
-                # engine + streaming session.  (Closes over plain
-                # locals only — a worker must not drag a copy of the
-                # cluster object, executor pipes included, across the
-                # fork.)
-                locater = Locater(building, metadata, table, config=config,
-                                  storage=views[shard_id])
-                engine = None if in_process else IngestionEngine(table)
-                return Shard(shard_id, locater, engine=engine)
+        def local_shard(shard_id: int) -> Shard:
+            # Every in-process shard's Locater reads the cluster's table.
+            # (Closes over plain locals, not ``self``: the executor keeps
+            # its factory and must not hold the cluster in a cycle.)
+            return Shard(shard_id, Locater(building, metadata, table,
+                                           config=config,
+                                           storage=views[shard_id]))
 
         if recovery is not None and recovery.call_timeout is not None:
             # Reach through a wrapper (e.g. FaultInjectingExecutor) so
@@ -352,7 +325,18 @@ class ShardedLocater:
             target = getattr(self._executor, "inner", self._executor)
             if isinstance(target, ProcessShardExecutor):
                 target.call_timeout = recovery.call_timeout
-        self._executor.start(factory, shard_count)
+        # Process shards attach the table's shared-memory segments by
+        # name.  A heap table moves there for the cluster's lifetime.
+        self._owns_store = not in_process and not table.store.is_shared
+        if self._owns_store:
+            table.migrate_store(SharedMemoryColumnStore())
+        try:
+            self._executor.start(
+                local_shard if in_process else self._shard_factory(),
+                shard_count)
+        except BaseException:
+            self._restore_store()
+            raise
         self._recovery = recovery
         self._fallback: "Locater | None" = None
         if recovery is not None:
@@ -360,11 +344,10 @@ class ShardedLocater:
                 self._executor, policy=recovery,
                 # Attached workers must map the table's *current*
                 # segments at resurrection time; the start-time
-                # descriptor goes stale at the first ingest.  Fork /
-                # in-process factories re-derive current state on their
-                # own (a re-fork inherits the merged table).
-                factory_provider=self._shard_factory
-                if self._attached_shards else None,
+                # descriptor goes stale at the first ingest.  The
+                # in-process factory reads the live table anyway.
+                factory_provider=None if in_process
+                else self._shard_factory,
                 checkpoints=self._caching)
         else:
             self._supervisor = None
@@ -382,6 +365,12 @@ class ShardedLocater:
         return _AttachedShardFactory(
             self._building, self._metadata, self._config,
             self._table.describe())
+
+    def _restore_store(self) -> None:
+        """Move a table this cluster lifted into shared memory back to
+        the heap; closing the shared store unlinks every segment."""
+        if self._owns_store:
+            self._table.migrate_store(HeapColumnStore())
 
     # ------------------------------------------------------------------
     @property
@@ -652,11 +641,10 @@ class ShardedLocater:
         persist each shard's slice of the dirty stream, and finally
         reaches the shards: in-process shards invalidate against the
         shared table (live batch states handed out by
-        :meth:`make_batch_state` are pruned along the way); replica
-        shards merge the stamped batch themselves; attached shards
-        receive a :class:`~repro.events.table.TableSync` — the new
-        segment names and counters, no event data — and invalidate off
-        the owner's report.
+        :meth:`make_batch_state` are pruned along the way); process
+        shards receive a :class:`~repro.events.table.TableSync` — the
+        new segment names and counters, no event data — advance their
+        attached views and invalidate off the owner's report.
         """
         self._check_open()
         generation_before = self._table.generation
@@ -675,7 +663,7 @@ class ShardedLocater:
                     "on_ingest", [(report,)] * self._shard_count)
                 self._prune_states(report,
                                    self._merge_summaries(summaries))
-            elif self._attached_shards:
+            else:
                 # One physical merge just happened (owner-side); ship
                 # the new segment names, not the events.  Workers are
                 # idle between calls (synchronous dispatch), so no read
@@ -684,9 +672,6 @@ class ShardedLocater:
                 self._call_all(
                     "apply_table_sync",
                     [(payload, report)] * self._shard_count)
-            else:
-                self._call_all("ingest_events",
-                               [(stamped,)] * self._shard_count)
         self._checkpoint()
         return ClusterIngestReport(
             total=report,
@@ -742,7 +727,7 @@ class ShardedLocater:
         * **Stored answers**: cleared from every namespace but the new
           owner's, so a re-query can never serve a stale namespaced
           answer (models and memos need no such care — they are pure
-          functions of the replicated log).
+          functions of the log every shard reads).
         * **Cache edges**: every recorded affinity edge incident to a
           moved device is extracted from whichever shard holds it and
           re-inserted on the shard owning the edge's lower endpoint,
@@ -858,34 +843,24 @@ class ShardedLocater:
     def table_memory(self) -> dict:
         """Event-table memory accounting: parent plus every shard.
 
-        The cluster-level truth the shared-vs-replicated benchmark
-        archives: logical column bytes per process (exact, from store
-        accounting) with the backend kind, plus each process's VmRSS as
-        an auxiliary signal.  ``total_column_bytes`` counts private
-        copies per shard but any shared segments once — the "how much
-        log does this deployment hold" number.
+        Logical column bytes per process (exact, from store accounting)
+        with the backend kind, plus each process's VmRSS as an
+        auxiliary signal.  No shard holds a copy of the log: in-process
+        shards read the parent's table object and process shards map
+        its segments (kind ``shared-attached``), so the parent's column
+        bytes are the whole deployment's.  None slots are quarantined
+        shards.
         """
         self._check_open()
-        parent = self._table.memory_stats()
-        shards = self._call_all("table_memory")
-        private = 0
-        for stats in shards:
-            if stats is None:  # quarantined shard: holds no live table
-                continue
-            if stats["kind"] == "shared-attached":
-                continue  # maps the parent's segments: counted once below
-            if self._executor.in_process:
-                continue  # same table object as the parent's
-            private += stats["column_bytes"]
         return {
-            "parent": parent,
-            "shards": shards,
-            "attached": self._attached_shards,
-            "total_column_bytes": parent["column_bytes"] + private,
+            "parent": self._table.memory_stats(),
+            "shards": self._call_all("table_memory"),
         }
 
     def close(self) -> None:
-        """Tear down shards, workers and storage views.  Idempotent."""
+        """Tear down shards, workers and storage views, and move a table
+        this cluster lifted into shared memory back to the heap.
+        Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -893,6 +868,7 @@ class ShardedLocater:
         for view in self._views:
             if view is not None:
                 view.close()
+        self._restore_store()
 
     def __enter__(self) -> "ShardedLocater":
         return self
@@ -906,7 +882,7 @@ class ShardedLocater:
         if self._poisoned:
             raise ClusterError(
                 "cluster poisoned: an ingest fan-out failed part-way, so "
-                "some shards may hold stale models or replicas; rebuild "
+                "some shards may hold stale models or table views; rebuild "
                 "the cluster from the authoritative table (retrying the "
                 "ingest would double-merge the batch)")
 
@@ -914,7 +890,7 @@ class ShardedLocater:
     def _poison_on_failure(self):
         """Fail-stop guard around a shard fan-out.
 
-        If invalidation (or a replica merge) reaches some shards but not
+        If invalidation (or a table sync) reaches some shards but not
         others, the survivors silently diverge from the authoritative
         table — worse than an outage under this layer's bitwise
         contract.  Any fan-out failure therefore poisons the cluster:

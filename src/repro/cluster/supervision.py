@@ -9,16 +9,16 @@ partial results.  This module *reacts*: the
 transient shard deaths into deterministic resurrections.
 
 Why recovery can be exact here: every shard's serving state is a pure
-function of the replicated event log (the bitwise-equivalence invariant
-PRs 1–8 enforce), except the §5 cache, whose contents depend on query
-*history*.  So resurrection is: rebuild the shard from the factory (a
-re-fork inherits the current merged table; an attached worker maps the
-owner's current segments; models retrain lazily on the next batch
-pre-pass), restore the cache from the supervisor's last checkpoint, and
-re-dispatch *only the failed shard's slice* of the interrupted call —
-never the survivors', which would double-count their cache counters.
-The chaos suite proves post-recovery answers and summed cache counters
-bitwise-identical to an uninterrupted cluster.
+function of the event log it reads (the bitwise-equivalence invariant
+the cluster suites enforce), except the §5 cache, whose contents depend
+on query *history*.  So resurrection is: rebuild the shard from the
+factory (an in-process shard reads the live table; a process worker
+attaches the owner's current segments; models retrain lazily on the
+next batch pre-pass), restore the cache from the supervisor's last
+checkpoint, and re-dispatch *only the failed shard's slice* of the
+interrupted call — never the survivors', which would double-count their
+cache counters.  The chaos suite proves post-recovery answers and summed
+cache counters bitwise-identical to an uninterrupted cluster.
 
 The determinism caveat, stated honestly: checkpoints are taken at
 operation boundaries, so the exactness proof covers crashes *between*
@@ -58,12 +58,11 @@ TRANSIENT_ERRORS = (ShardUnavailableError, ShardTimeoutError)
 
 #: Methods that must *not* be re-dispatched to a freshly resurrected
 #: shard: its factory already rebuilt it from the merged authoritative
-#: table (re-fork inherits it; an attached worker maps the current
-#: segments), so replaying the ingest-time invalidation would be
-#: redundant at best and a double-merge at worst.  The cluster ignores
+#: table (an attached worker maps the current segments), so replaying
+#: the ingest-time invalidation would be redundant at best, and a sync
+#: against the wrong base generation at worst.  The cluster ignores
 #: these fan-outs' per-shard results, so the skipped slot is safe.
-SKIP_AFTER_RESTART = frozenset(
-    {"on_ingest", "ingest_events", "apply_table_sync"})
+SKIP_AFTER_RESTART = frozenset({"on_ingest", "apply_table_sync"})
 
 
 @dataclass(frozen=True, slots=True)

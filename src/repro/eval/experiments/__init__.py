@@ -18,7 +18,6 @@ fig12_scalability Fig. 12 — caching on vs off (D-LOCATER)
 streaming         Fig. 5 live loop — incremental ingest vs full rebuild
 cluster_scaling   throughput vs shard count/executor (extension)
 cluster_caching   Fig. 9's speedup half under sharding (extension)
-shared_memory     replicated vs zero-copy shared tables (extension)
 ================  =========================================================
 """
 

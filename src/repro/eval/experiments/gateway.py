@@ -145,8 +145,8 @@ def _make_cluster(dataset, shard_count: int) -> ShardedLocater:
 
     Process shards are the wiring where window dispatch has a real
     price (pipe + pickle per call) and where warm state lives
-    worker-side: each replica shard runs a persistent streaming session
-    whose memos survive across windows.  The table is never ingested
+    worker-side: each attached shard runs a persistent streaming
+    session whose memos survive across windows.  The table is never ingested
     into during the sweep, so every run (and every replay) starts from
     the identical authoritative state.
     """
@@ -178,8 +178,8 @@ def _replay_identical(dataset, shard_count: int, journal,
     Builds a second, identical cluster and replays the journal in
     serialization order: every window as one plain ``locate_batch``
     call, every ingest tick through ``cluster.ingest``.  In-process
-    replicas thread a persistent cluster batch state through the calls;
-    process replicas keep the equivalent state worker-side (their
+    shards thread a persistent cluster batch state through the calls;
+    process shards keep the equivalent state worker-side (their
     streaming sessions substitute it when none is passed).  Bitwise-
     compares every answer and the summed cache counters.
     """

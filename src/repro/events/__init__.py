@@ -68,8 +68,8 @@ at once over it, reading δ from the registry at call time.
   device, a copy next to the column store.  Under a memory budget it is
   one evictable ``flat-logs`` entry; evicting it costs a rebuild.  A
   process shard attached to shared-memory columns builds its own copy
-  in its own heap, which ``BENCH_shared_memory`` (column bytes only)
-  does not count.
+  in its own heap, which the column-byte accounting
+  (``EventTable.memory_stats``) does not count.
 """
 
 from repro.events.columns import (

@@ -10,7 +10,7 @@ Where the column bytes live is delegated to a
 :class:`~repro.events.columns.ColumnStore`: heap arrays by default, or
 named shared-memory segments (:class:`SharedMemoryColumnStore`) so that
 shard worker processes attach to one physical copy of the log instead
-of each holding a replica.  Two picklable payloads cross process
+of each holding its own.  Two picklable payloads cross process
 boundaries:
 
 * :meth:`EventTable.describe` → :class:`TableDescriptor`: the full
@@ -425,20 +425,22 @@ class EventTable:
         """Move every log's columns into ``store`` (in place).
 
         One copy per log at migration time; afterwards the old store is
-        closed and new freezes publish into the new backend.  Used to
-        lift a heap-built table into shared memory before a cluster
-        forks/spawns process shards.  Disallowed once cold-data eviction
-        is enabled (the eviction entries are keyed to the old handles).
+        closed and new freezes publish into the new backend.  A process
+        cluster lifts a heap table into shared memory this way for its
+        attached workers, and moves it back to the heap when it closes.
+        Columns leaving a shared store are copied, so no heap log pins
+        a segment the old store unlinks.  Under a memory budget the
+        ``log`` eviction entries move with the columns: released here,
+        and re-registered only where the new store can spill.
         """
-        if self._memory is not None:
-            raise EventTableError(
-                "cannot migrate the column store after eviction was "
-                "enabled; migrate first, then enable_eviction")
         self._ensure_frozen()
+        copy = self._store.is_shared and not store.is_shared
         for mac, log in list(self._logs.items()):
             if log.is_empty:
                 continue
             times, aps = log.columns.arrays()
+            if copy:
+                times, aps = times.copy(), aps.copy()
             handle = store.put(mac, times, aps)
             self._logs[mac] = DeviceLog(log.device,
                                         ap_vocab=self._ap_vocab,
@@ -446,6 +448,13 @@ class EventTable:
         old = self._store
         self._store = store
         old.close()
+        if self._memory is not None:
+            for entry in self._memory_entries.values():
+                self._memory.release(entry)
+            self._memory_entries.clear()
+            for mac, log in self._logs.items():
+                if not log.is_empty:
+                    self._register_log(mac, log.columns)
 
     def close(self) -> None:
         """Release the column store (segments, spill files).  Terminal:

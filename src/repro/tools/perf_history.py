@@ -80,11 +80,6 @@ TRACKED: "dict[str, tuple[TrackedMetric, ...]]" = {
         TrackedMetric("speedup_vs_dict", True,
                       lambda d: d["speedup_vs_dict"]),
     ),
-    "shared_memory": (
-        TrackedMetric("memory_ratio_replicated_over_shared", True,
-                      lambda d:
-                      d["memory_ratio_replicated_over_shared"]),
-    ),
     "cluster_recovery": (
         TrackedMetric("availability", True,
                       lambda d: d["availability"]),

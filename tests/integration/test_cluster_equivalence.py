@@ -423,7 +423,7 @@ class TestChaosEquivalence:
         return owners.most_common(1)[0][0]
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
-    def test_sigkill_mid_batch_fork_replica_bitwise(self, isolated_world):
+    def test_sigkill_mid_batch_fork_attached_bitwise(self, isolated_world):
         # Caching ON: the recovered shard must restore cache contents
         # and counters from the supervisor's checkpoint, not just
         # re-serve its slice correctly.
@@ -475,7 +475,7 @@ class TestChaosEquivalence:
         try:
             with ShardedLocater(dataset.building, dataset.metadata,
                                 table, shard_count=2,
-                                executor=executor, shared_memory=True,
+                                executor=executor,
                                 recovery=RecoveryPolicy(backoff=(0.0,))
                                 ) as cluster:
                 assert [cluster.locate_batch(half)
@@ -486,13 +486,13 @@ class TestChaosEquivalence:
                 assert episode.shard_id == victim
                 assert episode.outcome == "recovered"
         finally:
-            table.close()  # unlink the shared segments (caller-owned)
+            table.close()
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
-    def test_sigkill_mid_stream_fork_replica_bitwise(self, small_dataset):
+    def test_sigkill_mid_stream_fork_attached_bitwise(self, small_dataset):
         # Streaming: ingests interleave with the kill, so the re-forked
-        # replacement must inherit the *merged* table, not the one the
-        # cluster started with.
+        # replacement must attach the *current* segments, not the ones
+        # the cluster started with.
         dataset = small_dataset
         workload = streaming_day_workload(dataset, batches=4,
                                           queries_per_burst=6, seed=3)

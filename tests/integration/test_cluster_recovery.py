@@ -141,13 +141,14 @@ class TestRecovery:
             assert "did not answer" in episode.error
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
-    def test_kill_during_ingest_fanout_keeps_replicas_consistent(
+    def test_kill_during_sync_fanout_keeps_views_consistent(
             self, small_dataset):
-        # The kill lands in the ingest fan-out itself.  The supervisor
-        # must *not* re-dispatch ingest_events to the replacement (it
-        # re-forked from the already-merged parent table: a replay
-        # would double-merge) — SKIP_AFTER_RESTART covers this — and
-        # every replica must end up tracking the authoritative table.
+        # The kill lands in the ingest's table-sync fan-out itself.  The
+        # supervisor must *not* re-dispatch apply_table_sync to the
+        # replacement (it attached the already-merged segments: a
+        # replay would miss its base generation) — SKIP_AFTER_RESTART
+        # covers this — and every attached view must end up tracking
+        # the authoritative table.
         dataset = small_dataset
         workload = streaming_day_workload(dataset, batches=3,
                                           queries_per_burst=6, seed=3)
@@ -171,7 +172,7 @@ class TestRecovery:
         victim = _busiest_shard(ComponentAffinityRouter(dataset.building),
                                 workload.batches[1].queries, 3)
         plan = FaultPlan([Fault(shard_id=victim, kind="kill",
-                                method="ingest_events", call_index=1)])
+                                method="apply_table_sync", call_index=1)])
         executor = FaultInjectingExecutor(ProcessShardExecutor(), plan)
         with ShardedLocater(dataset.building, dataset.metadata,
                             chaos_table, shard_count=3, config=config,
@@ -185,9 +186,9 @@ class TestRecovery:
             assert got == expected
             assert plan.exhausted
             [episode] = cluster.recovery_events
-            assert episode.method == "ingest_events"
+            assert episode.method == "apply_table_sync"
             assert episode.outcome == "recovered"
-            # Every replica — the resurrected one included — tracks the
+            # Every view — the resurrected one included — tracks the
             # authoritative table exactly.
             for stats in cluster.shard_stats():
                 assert stats["events"] == len(cluster.table)
@@ -196,10 +197,9 @@ class TestRecovery:
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
     def test_attached_worker_resurrects_against_current_segments(
             self, small_dataset):
-        # Attached-table mode (shared_memory=True): the dead worker's
-        # replacement must map the table's *current* shared-memory
-        # segments — the start-time descriptor went stale at the first
-        # ingest — which is exactly what the supervisor's
+        # The dead worker's replacement must map the table's *current*
+        # shared-memory segments — the start-time descriptor went stale
+        # at the first ingest — which is exactly what the supervisor's
         # factory_provider exists for.
         dataset = small_dataset
         workload = streaming_day_workload(dataset, batches=3,
@@ -228,7 +228,7 @@ class TestRecovery:
         try:
             with ShardedLocater(dataset.building, dataset.metadata,
                                 chaos_table, shard_count=2,
-                                executor=executor, shared_memory=True,
+                                executor=executor,
                                 recovery=RecoveryPolicy(backoff=(0.0,))
                                 ) as cluster:
                 got = []
@@ -241,7 +241,7 @@ class TestRecovery:
                 assert episode.shard_id == victim
                 assert episode.outcome == "recovered"
         finally:
-            chaos_table.close()  # unlink caller-owned shared segments
+            chaos_table.close()
 
 
 class TestDegradation:

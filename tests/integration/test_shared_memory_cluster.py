@@ -1,23 +1,29 @@
-"""Shared-memory cluster equivalence: attached views ≡ replicas ≡ lone.
+"""Shared-memory cluster: attached views ≡ lone, and segment ownership.
 
-Extends ``test_cluster_equivalence.py`` to the zero-copy deployment
-shape: the table's hot columns live in named shared-memory segments
-(``ShardedLocater(..., shared_memory=True)``), process shard workers
-*attach* by segment name instead of inheriting a fork replica, and
-ingests fan out as :class:`~repro.events.table.TableSync` payloads.
-The invariant is unchanged — bitwise-identical answers — plus the new
-accounting claim the deployment exists for: N shards cost ~1× the
-table's column bytes, not N×.
+Extends ``test_cluster_equivalence.py`` to how process shards hold the
+log: the table's hot columns live in named shared-memory segments,
+every process shard worker *attaches* by segment name, and ingests fan
+out as :class:`~repro.events.table.TableSync` payloads.  The invariant
+is unchanged — bitwise-identical answers — plus the accounting claim
+the wiring exists for (N shards cost 1× the table's column bytes) and
+the ownership rule: a cluster that moved a heap table into shared
+memory moves it back and unlinks every segment it created, while a
+table that arrived on a shared store stays the caller's.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pathlib
+
 import pytest
 
 from repro.cluster import ProcessShardExecutor, SerialShardExecutor, ShardedLocater
-from repro.errors import ConfigurationError, EventTableError
+from repro.cluster.sharded import _AttachedShardFactory
+from repro.errors import ClusterError, EventTableError
 from repro.eval.queries import generated_query_set, labeled_query_set
-from repro.events.columns import SharedMemoryColumnStore
+from repro.events.columns import HeapColumnStore, SharedMemoryColumnStore
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
 from repro.sim.scenarios import ScenarioSpec, streaming_day_workload
@@ -27,11 +33,18 @@ from repro.system.locater import Locater
 
 CONFIG = LocaterConfig(use_caching=False)
 
+FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
+
+SHM_DIR = pathlib.Path("/dev/shm")
+
+needs_shm_dir = pytest.mark.skipif(
+    not SHM_DIR.is_dir(), reason="segment names are listed in /dev/shm")
+
 
 @pytest.fixture(scope="module")
 def world():
-    """A module-private dataset: tests migrate (and finally unlink) its
-    table's column store, so it must not be the shared session fixture."""
+    """A module-private dataset: clusters move its table's column store
+    into shared memory and back, so it is not the session fixture."""
     dataset = Simulator(ScenarioSpec.dbh_like(seed=29, population=10)).run(days=4)
     queries = labeled_query_set(dataset, per_device=2, seed=2)
     queries += generated_query_set(dataset, count=20, seed=3)
@@ -41,7 +54,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def lone_answers(world):
-    """Computed before any migration: heap-era ground truth."""
+    """Computed before any cluster runs: heap-era ground truth."""
     dataset, queries = world
     lone = Locater(dataset.building, dataset.metadata, dataset.table,
                    config=CONFIG)
@@ -54,6 +67,20 @@ def _warm_table(workload) -> EventTable:
     return table
 
 
+def _shared_copy(table: EventTable) -> EventTable:
+    """A caller-built copy of ``table`` on a shared-memory store."""
+    copy = table.restrict(table.span())
+    copy.migrate_store(SharedMemoryColumnStore())
+    return copy
+
+
+def _own_segments() -> set[str]:
+    """Live segments minted by this process's owner-mode stores."""
+    prefix = f"loc-{os.getpid()}-"
+    return {path.name for path in SHM_DIR.iterdir()
+            if path.name.startswith(prefix)}
+
+
 class TestAttachedBatchEquivalence:
     @pytest.mark.parametrize("shards", [1, 4])
     def test_fork_attached_identical_to_lone(self, world, lone_answers,
@@ -62,8 +89,8 @@ class TestAttachedBatchEquivalence:
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=shards,
                             executor=ProcessShardExecutor(),
-                            config=CONFIG, shared_memory=True) as cluster:
-            assert cluster._attached_shards
+                            config=CONFIG) as cluster:
+            assert dataset.table.store.is_shared
             assert cluster.locate_batch(queries) == lone_answers
 
     def test_spawn_attached_identical_to_lone(self, world, lone_answers):
@@ -74,35 +101,140 @@ class TestAttachedBatchEquivalence:
                 dataset.building, dataset.metadata, dataset.table,
                 shard_count=2,
                 executor=ProcessShardExecutor(start_method="spawn"),
-                config=CONFIG, shared_memory=True) as cluster:
+                config=CONFIG) as cluster:
             assert cluster.locate_batch(subset) == lone_answers[:8]
 
     def test_in_process_over_shared_store_identical(self, world,
                                                     lone_answers):
-        # shared_memory with an in-process executor is legal (the store
-        # migrates; shards read the same table object as always).
+        # A caller-built shared table under an in-process executor:
+        # shards read the same table object as always.
         dataset, queries = world
-        with ShardedLocater(dataset.building, dataset.metadata,
-                            dataset.table, shard_count=3,
-                            executor=SerialShardExecutor(),
-                            config=CONFIG, shared_memory=True) as cluster:
-            assert not cluster._attached_shards
-            assert cluster.locate_batch(queries) == lone_answers
+        table = _shared_copy(dataset.table)
+        try:
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                table, shard_count=3,
+                                executor=SerialShardExecutor(),
+                                config=CONFIG) as cluster:
+                assert cluster.locate_batch(queries) == lone_answers
+        finally:
+            table.close()
 
-    def test_spawn_without_shared_store_rejected(self, world):
+
+@needs_shm_dir
+class TestSegmentOwnership:
+    """The cluster unlinks what it created; the caller keeps its own."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_heap_table_moves_back_after_close(self, world, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} unavailable")
+        dataset, _ = world
+        workload = streaming_day_workload(dataset, batches=2,
+                                          queries_per_burst=3, seed=3)
+        table = _warm_table(workload)
+        before = _own_segments()
+        try:
+            with ShardedLocater(
+                    dataset.building, dataset.metadata, table,
+                    shard_count=2,
+                    executor=ProcessShardExecutor(start_method=start_method),
+                    config=CONFIG) as cluster:
+                assert isinstance(table.store, SharedMemoryColumnStore)
+                assert _own_segments() > before
+                for batch in workload.batches:
+                    cluster.ingest(batch.ingest)
+            assert isinstance(table.store, HeapColumnStore)
+            assert _own_segments() == before
+            cold = EventTable.from_events(
+                workload.events_through(workload.batches[-1].index))
+            DeltaEstimator().fit_table(cold)
+            assert table.ap_ids == cold.ap_ids
+            assert table.macs() == cold.macs()
+            for mac in cold.macs():
+                mine, theirs = table.log(mac), cold.log(mac)
+                assert mine.times.flags.writeable
+                assert mine.ap_indices.flags.writeable
+                assert mine.times.tobytes() == theirs.times.tobytes()
+                assert mine.ap_indices.tobytes() == \
+                    theirs.ap_indices.tobytes()
+                assert table.registry.get(mac).delta == \
+                    cold.registry.get(mac).delta
+        finally:
+            table.close()
+
+    @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
+    def test_caller_built_shared_table_stays_the_callers(
+            self, world, lone_answers):
+        dataset, queries = world
+        before = _own_segments()
+        table = _shared_copy(dataset.table)
+        store = table.store
+        published = _own_segments() - before
+        assert published
+        try:
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                table, shard_count=2,
+                                executor=ProcessShardExecutor(),
+                                config=CONFIG) as cluster:
+                assert cluster.locate_batch(queries[:8]) == \
+                    lone_answers[:8]
+            assert table.store is store
+            assert store.is_shared and not store.closed
+            assert published <= _own_segments()
+        finally:
+            table.close()
+        assert _own_segments() == before
+
+    @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
+    def test_failed_start_moves_the_table_back(self, world, monkeypatch):
         dataset, _ = world
         workload = streaming_day_workload(dataset, batches=1,
                                           queries_per_burst=1, seed=3)
-        heap_table = _warm_table(workload)
+        table = _warm_table(workload)
+        before = _own_segments()
+
+        def broken(self, shard_id):
+            raise RuntimeError(f"shard {shard_id} cannot attach")
+
+        # Forked workers inherit the patch, so every worker fails.
+        monkeypatch.setattr(_AttachedShardFactory, "__call__", broken)
         try:
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ClusterError, match="cannot attach"):
                 ShardedLocater(
-                    dataset.building, dataset.metadata, heap_table,
+                    dataset.building, dataset.metadata, table,
                     shard_count=2,
-                    executor=ProcessShardExecutor(start_method="spawn"),
+                    executor=ProcessShardExecutor(start_method="fork"),
                     config=CONFIG)
+            assert isinstance(table.store, HeapColumnStore)
+            assert _own_segments() == before
         finally:
-            heap_table.close()
+            table.close()
+
+    def test_eviction_entries_follow_the_store(self, world, lone_answers):
+        # A budgeted Locater owns the table's eviction entries; the
+        # cluster's two store moves carry them along instead of
+        # refusing, and the lone system serves on afterwards.
+        dataset, queries = world
+        table = dataset.table.restrict(dataset.table.span())
+        budgeted = Locater(dataset.building, dataset.metadata, table,
+                           config=CONFIG.with_(memory_budget_bytes=0))
+        assert budgeted.locate_batch(queries) == lone_answers
+        manager = budgeted.memory
+        try:
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                table, shard_count=2,
+                                executor=ProcessShardExecutor(),
+                                config=CONFIG) as cluster:
+                # Segments never spill: no log entry while shared.
+                assert "log" not in manager.stats()["by_category"]
+                assert cluster.locate_batch(queries) == lone_answers
+            assert isinstance(table.store, HeapColumnStore)
+            # Every non-empty log is registered again, fully resident.
+            assert manager.stats()["by_category"]["log"] == \
+                table.column_bytes() > 0
+            assert budgeted.locate_batch(queries) == lone_answers
+        finally:
+            table.close()
 
 
 class TestMemoryAccounting:
@@ -111,36 +243,17 @@ class TestMemoryAccounting:
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=4,
                             executor=ProcessShardExecutor(),
-                            config=CONFIG, shared_memory=True) as cluster:
+                            config=CONFIG) as cluster:
             cluster.locate_batch(queries[:6])  # force workers to map logs
             memory = cluster.table_memory()
-            assert memory["attached"]
             parent_bytes = memory["parent"]["column_bytes"]
+            assert memory["parent"]["kind"] == "shared"
             assert parent_bytes > 0
-            # The cluster-wide total counts the shared segments once: 1×
-            # regardless of shard count (a fork-replica deployment would
-            # report (shards + 1) × parent_bytes here).
-            assert memory["total_column_bytes"] == parent_bytes
+            # Every shard maps the parent's segments: the deployment
+            # holds 1× the column bytes regardless of shard count.
             for shard in memory["shards"]:
                 assert shard["kind"] == "shared-attached"
                 assert shard["column_bytes"] == parent_bytes
-
-    def test_replicated_shards_cost_n_copies(self, world):
-        dataset, _ = world
-        workload = streaming_day_workload(dataset, batches=1,
-                                          queries_per_burst=1, seed=3)
-        heap_table = _warm_table(workload)
-        try:
-            with ShardedLocater(dataset.building, dataset.metadata,
-                                heap_table, shard_count=2,
-                                executor=ProcessShardExecutor(),
-                                config=CONFIG) as cluster:
-                memory = cluster.table_memory()
-                assert not memory["attached"]
-                parent_bytes = memory["parent"]["column_bytes"]
-                assert memory["total_column_bytes"] == 3 * parent_bytes
-        finally:
-            heap_table.close()
 
 
 class TestAttachedStreaming:
@@ -153,11 +266,17 @@ class TestAttachedStreaming:
             with ShardedLocater(dataset.building, dataset.metadata,
                                 table, shard_count=4,
                                 executor=ProcessShardExecutor(),
-                                config=CONFIG,
-                                shared_memory=True) as cluster:
+                                config=CONFIG) as cluster:
                 for batch in workload.batches:
                     report = cluster.ingest(batch.ingest)
                     assert report.count == len(batch.ingest)
+                    # Each sync leaves every worker on the parent's one
+                    # copy: 1.00x the column bytes at 4 shards.
+                    memory = cluster.table_memory()
+                    for shard in memory["shards"]:
+                        assert shard["kind"] == "shared-attached"
+                        assert shard["column_bytes"] == \
+                            memory["parent"]["column_bytes"]
                     cold_table = EventTable.from_events(
                         workload.events_through(batch.index))
                     DeltaEstimator().fit_table(cold_table)

@@ -201,6 +201,7 @@ def test_checkpoint_scoping_only_touches_named_shards():
 
 def test_skip_after_restart_methods_are_not_redispatched():
     assert "on_ingest" in SKIP_AFTER_RESTART
+    assert "apply_table_sync" in SKIP_AFTER_RESTART
     executor, supervisor, log = build(failures={0: 1})
     result = supervisor.call_one(0, "on_ingest", "t0")
     assert result is None, \
