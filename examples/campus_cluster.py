@@ -14,7 +14,8 @@ the commuters join this campus into one component, so one shard would
 own it all.)  Each shard persists its answers under its own namespace
 of one shared storage backend, and a simulated live day streams in
 through ``cluster.ingest``: one merge into the authoritative table,
-invalidation fanned out to every shard.
+each slice of the dirty stream persisted under its shard's namespace,
+and every shard invalidating what the merge staled at its next serve.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def main() -> None:
     print(f"caching on would use {len(owners)} of 4 shards: commuters "
           "join the campus into one co-presence component\n")
 
-    # 3. The serve loop: one cluster.ingest per tick (merge once, fan
-    #    out), then the burst routed to the owning shards.
+    # 3. The serve loop: one cluster.ingest per tick (merge once), then
+    #    the burst routed to the owning shards, which catch up first.
     for batch in workload.batches:
         report = cluster.ingest(batch.ingest)
         answers = cluster.locate_batch(batch.queries)

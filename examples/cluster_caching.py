@@ -74,7 +74,7 @@ def main() -> None:
     bridge = [ConnectivityEvent(timestamp=start + i * 30.0,
                                 mac=bridge_mac, ap_id="b1-wap1")
               for i in range(3)]
-    lone.on_ingest(lone_engine.ingest(bridge))
+    lone_engine.ingest(bridge)
     cluster.ingest(bridge)
     merged = cluster.router.component_of(bridge_mac)
     print(f"\nmerge   : {bridge_mac} bridged b0+b1 → "

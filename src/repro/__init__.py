@@ -49,20 +49,26 @@ LOCATER is a live system (paper Fig. 5): events keep arriving while
 queries are served.  ``EventTable.freeze`` merges new rows into the
 sorted per-device logs in O(new) (``searchsorted``/``insert``, no
 re-sort) and publishes a generation-keyed change feed
-(``changed_since``); an :class:`~repro.system.IngestionEngine` reports
-which devices changed over which interval and re-estimates δ only for
-those; and ``Locater.on_ingest`` invalidates *surgically* — only the
-changed devices' coarse models, affinity memos, stale neighbor
-snapshots and (when they fed it) the population aggregate are dropped,
-escalating to a full drop only when the training window itself moved.
-:class:`~repro.system.StreamingSession` wires the three into a serve
-loop::
+(``changed_since``); an :class:`~repro.system.IngestionEngine` stamps
+ids, merges and re-estimates δ only for the devices that changed.
+Freshness is *pulled*: every ``Locater`` serve first compares the
+table's generation with the last one it saw, and when it moved,
+``Locater.on_ingest`` invalidates *surgically* — only the changed
+devices' coarse models, affinity memos, stale neighbor snapshots and
+(when they fed it) the population aggregate are dropped, escalating to
+a full drop only when the training window itself moved.  No hook wires
+an ingest path to the locater, so every path — an engine, a bare
+``append``, a cluster's sync — stays fresh by construction.  Stored
+answers are the one eager exception: an engine that persists rows
+purges its store's cleaned answers in the same call, so a system
+rebuilt over the store never reads one older than the rows.
+:class:`~repro.system.StreamingSession` is the serve loop::
 
     from repro import Locater, StreamingSession
 
     session = StreamingSession(locater)      # wraps locater.table
-    session.ingest(new_events)               # O(new) merge + invalidate
-    answers = session.query(burst)           # fresh, shared-work answers
+    session.ingest(new_events)               # O(new) merge
+    answers = session.query(burst)           # pull, then shared-work answers
 
 Answers are bitwise identical to a system rebuilt from scratch over the
 merged log (``tests/integration/test_streaming_equivalence.py``), at a
@@ -113,15 +119,20 @@ identical to a lone ``Locater``
 share the cluster's table object in-process; the process-pool executor
 runs one actor worker per shard, *attached* to the one shared-memory
 copy of the table — see the memory architecture below.  ``ingest``
-merges once, then fans invalidation out (``on_ingest`` in-process, a
-segment-name sync to process workers), so ``StreamingSession``, the
-CLI, analytics and the eval runner work unchanged against a cluster::
+merges once; the cluster and every shard pull the rest, like a lone
+``Locater``: ingest, serving calls and route reads first catch the
+cluster up with the table's generation (purging every shard's stored
+answers, re-binding routes, migrating re-keyed devices, shipping
+process workers a segment-name sync), and each shard's ``Locater``
+invalidates at its next serve.  So
+``StreamingSession``, the CLI, analytics and the eval runner work
+unchanged against a cluster, with any executor::
 
     from repro import ShardedLocater
 
     cluster = ShardedLocater(building, metadata, table, shard_count=4)
     answers = cluster.locate_batch(queries)   # route → execute → merge
-    cluster.ingest(new_events)                # merge once, fan out
+    cluster.ingest(new_events)                # merge once, catch up
     cluster.close()
 
 See :mod:`repro.cluster` for the architecture (router / executor /
@@ -194,17 +205,18 @@ one slow shard never stalls another's windows, and per-dispatch overhead
 (a pipe round-trip, for process shards) is paid once per window instead
 of once per query.  ``max_wait`` is the knob: longer windows coalesce
 more (throughput) at a latency floor, ``max_wait=0`` still coalesces
-opportunistically under load.  Ingest ticks serialize against in-flight
-windows through the streaming machinery that owns the gateway's warm
-state, and the concurrent equivalence contract extends the core
-invariant: any interleaving of gateway calls returns bitwise the
-answers, storage writes and summed cache counters of the same queries
-run through plain ``locate_batch``, and a default cluster behind the
-gateway answers like a lone ``Locater`` replaying the same windows
-(``tests/integration/test_gateway_equivalence.py`` — the realized
-schedule is journaled and replayed).  The window/latency trade-off is
-measured in ``benchmarks/test_bench_gateway.py`` (archived as
-``results/BENCH_gateway.json``)::
+opportunistically under load.  Ingest ticks serialize against
+in-flight windows.  The gateway holds no warm state of its own: each
+``Locater`` behind it owns one and pulls its freshness from the table
+at the top of the next window.  The concurrent equivalence contract
+extends the core invariant: any interleaving of gateway calls returns
+bitwise the answers, storage writes and summed cache counters of the
+same queries run through plain ``locate_batch``, and a default cluster
+behind the gateway answers like a lone ``Locater`` replaying the same
+windows (``tests/integration/test_gateway_equivalence.py`` — the
+realized schedule is journaled and replayed).  The window/latency
+trade-off is measured in ``benchmarks/test_bench_gateway.py``
+(archived as ``results/BENCH_gateway.json``)::
 
     from repro import AsyncGateway, ShardedLocater
 
@@ -232,8 +244,11 @@ in ``tests/lint/``:
   ``FineSharedState``, ``BatchState``, ``NeighborIndex``,
   ``CachingEngine``) is reachable from a ``drop_*``/``invalidate_*``
   method, ``MEMO_ATTRS`` lists exactly the memo dicts, and the
-  invalidation surface is invoked from the ingest path — so no cache
-  can silently outlive the events it was computed from.
+  invalidation surface is invoked from the ingest path
+  (``Locater.on_ingest``, which every serve pulls when the table's
+  generation moved) — so no cache can silently outlive the events it
+  was computed from.  The pull makes a *forgotten* ingest path
+  impossible; the rule still guards the surgical drops themselves.
 * **RL002 determinism**
   (:mod:`repro.tools.lint.checkers.determinism`) — answer-path modules
   (``repro/{fine,coarse,cache,system,cluster,events}``) never iterate

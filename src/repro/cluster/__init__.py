@@ -32,13 +32,13 @@ Three pieces; only the executor is a choice:
   back to the heap on ``close()``, so it unlinks every segment it
   created.  Both executors return results in shard order, so executor
   choice never changes an answer.
-* **Shard** (:mod:`repro.cluster.shard`) — one full ``Locater`` plus,
-  for process workers, the streaming session over its attached table
-  view.  Shards are created by the executor from a factory at
+* **Shard** (:mod:`repro.cluster.shard`) — one full ``Locater``, over
+  the cluster's table object or, in a process worker, over an attached
+  view of it.  Shards are created by the executor from a factory at
   :meth:`ShardedLocater <repro.cluster.sharded.ShardedLocater>`
   construction and torn down by ``close()`` (context manager
-  supported); worker sessions unsubscribe and unmap their views on
-  close, so no callback or mapping outlives the cluster.
+  supported); workers unmap their views on close, so no mapping
+  outlives the cluster.
 
 Data placement is the key decision: every shard reads the **whole**
 event log, serving state is **partitioned**.  Cleaning couples
@@ -71,22 +71,24 @@ None-safely).  When growing logs merge two components at an ingest
 boundary, the router re-keys the affected devices and the cluster runs
 its edge-exchange protocol: recorded edge vectors incident to moved
 devices are extracted from their old shards and re-inserted on the new
-owner, observation order preserved, and the devices' stale namespaced
-answers are cleared.  Residual *cut* edges (only reachable through
+owner, observation order preserved.  Residual *cut* edges (only reachable through
 pathological coarse fallbacks that place a device outside its own
 observed coverage) stay best-effort: a shard consulting an edge it
 never recorded treats it as unseen.
 
-Ingest fans out through the same router: one merge into the
-authoritative table stamps ids and re-estimates δ exactly like a lone
-engine, the router re-binds the changed devices when caching is on
-(reporting re-keyed ones for migration), each shard's slice of the
-dirty stream is persisted under its storage namespace, and shards
-invalidate surgically: in-process shards via the existing
-:meth:`Locater.on_ingest` path, process shards by applying a
+Freshness is pulled, never pushed.  One merge into the authoritative
+table stamps ids and re-estimates δ exactly like a lone engine — through
+``cluster.ingest`` or any other engine over the same table.  Ingest,
+every serving call and every route read first catch the cluster up
+with the table's generation, one caller at a time: every shard's stored
+answers are purged, the router re-binds the changed devices when
+caching is on (re-keyed ones migrate), and process shards apply a
 :class:`~repro.events.table.TableSync` — the merge's new segment names,
-no event data — to their attached views before invalidating off the
-same report.
+no event data — to their attached views.  ``cluster.ingest`` also
+persists each shard's slice of the dirty stream under its storage
+namespace.  Shards invalidate surgically on their own: each shard's
+``Locater`` sees the generation moved at its next serve and runs
+:meth:`Locater.on_ingest` itself, exactly as a lone system would.
 
 Typical use::
 
@@ -94,7 +96,7 @@ Typical use::
 
     cluster = ShardedLocater(building, metadata, table, shard_count=4)
     answers = cluster.locate_batch(queries)     # partition → merge
-    cluster.ingest(new_events)                  # merge once, fan out
+    cluster.ingest(new_events)                  # merge once, catch up
     cluster.close()
 
 ``locate_batch``/``ingest`` are the synchronous surface.  To serve the
@@ -194,7 +196,6 @@ from repro.cluster.router import (
 )
 from repro.cluster.shard import Shard
 from repro.cluster.sharded import (
-    ClusterBatchState,
     ClusterCacheStats,
     ClusterIngestReport,
     ShardedLocater,
@@ -206,7 +207,6 @@ from repro.cluster.supervision import (
 )
 
 __all__ = [
-    "ClusterBatchState",
     "ClusterCacheStats",
     "ClusterIngestReport",
     "ComponentAffinityRouter",

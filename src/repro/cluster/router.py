@@ -24,13 +24,13 @@ Routes are **deterministic and ingest-bound**: ``shard_of`` never
 depends on query order, process identity or Python's salted ``hash``,
 and binding state changes only in
 :meth:`ComponentAffinityRouter.observe_table`, which the cluster calls
-during ingests, never during queries.  A merge of two components
-re-keys one side; ``observe_table`` returns every re-keyed device, and
-the cluster migrates what the move would otherwise strand: stored
-answers are cleared from the old shard's namespace (so a re-query can
-never serve a stale namespaced answer) and recorded cache edges are
-exchanged to the new owning shard (so its affinity reads stay exactly
-what a lone deployment would see).  Trained models and memos are pure
+when it catches up with a merge, before it routes any query against the
+merged table.  A merge of two components re-keys one side;
+``observe_table`` returns every re-keyed device, and the cluster
+exchanges its recorded cache edges to the new owning shard (so that
+shard's affinity reads stay exactly what a lone deployment would see).
+Stored answers need no move: every merge purges every shard's
+namespace.  Trained models and memos are pure
 functions of the shared log and need no migration — the old shard
 merely keeps warm state it will no longer use.
 """
@@ -92,8 +92,7 @@ class ComponentAffinityRouter:
     Components merge as logs grow; a merge re-keys the devices of the
     side with the larger representative, and :meth:`observe_table`
     reports every re-keyed device so the cluster can migrate its cache
-    edges and clear its stale namespaced answers (see the module
-    docstring).
+    edges (see the module docstring).
 
     Args:
         building: The space model (a single building or merged campus);

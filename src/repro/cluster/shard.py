@@ -6,18 +6,17 @@ method surface the executors dispatch to (see
 which the cluster chose from the executor's placement:
 
 * **shared-table** (in-process executors): every shard's ``Locater``
-  reads the *same* :class:`~repro.events.table.EventTable` object.  The
-  cluster merges each ingest batch once and fans the resulting
-  :class:`~repro.system.ingestion.IngestReport` out to
-  :meth:`Shard.on_ingest`, which invalidates that shard's models.
+  reads the *same* :class:`~repro.events.table.EventTable` object, so a
+  merge into it is visible to every shard at once.
 * **attached** (process executor): the shard lives in a worker process
   and reads a read-only view of the cluster's table, attached by
-  segment name to its shared-memory columns.  The shard owns a
-  :class:`~repro.system.streaming.StreamingSession` over the view, so
-  repeated bursts share memos worker-side.  After each merge the
+  segment name to its shared-memory columns.  After a merge the
   cluster sends :meth:`Shard.apply_table_sync` the owner's new segment
-  names and its report; the view advances and the session invalidates
-  and prunes exactly as if it had merged the batch itself.
+  names, which advance the view to the owner's exact state.
+
+Either way the shard's ``Locater`` keeps itself fresh: at its next
+serve it sees the table's generation moved and invalidates what
+changed, exactly as a lone system over the merged table would.
 """
 
 from __future__ import annotations
@@ -25,17 +24,9 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 
-from repro.errors import ClusterError
-from repro.system.ingestion import IngestReport
-from repro.system.locater import (
-    BatchState,
-    InvalidationSummary,
-    Locater,
-    LocationAnswer,
-)
+from repro.system.locater import Locater, LocationAnswer
 from repro.system.planner import DEFAULT_BUCKET_SECONDS
 from repro.system.query import LocationQuery
-from repro.system.streaming import StreamingSession
 
 
 class Shard:
@@ -44,17 +35,14 @@ class Shard:
     Args:
         shard_id: Position in the cluster (also the storage namespace
             the cluster derived for this shard).
-        locater: The cleaning system.  Over the cluster's own table the
-            shard is shared-table wired; over an attached table view
-            it runs a persistent :class:`StreamingSession`, so repeated
-            bursts share memos and every table sync prunes them.
+        locater: The cleaning system, over the cluster's own table or
+            over an attached table view.
     """
 
     def __init__(self, shard_id: int, locater: Locater) -> None:
         self.shard_id = shard_id
         self.locater = locater
-        self._session = StreamingSession(locater) \
-            if locater.table.store.is_attached else None
+        self._syncs = 0
 
     # ------------------------------------------------------------------
     # Serving
@@ -66,53 +54,36 @@ class Shard:
     def locate_batch(self, queries: Sequence[LocationQuery],
                      bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
                      collect_timings: bool = False,
-                     share_computation: bool = True,
-                     state: "BatchState | None" = None
+                     share_computation: bool = True
                      ) -> "tuple[list[LocationAnswer], list[tuple[int, float]] | None]":
         """Answer this shard's slice of a batch.
 
         Returns the answers in slice order plus, when requested, the
         per-query timings as (slice index, seconds) pairs — the cluster
-        maps both back to the caller's input indices.  An attached shard
-        substitutes its session's persistent state when none is given,
-        so streaming bursts keep their memos warm worker-side.
+        maps both back to the caller's input indices.  The locater's
+        warm state carries memos from one slice to the next.
         """
         timings: "list[tuple[int, float]] | None" = \
             [] if collect_timings else None
-        if state is None and self._session is not None and share_computation:
-            state = self._session.state
         answers = self.locater.locate_batch(
             queries, bucket_seconds=bucket_seconds, timings=timings,
-            share_computation=share_computation, state=state)
+            share_computation=share_computation)
         return answers, timings
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def on_ingest(self, report: IngestReport) -> InvalidationSummary:
-        """Shared-table wiring: the cluster merged; invalidate locally."""
-        if self._session is not None:
-            raise ClusterError(
-                "attached shards advance through apply_table_sync")
-        return self.locater.on_ingest(report)
+    def apply_table_sync(self, payload) -> None:
+        """Attached wiring: advance the shared-memory view.
 
-    def apply_table_sync(self, payload, report: IngestReport
-                         ) -> InvalidationSummary:
-        """Attached wiring: advance the shared-memory view, invalidate.
-
-        The authoritative process merged the batch and published new
-        segments; ``payload`` (:class:`~repro.events.table.TableSync`)
-        swaps them into this shard's attached table and ``report`` — the
-        owner's merge report, bitwise what a local engine would have
-        produced — then drives the same invalidation + memo pruning a
-        local merge would.
+        The authoritative process merged and published new segments;
+        ``payload`` (:class:`~repro.events.table.TableSync`) swaps them
+        into this shard's attached table, generation and change journal
+        included, so the locater's next serve invalidates exactly what a
+        local merge would have staled.
         """
-        if self._session is None:
-            raise ClusterError(
-                "apply_table_sync targets shards serving an attached "
-                "shared-memory table view")
         self.locater.table.apply_sync(payload)
-        return self._session.observe_report(report)
+        self._syncs += 1
 
     # ------------------------------------------------------------------
     # Cache edge exchange
@@ -184,15 +155,18 @@ class Shard:
         return cache.stats() if cache is not None else None
 
     def stats(self) -> dict[str, int]:
-        """Serving counters: table size plus session ingest counts."""
+        """Serving counters: table size, the locater's full
+        invalidations and, on an attached view, the table syncs it
+        applied (one per generation move the cluster caught up with;
+        an empty ingest moves none)."""
         out = {
             "shard_id": self.shard_id,
             "events": len(self.locater.table),
             "devices": self.locater.table.device_count,
+            "full_invalidations": self.locater.full_invalidations,
         }
-        if self._session is not None:
-            out["ingests"] = self._session.ingests
-            out["full_invalidations"] = self._session.full_invalidations
+        if self.locater.table.store.is_attached:
+            out["table_syncs"] = self._syncs
         return out
 
     def table_memory(self) -> dict:
@@ -217,13 +191,12 @@ class Shard:
         return out
 
     def close(self) -> None:
-        """Detach the session; unmap an attached table view.  Idempotent.
+        """Unmap an attached table view.  Idempotent.
 
         Never touches a shared-table (in-process) shard's store — it
         belongs to the cluster — but an attached view's mappings are
         explicitly closed so worker shutdown never depends on GC
         ordering against live segments.
         """
-        if self._session is not None:
-            self._session.close()
+        if self.locater.table.store.is_attached:
             self.locater.table.close()

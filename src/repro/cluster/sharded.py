@@ -27,22 +27,31 @@ graph, so co-locating whole components makes each shard's cache
 perform the same edge reads and writes, in the same order, as the lone
 system (aggregated cache counters included).  When components merge at
 an ingest boundary, the cluster migrates the re-keyed devices' recorded
-edges and clears their stale namespaced answers (see
-:meth:`ShardedLocater._migrate_moved`).  The equivalence suite in
+edges (see :meth:`ShardedLocater._migrate_moved`).  The equivalence suite in
 ``tests/integration/test_cluster_equivalence.py`` enforces all of this
 on batch and streaming workloads.
 
+Freshness is pulled, as in a lone ``Locater``: ``ingest``, every
+serving call and every route read first compare the table's generation
+with the last one the cluster saw, and catch up on what changed — every
+shard's stored answers are purged, the routes re-bind, re-keyed devices
+migrate, process shards get the owner's new segments — before anything
+else.  Each shard's ``Locater``
+then pulls its own invalidation at its next serve.  So the cluster
+stays fresh whichever engine merged into its table.
+
 The public surface mirrors ``Locater`` (``locate``, ``locate_batch``,
-``locate_query``, ``make_batch_state``, ``on_ingest``, ``table``), so
+``locate_query``, ``table``), so
 :class:`~repro.system.streaming.StreamingSession`, the CLI, analytics
-and the eval runner work unchanged against a cluster; ``ingest`` is the
-cluster-native entry point that also works with process shards.
+and the eval runner work unchanged against a cluster, with any
+executor; ``ingest`` is the cluster-native entry point that also
+persists each shard's slice of the dirty stream.
 """
 
 from __future__ import annotations
 
 import contextlib
-import weakref
+import threading
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
@@ -71,16 +80,10 @@ from repro.space.building import Building
 from repro.space.metadata import SpaceMetadata
 from repro.system.config import LocaterConfig
 from repro.system.ingestion import IngestionEngine, IngestReport
-from repro.system.locater import (
-    BatchState,
-    InvalidationSummary,
-    Locater,
-    LocationAnswer,
-)
+from repro.system.locater import Locater, LocationAnswer
 from repro.system.planner import DEFAULT_BUCKET_SECONDS
 from repro.system.query import LocationQuery
 from repro.system.storage import StorageEngine
-from repro.system.streaming import prune_batch_state
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,65 +139,6 @@ class ClusterIngestReport:
         return self.total.macs
 
 
-class _NeighborsFanout:
-    """Invalidation hooks over every shard's neighbor index."""
-
-    def __init__(self, states: "Sequence[BatchState]") -> None:
-        self._indexes = [s.neighbors for s in states]
-
-    def invalidate_all(self) -> int:
-        return sum(index.invalidate_all() for index in self._indexes)
-
-    def invalidate_interval(self, interval, slack: float = 0.0) -> int:
-        return sum(index.invalidate_interval(interval, slack=slack)
-                   for index in self._indexes)
-
-
-class ClusterBatchState:
-    """Per-shard :class:`BatchState` bundle with a ``BatchState`` surface.
-
-    A :class:`~repro.system.streaming.StreamingSession` holds one of
-    these when serving a cluster: ``drop_devices``, the neighbor
-    invalidation hooks and ``memo_dicts`` fan out to every shard's
-    state, so the session's pruning logic works unchanged.
-    """
-
-    def __init__(self, shard_states: "tuple[BatchState, ...]") -> None:
-        self.shard_states = shard_states
-        self.neighbors = _NeighborsFanout(shard_states)
-
-    def drop_device(self, mac: str) -> None:
-        """Forget every memo involving one device, on every shard."""
-        self.drop_devices({mac})
-
-    def drop_devices(self, macs: "set[str]") -> None:
-        """Forget memos involving the given devices, on every shard."""
-        for state in self.shard_states:
-            state.drop_devices(macs)
-
-    def memo_dicts(self) -> list[dict]:
-        """Every memo dict across every shard (see BatchState.memo_dicts).
-
-        Freshly resolved per call — the drop paths rebind the dicts —
-        and flattened per shard, so a trim bound applies to each
-        shard's memo individually.
-        """
-        return [memo for state in self.shard_states
-                for memo in state.memo_dicts()]
-
-    def reset(self) -> None:
-        """Forget everything — the in-place equivalent of a fresh state.
-
-        Used on full invalidations: every memo dict is emptied and every
-        neighbor snapshot dropped, so serving from this state afterwards
-        behaves exactly like serving from ``make_batch_state()`` output
-        (the snapshot bound survives; it lives on the neighbor indexes).
-        """
-        for memo in self.memo_dicts():
-            memo.clear()
-        self.neighbors.invalidate_all()
-
-
 class _AttachedShardFactory:
     """Picklable shard factory for process workers: *attach* the table.
 
@@ -202,9 +146,8 @@ class _AttachedShardFactory:
     names, registry order, generations — and each worker maps the
     owner's shared-memory segments read-only, so N workers hold one
     physical copy of the log.  Picklable and self-contained, so it
-    crosses a ``spawn`` boundary as well as a ``fork``.  The shard gets
-    a streaming session whose state is advanced by
-    :meth:`Shard.apply_table_sync` fan-outs.
+    crosses a ``spawn`` boundary as well as a ``fork``.  The cluster
+    advances the view with :meth:`Shard.apply_table_sync`.
     """
 
     def __init__(self, building: Building, metadata: SpaceMetadata,
@@ -269,7 +212,7 @@ class ShardedLocater:
         >>> cluster = ShardedLocater(building, metadata, table,
         ...                          shard_count=4)
         >>> answers = cluster.locate_batch(queries)
-        >>> cluster.ingest(new_events)       # merge once, fan out
+        >>> cluster.ingest(new_events)       # merge once, catch up
         >>> cluster.close()
     """
 
@@ -287,6 +230,10 @@ class ShardedLocater:
         self._table = table
         self._config = config
         self._caching = config.use_caching if config is not None else True
+        # Everything below is bound at this generation; _catch_up moves
+        # the cluster to any later one, one caller at a time.
+        self._seen_generation = table.generation
+        self._catch_up_lock = threading.Lock()
         # Caching on: each component's cache must live whole on one
         # shard, so bind every device now and re-bind at each ingest.
         # Caching off: nothing to co-locate, so the router is never fed
@@ -326,8 +273,11 @@ class ShardedLocater:
             if isinstance(target, ProcessShardExecutor):
                 target.call_timeout = recovery.call_timeout
         # Process shards attach the table's shared-memory segments by
-        # name.  A heap table moves there for the cluster's lifetime.
+        # name.  A heap table moves there for the cluster's lifetime,
+        # and back (to the caller's spill directory, if any) on close.
         self._owns_store = not in_process and not table.store.is_shared
+        self._spill_dir = table.store.spill_dir \
+            if isinstance(table.store, HeapColumnStore) else None
         if self._owns_store:
             table.migrate_store(SharedMemoryColumnStore())
         try:
@@ -351,12 +301,6 @@ class ShardedLocater:
                 checkpoints=self._caching)
         else:
             self._supervisor = None
-        # States handed out by make_batch_state, pruned on every ingest
-        # so held states never serve memos staled by new events.  Weak:
-        # the cluster must not keep abandoned states (and their neighbor
-        # snapshots) alive.
-        self._live_states: "weakref.WeakSet[ClusterBatchState]" = \
-            weakref.WeakSet()
         self._closed = False
         self._poisoned = False
 
@@ -370,7 +314,8 @@ class ShardedLocater:
         """Move a table this cluster lifted into shared memory back to
         the heap; closing the shared store unlinks every segment."""
         if self._owns_store:
-            self._table.migrate_store(HeapColumnStore())
+            self._table.migrate_store(HeapColumnStore(
+                spill_dir=self._spill_dir))
 
     # ------------------------------------------------------------------
     @property
@@ -391,6 +336,7 @@ class ShardedLocater:
     @property
     def router(self) -> ComponentAffinityRouter:
         """The device → shard assignment (never fed with caching off)."""
+        self._catch_up()
         return self._router
 
     @property
@@ -405,6 +351,7 @@ class ShardedLocater:
 
     def shard_of(self, mac: str) -> int:
         """The shard that owns ``mac``."""
+        self._catch_up()
         return self._router.shard_of(mac, self._shard_count)
 
     @property
@@ -448,7 +395,9 @@ class ShardedLocater:
         exactly a lone system's minus the quarantined slice) and
         storage-less (degraded answers are best-effort, never
         persisted); reads the authoritative table, so answers are still
-        full-quality — just without the dead shard's warm state.
+        full-quality — just without the dead shard's warm state — and,
+        like every ``Locater``, catches up with each ingest at its next
+        serve.
         """
         if self._fallback is None:
             base = self._config if self._config is not None \
@@ -506,29 +455,26 @@ class ShardedLocater:
     def locate_batch(self, queries: Iterable[LocationQuery],
                      bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
                      timings: "list[tuple[int, float]] | None" = None,
-                     share_computation: bool = True,
-                     state: "ClusterBatchState | None" = None
+                     share_computation: bool = True
                      ) -> list[LocationAnswer]:
         """Answer a batch: partition by owner, execute shards, merge.
 
         Same contract as :meth:`Locater.locate_batch` — answers return
         in input order; ``timings`` entries carry input indices (their
         *order* interleaves per shard rather than following the global
-        plan).  ``state`` must come from :meth:`make_batch_state`.
+        plan).  Every shard is called, an empty slice included, so every
+        shard's ``Locater`` catches up with the table.
         """
         self._check_open()
+        self._catch_up()
         queries = list(queries)
         indexed = list(enumerate(queries))
         parts = self._router.partition(
             indexed, [q.mac for q in queries], self._shard_count)
-        if state is not None:
-            shard_states: "Sequence[BatchState | None]" = state.shard_states
-        else:
-            shard_states = [None] * self._shard_count
         args = [
             ([query for _, query in part], bucket_seconds,
-             timings is not None, share_computation, shard_state)
-            for part, shard_state in zip(parts, shard_states)]
+             timings is not None, share_computation)
+            for part in parts]
         results = self._call_all("locate_batch", args)
         answers: "list[LocationAnswer | None]" = [None] * len(queries)
         served: list[int] = []
@@ -559,8 +505,7 @@ class ShardedLocater:
     def locate_slice(self, shard_id: int,
                      queries: "Sequence[LocationQuery]",
                      bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
-                     share_computation: bool = True,
-                     state: "ClusterBatchState | None" = None
+                     share_computation: bool = True
                      ) -> list[LocationAnswer]:
         """Answer a pre-routed slice on one shard (the serving layer's
         per-lane entry).
@@ -588,11 +533,10 @@ class ShardedLocater:
         :meth:`locate_batch`.
         """
         self._check_open()
+        self._catch_up()
         queries = list(queries)
         if not queries:
             return []
-        shard_state = state.shard_states[shard_id] \
-            if state is not None else None
         try:
             if self._supervisor is not None and \
                     shard_id in self._supervisor.quarantined:
@@ -600,78 +544,42 @@ class ShardedLocater:
                     shard_id, f"shard {shard_id} is quarantined")
             answers, _ = self._call_one(
                 shard_id, "locate_batch", queries, bucket_seconds,
-                False, share_computation, shard_state)
+                False, share_computation)
         except ShardQuarantinedError:
             return self._degraded_answer(
                 shard_id, queries, bucket_seconds, share_computation)
         self._checkpoint([shard_id])
         return answers
 
-    def make_batch_state(self, max_snapshots: "int | None" = None
-                         ) -> ClusterBatchState:
-        """A persistent cluster state (one :class:`BatchState` per shard).
-
-        The cluster keeps a weak reference and prunes the state on
-        every :meth:`ingest` / :meth:`on_ingest`, so holding it across
-        ingests stays safe (memos never outlive the table state they
-        were derived from).  Only available with in-process executors;
-        process shards keep their persistent state worker-side (their
-        streaming sessions prune it on every :meth:`ingest`).
-        """
-        self._check_open()
-        self._require_in_process("make_batch_state")
-        state = ClusterBatchState(tuple(
-            shard.locater.make_batch_state(max_snapshots=max_snapshots)
-            for shard in self._executor.shards))
-        self._live_states.add(state)
-        return state
-
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
     def ingest(self, events: Iterable[ConnectivityEvent]
                ) -> ClusterIngestReport:
-        """Merge new events once, then bring every shard up to date.
+        """Merge new events once, then bring the cluster up to date.
 
         The cluster's engine stamps ids and merges into the
         authoritative table (identically to a lone system's engine).
-        With caching on, the router then re-binds the changed devices
-        from the merged table (merging components, and migrating the
-        devices that re-keyed).  The stamped batch is partitioned to
-        persist each shard's slice of the dirty stream, and finally
-        reaches the shards: in-process shards invalidate against the
-        shared table (live batch states handed out by
-        :meth:`make_batch_state` are pruned along the way); process
-        shards receive a :class:`~repro.events.table.TableSync` — the
-        new segment names and counters, no event data — advance their
-        attached views and invalidate off the owner's report.
+        The catch-up then runs before any route is read: every shard's
+        stored answers are purged, with caching on the router re-binds
+        the changed devices from the merged table (merging components,
+        and migrating the devices that re-keyed), and process shards
+        receive a :class:`~repro.events.table.TableSync` — the new
+        segment names and counters, no event data — that advances their
+        attached views.  Finally the stamped batch is partitioned to
+        persist each shard's slice of the dirty stream.  No shard
+        invalidates a model or memo here: each ``Locater`` pulls that
+        invalidation at its next serve.
         """
         self._check_open()
-        generation_before = self._table.generation
         report = self._engine.ingest(events)
         stamped = self._tap.take()
-        moved = self._rebind(report.macs)
+        self._catch_up()
         partitions = partition_events(stamped, self._router,
                                       self._shard_count)
         for view, partition in zip(self._views, partitions):
             if view is not None and partition:
                 view.store_events(partition)
-        with self._poison_on_failure():
-            self._migrate_moved(moved)
-            if self._executor.in_process:
-                summaries = self._call_all(
-                    "on_ingest", [(report,)] * self._shard_count)
-                self._prune_states(report,
-                                   self._merge_summaries(summaries))
-            else:
-                # One physical merge just happened (owner-side); ship
-                # the new segment names, not the events.  Workers are
-                # idle between calls (synchronous dispatch), so no read
-                # races the handle swap.
-                payload = self._table.sync_payload(generation_before)
-                self._call_all(
-                    "apply_table_sync",
-                    [(payload, report)] * self._shard_count)
         self._checkpoint()
         return ClusterIngestReport(
             total=report,
@@ -679,71 +587,71 @@ class ShardedLocater:
                 self._slice_report(report, partitions[shard_id], shard_id)
                 for shard_id in range(self._shard_count)))
 
-    def on_ingest(self, report: IngestReport) -> InvalidationSummary:
-        """React to a merge some external engine performed on ``table``.
+    def _catch_up(self) -> None:
+        """Pull what the cluster owns up to the table's generation.
 
-        This is the :class:`~repro.system.streaming.StreamingSession`
-        wiring: the session's engine merged into the shared table, and
-        every shard now invalidates its own models.  The per-shard
-        summaries agree on everything except the per-namespace answer
-        counts (same report, same table, same escalation rule), so the
-        merge is a sum/union of identical decisions.  Live batch states
-        are pruned here too — a session prunes its own state again
-        afterwards, which is redundant but harmless (every pruning step
-        is idempotent).
+        Reading the generation freezes pending appends first, as every
+        table read does; an unmoved generation costs one integer
+        compare.  Otherwise the table merged rows since the cluster last
+        looked — through :meth:`ingest`, a streaming session's engine or
+        any other writer — and the cluster purges every shard's stored
+        answers (a shard resurrected before its next serve starts with
+        nothing to catch up on, so it must not find them), re-binds the
+        changed devices (caching on), migrates the cache edges of the
+        re-keyed ones, and ships process shards the owner's
+        :class:`~repro.events.table.TableSync` (synchronous dispatch:
+        workers are idle between calls, so no read races the handle
+        swap).
+
+        One caller catches up at a time: concurrent serving calls (a
+        gateway's lanes) that all see the moved generation wait on a
+        lock, and all but the first find the work done.  The seen
+        generation advances before the work, and a failure there
+        poisons the cluster rather than retrying: shards may have
+        diverged, and a retry could not tell which half ran.
         """
-        self._check_open()
-        self._require_in_process("on_ingest")
-        # The external engine merged into the shared table already, so
-        # the changed devices re-bind from their logs — queries must
-        # never route a device differently depending on which ingest
-        # entry point saw it first.
-        moved = self._rebind(report.macs)
-        with self._poison_on_failure():
-            self._migrate_moved(moved)
-            summaries: "list[InvalidationSummary | None]" = \
-                self._call_all(
-                    "on_ingest", [(report,)] * self._shard_count)
-            merged = self._merge_summaries(summaries)
-            self._prune_states(report, merged)
-        self._checkpoint()
-        return merged
-
-    def _rebind(self, macs: frozenset[str]) -> frozenset[str]:
-        """Re-bind changed devices (caching on); returns the re-keyed."""
-        if not self._caching:
-            return frozenset()
-        return self._router.observe_table(self._table, macs)
+        table = self._table
+        if table.generation == self._seen_generation:
+            return
+        with self._catch_up_lock:
+            seen = self._seen_generation
+            if table.generation == seen:
+                return
+            self._check_open()
+            self._seen_generation = table.generation
+            with self._poison_on_failure():
+                changed = table.changed_since(seen)
+                if changed:
+                    for view in self._views:
+                        if view is not None:
+                            view.clear_answers()
+                if self._caching:
+                    self._migrate_moved(
+                        self._router.observe_table(table, changed))
+                if not self._executor.in_process:
+                    payload = table.sync_payload(seen)
+                    self._call_all("apply_table_sync",
+                                   [(payload,)] * self._shard_count)
 
     def _migrate_moved(self, moved: frozenset[str]) -> None:
-        """Move what a route change would otherwise strand.
+        """Move the cache edges a route change would otherwise strand.
 
         The router just re-keyed ``moved`` devices in a component merge
         (a device's first binding into an existing component is one).
-        Two kinds of owned state must follow them — runs inside
-        ``_poison_on_failure`` because a partial migration leaves shards
-        diverged:
-
-        * **Stored answers**: cleared from every namespace but the new
-          owner's, so a re-query can never serve a stale namespaced
-          answer (models and memos need no such care — they are pure
-          functions of the log every shard reads).
-        * **Cache edges**: every recorded affinity edge incident to a
-          moved device is extracted from whichever shard holds it and
-          re-inserted on the shard owning the edge's lower endpoint,
-          observation order preserved bitwise — after a component
-          merge both endpoints route to the same shard, so that
-          shard's later affinity reads are exactly a lone system's.
+        Every recorded affinity edge incident to a moved device is
+        extracted from whichever shard holds it and re-inserted on the
+        shard owning the edge's lower endpoint, observation order
+        preserved bitwise — after a component merge both endpoints
+        route to the same shard, so that shard's later affinity reads
+        are exactly a lone system's.  Stored answers need no such care
+        (the catch-up purged every namespace), nor do models and memos
+        (pure functions of the log every shard reads).  Runs inside
+        ``_poison_on_failure``: a partial migration leaves shards
+        diverged.
         """
         if not moved:
             return
         macs = sorted(moved)
-        for shard_id, view in enumerate(self._views):
-            if view is None:
-                continue
-            for mac in macs:
-                if self.shard_of(mac) != shard_id:
-                    view.clear_answers(mac)
         exports = self._call_all(
             "export_cache_edges", [(macs,)] * self._shard_count)
         payloads: "list[list[tuple[str, str, list[tuple[float, float]]]]]" \
@@ -753,7 +661,8 @@ class ShardedLocater:
             # cache is unreachable and its devices are offline, so
             # nothing can be migrated from it.
             for mac_a, mac_b, vector in edges or ():
-                payloads[self.shard_of(min(mac_a, mac_b))].append(
+                payloads[self._router.shard_of(
+                    min(mac_a, mac_b), self._shard_count)].append(
                     (mac_a, mac_b, vector))
         if any(payloads):
             self._call_all(
@@ -765,51 +674,13 @@ class ShardedLocater:
             # checkpoint (the moved edges would exist twice).
             self._checkpoint()
 
-    @staticmethod
-    def _merge_summaries(summaries: "Sequence[InvalidationSummary | None]"
-                         ) -> InvalidationSummary:
-        # A None slot means the supervised path resurrected (or
-        # quarantined) that shard instead of running its invalidation —
-        # the rebuilt shard is fresh against the merged table, but any
-        # *parent-side* state derived from the old shard must be
-        # considered fully stale, so the merge escalates to a full
-        # invalidation (bitwise-safe: serving from a reset state equals
-        # serving from a fresh one).
-        present = [s for s in summaries if s is not None]
-        full = any(s.full for s in present) or len(present) < len(summaries)
-        return InvalidationSummary(
-            full=full,
-            macs=frozenset().union(*(s.macs for s in present))
-            if present else frozenset(),
-            delta_changed=frozenset().union(
-                *(s.delta_changed for s in present))
-            if present else frozenset(),
-            answers_dropped=sum(s.answers_dropped for s in present))
-
-    def _prune_states(self, report: IngestReport,
-                      summary: InvalidationSummary) -> None:
-        """Bring every live :class:`ClusterBatchState` up to date.
-
-        Shares :func:`~repro.system.streaming.prune_batch_state` with
-        the streaming session — one surgical-invalidation policy, no
-        drift — and handles the full-invalidation case by resetting
-        each held state in place (a session would swap in a fresh one).
-        """
-        if not report.changed and not summary.full:
-            return
-        registry = self._table.registry
-        for state in list(self._live_states):
-            if summary.full:
-                state.reset()
-            else:
-                prune_batch_state(state, report, summary, registry)
-
     def _slice_report(self, report: IngestReport,
                       partition: "list[ConnectivityEvent]",
                       shard_id: int) -> IngestReport:
         """The owned slice of a cluster report for one shard."""
         owned = {mac: interval for mac, interval in report.changed.items()
-                 if self.shard_of(mac) == shard_id}
+                 if self._router.shard_of(mac, self._shard_count)
+                 == shard_id}
         return IngestReport(
             count=len(partition), generation=report.generation,
             changed=owned,
@@ -827,6 +698,7 @@ class ShardedLocater:
         system's ``cache.stats()`` over the same query stream.
         """
         self._check_open()
+        self._catch_up()
         per_shard = self._call_all("cache_stats")
         counters = [stats for stats in per_shard if stats is not None]
         total = None
@@ -838,6 +710,7 @@ class ShardedLocater:
     def shard_stats(self) -> "list[dict[str, int] | None]":
         """Per-shard serving counters (None slots: quarantined shards)."""
         self._check_open()
+        self._catch_up()
         return self._call_all("stats")
 
     def table_memory(self) -> dict:
@@ -852,6 +725,7 @@ class ShardedLocater:
         shards.
         """
         self._check_open()
+        self._catch_up()
         return {
             "parent": self._table.memory_stats(),
             "shards": self._call_all("table_memory"),
@@ -881,16 +755,16 @@ class ShardedLocater:
             raise ClusterError("cluster already closed")
         if self._poisoned:
             raise ClusterError(
-                "cluster poisoned: an ingest fan-out failed part-way, so "
-                "some shards may hold stale models or table views; rebuild "
-                "the cluster from the authoritative table (retrying the "
-                "ingest would double-merge the batch)")
+                "cluster poisoned: catching up with an ingest failed "
+                "part-way, so some shards may hold stale cache edges or "
+                "table views; rebuild the cluster from the authoritative "
+                "table (retrying the ingest would double-merge the batch)")
 
     @contextlib.contextmanager
     def _poison_on_failure(self):
         """Fail-stop guard around a shard fan-out.
 
-        If invalidation (or a table sync) reaches some shards but not
+        If a migration (or a table sync) reaches some shards but not
         others, the survivors silently diverge from the authoritative
         table — worse than an outage under this layer's bitwise
         contract.  Any fan-out failure therefore poisons the cluster:
@@ -901,13 +775,6 @@ class ShardedLocater:
         except BaseException:
             self._poisoned = True
             raise
-
-    def _require_in_process(self, operation: str) -> None:
-        if not self._executor.in_process:
-            raise ConfigurationError(
-                f"{operation} needs in-process shards (they share the "
-                "cluster's table and state); with process shards, drive "
-                "ingest through ShardedLocater.ingest instead")
 
 
 class _EventTap:
@@ -931,6 +798,11 @@ class _EventTap:
     def max_event_id(self) -> int:
         return self._backend.max_event_id() \
             if self._backend is not None else -1
+
+    def clear_answers(self) -> int:
+        # The cluster's catch-up purges every shard's namespace, before
+        # any shard serves, whichever engine merged.
+        return 0
 
     def take(self) -> list[ConnectivityEvent]:
         """The stamped events buffered since the last take."""

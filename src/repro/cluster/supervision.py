@@ -59,10 +59,10 @@ TRANSIENT_ERRORS = (ShardUnavailableError, ShardTimeoutError)
 #: Methods that must *not* be re-dispatched to a freshly resurrected
 #: shard: its factory already rebuilt it from the merged authoritative
 #: table (an attached worker maps the current segments), so replaying
-#: the ingest-time invalidation would be redundant at best, and a sync
-#: against the wrong base generation at worst.  The cluster ignores
-#: these fan-outs' per-shard results, so the skipped slot is safe.
-SKIP_AFTER_RESTART = frozenset({"on_ingest", "apply_table_sync"})
+#: the table sync would apply it against the wrong base generation.
+#: The cluster ignores this fan-out's per-shard results, so the skipped
+#: slot is safe.
+SKIP_AFTER_RESTART = frozenset({"apply_table_sync"})
 
 
 @dataclass(frozen=True, slots=True)

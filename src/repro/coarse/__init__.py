@@ -43,11 +43,12 @@ pipelines from a single vocab/encoder template.  It is the entry the
 batch planner pre-pass calls: ``Locater.locate_batch`` bulk-trains, up
 front, exactly the devices whose queries will consult models
 (:meth:`CoarseLocalizer.needs_model` — gap queries; event hits never
-train).  The same pre-pass is the post-ingest retrain path:
-``Locater.on_ingest`` only *invalidates* the changed devices, and the
-next burst bulk-trains the ones it actually queries — never inside the
-ingest tick, where repeatedly-changing devices would be retrained
-without ever being asked about.  Training is
+train).  The same pre-pass is the post-ingest retrain path: the pull at
+the top of a burst (``Locater.on_ingest``, run when the table's
+generation moved) only *invalidates* the changed devices, and the same
+burst then bulk-trains the ones it actually queries — never per ingest
+tick, where repeatedly-changing devices would be retrained without
+ever being asked about.  Training is
 a pure function of the table and history window, so the pre-pass never
 changes an answer — it only moves cost off the per-query path.  Unknown
 MACs are skipped (the per-query path still raises for them), and cached

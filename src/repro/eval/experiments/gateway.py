@@ -45,7 +45,6 @@ from repro.eval.experiments.common import dbh_dataset
 from repro.eval.reporting import format_table
 from repro.serve.gateway import AsyncGateway, IngestRecord, WindowRecord
 from repro.sim.scenarios import closed_loop_clients, open_loop_arrivals
-from repro.system.streaming import MAX_SNAPSHOTS
 
 
 @dataclass(slots=True)
@@ -145,10 +144,10 @@ def _make_cluster(dataset, shard_count: int) -> ShardedLocater:
 
     Process shards are the wiring where window dispatch has a real
     price (pipe + pickle per call) and where warm state lives
-    worker-side: each attached shard runs a persistent streaming
-    session whose memos survive across windows.  The table is never ingested
-    into during the sweep, so every run (and every replay) starts from
-    the identical authoritative state.
+    worker-side: each attached shard's ``Locater`` keeps its memos
+    across windows.  The table is never ingested into during the
+    sweep, so every run (and every replay) starts from the identical
+    authoritative state.
     """
     return ShardedLocater(
         dataset.building, dataset.metadata, dataset.table,
@@ -177,21 +176,17 @@ def _replay_identical(dataset, shard_count: int, journal,
 
     Builds a second, identical cluster and replays the journal in
     serialization order: every window as one plain ``locate_batch``
-    call, every ingest tick through ``cluster.ingest``.  In-process
-    shards thread a persistent cluster batch state through the calls;
-    process shards keep the equivalent state worker-side (their
-    streaming sessions substitute it when none is passed).  Bitwise-
-    compares every answer and the summed cache counters.
+    call, every ingest tick through ``cluster.ingest``.  Every shard's
+    ``Locater`` keeps its warm state across the calls, as the live
+    cluster's did.  Bitwise-compares every answer and the summed cache
+    counters.
     """
     with _make_cluster(dataset, shard_count) as cluster:
-        state = cluster.make_batch_state(max_snapshots=MAX_SNAPSHOTS) \
-            if cluster.executor.in_process else None
         for record in journal:
             if isinstance(record, IngestRecord):
                 cluster.ingest(record.events)
             elif isinstance(record, WindowRecord):
-                expected = cluster.locate_batch(list(record.queries),
-                                                state=state)
+                expected = cluster.locate_batch(list(record.queries))
                 if list(record.answers) != expected:
                     return False
         return cluster.cache_stats().total == expected_stats.total

@@ -379,6 +379,12 @@ class HeapColumnStore(ColumnStore):
         self._owns_spill_dir = False
         self._sequence = 0
 
+    @property
+    def spill_dir(self) -> "pathlib.Path | None":
+        """The caller's spill directory; None when spills go to a temp
+        directory the store mints itself (and removes on close)."""
+        return None if self._owns_spill_dir else self._spill_dir
+
     def put(self, key: str, times: np.ndarray,
             ap_indices: np.ndarray) -> HeapColumnHandle:
         if times.shape != ap_indices.shape:

@@ -670,7 +670,13 @@ class EventTable:
     # ------------------------------------------------------------------
     @property
     def generation(self) -> int:
-        """Monotone counter advanced by every freeze that merged rows."""
+        """Monotone counter advanced by every freeze that merged rows.
+
+        Pending rows are frozen first, as every read does, so a consumer
+        that compares generations to decide whether it is stale always
+        sees them.
+        """
+        self._ensure_frozen()
         return self._generation
 
     @property

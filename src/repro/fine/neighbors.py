@@ -63,11 +63,11 @@ class NeighborIndex:
     timestamp.  Snapshots already memoized are another matter; see
     below.
 
-    Instances live for one batch (``Locater.locate_batch`` creates a
-    fresh one per call, unbounded) or across a streaming session — then
-    ``max_snapshots`` bounds memory (snapshots are memos: evicting the
-    oldest-inserted only costs a recompute) and ingestion must call
-    :meth:`invalidate_interval` / :meth:`invalidate_all` so snapshots
+    Each ``Locater`` owns one in its warm state and keeps it across
+    calls: ``max_snapshots`` bounds memory (snapshots are memos:
+    evicting the oldest-inserted only costs a recompute), and the
+    locater's pull calls :meth:`invalidate_interval` /
+    :meth:`invalidate_all` once the table merged new rows, so snapshots
     never outlive the validity windows they were computed from.
     """
 

@@ -24,16 +24,22 @@ Architecture (one box per concern)::
   resolve futures; every blocking step (planner-batch dispatch, ingest
   merges) runs on a thread pool via ``loop.run_in_executor``.  Lint
   rule RL007 enforces this for the whole package.
-* **Warm state** — the gateway owns a persistent batch state (PR 3's
-  streaming machinery: a :class:`~repro.system.streaming.StreamingSession`
-  for a lone backend, :meth:`make_batch_state` for an in-process
-  cluster; process clusters keep state worker-side), so neighbor
-  snapshots, affinity memos and §5 cache counters survive across
-  windows exactly as they do across a streaming session's bursts.
+* **Warm state** — the gateway holds none.  Each ``Locater`` behind it
+  (a lone backend, or every shard's, in-process or worker-side) owns
+  one warm batch state and pulls its freshness from the table's
+  generation at the top of each window, so neighbor snapshots,
+  affinity memos and §5 cache counters survive across windows exactly
+  as they do across a streaming session's bursts.
 * **Ingest serialization** — :meth:`AsyncGateway.ingest` acquires every
   lane's lock, so it runs strictly *between* windows: no window ever
-  straddles an invalidation, and queued queries are re-routed before
-  lanes resume (a caching cluster re-keys devices at ingest boundaries).
+  straddles a merge, and queued queries are re-routed before lanes
+  resume (a caching cluster re-keys devices at ingest boundaries, and
+  ``ShardedLocater.ingest`` has caught the routes up before it
+  returns, so ``shard_of`` on the loop never finds work to do).  The
+  served table must therefore be written only through this method: a
+  merge from anywhere else would race the lanes' table reads, and the
+  first route read after it would run the cluster's catch-up (shard
+  IPC included) on the event loop.
 
 Equivalence contract — the repo's core invariant, extended to the
 concurrent world: any interleaving of concurrent gateway calls returns
@@ -72,10 +78,10 @@ from repro.errors import (
     GatewayOverloadedError,
 )
 from repro.events.event import ConnectivityEvent
+from repro.system.ingestion import IngestionEngine
 from repro.system.locater import Locater, LocationAnswer
 from repro.system.planner import DEFAULT_BUCKET_SECONDS
 from repro.system.query import LocationQuery
-from repro.system.streaming import MAX_SNAPSHOTS, StreamingSession
 
 #: Lane-queue sentinel: the worker drains up to it, then exits.
 _CLOSE = object()
@@ -170,7 +176,8 @@ class AsyncGateway:
         backend: A :class:`~repro.system.locater.Locater` or
             :class:`~repro.cluster.sharded.ShardedLocater`.  The caller
             keeps ownership — closing the gateway never closes the
-            backend.
+            backend — but while the gateway serves, the backend's table
+            takes new rows only through :meth:`ingest`.
         max_wait: Seconds a lane worker waits (from window pickup) for
             more queries before executing; ``0`` executes whatever is
             queued the moment the worker is free (coalescing still
@@ -188,7 +195,7 @@ class AsyncGateway:
             debugging, not production serving.
 
     Construction is cheap and synchronous; the event-loop resources
-    (lanes, workers, thread pool, warm state) are created by
+    (lanes, workers, thread pool) are created by
     :meth:`start`, implicitly on first use, or by ``async with``.
 
     With a supervised cluster (``recovery=``) the gateway serializes
@@ -222,8 +229,8 @@ class AsyncGateway:
             [] if journal else None
         self._lane_count = backend.shard_count \
             if self._cluster is not None else 1
-        self._session: "StreamingSession | None" = None
-        self._state = None
+        self._engine = IngestionEngine(backend.table) \
+            if self._cluster is None else None
         self._lanes: list[_Lane] = []
         self._workers: list[asyncio.Task] = []
         self._loop: "asyncio.AbstractEventLoop | None" = None
@@ -261,19 +268,6 @@ class AsyncGateway:
                        range(self._lane_count)]
         self._pool = ThreadPoolExecutor(
             max_workers=self._lane_count, thread_name_prefix="gateway")
-        if self._cluster is None:
-            # PR 3's streaming machinery owns the warm state: the
-            # session's persistent BatchState survives across windows
-            # and is pruned/swapped by Locater.on_ingest on every tick.
-            self._session = StreamingSession(
-                self._backend, bucket_seconds=self._bucket_seconds)
-        elif self._cluster.executor.in_process:
-            # Cluster counterpart: the cluster prunes this state on its
-            # own ingest fan-out (it holds a weak reference).  Process
-            # clusters keep warm state worker-side instead — their
-            # shards substitute their own sessions' states.
-            self._state = self._cluster.make_batch_state(
-                max_snapshots=MAX_SNAPSHOTS)
         if self._cluster is not None and \
                 self._cluster.supervisor is not None:
             self._dispatch_lock = threading.Lock()
@@ -287,7 +281,7 @@ class AsyncGateway:
         return self
 
     async def close(self) -> None:
-        """Drain the lanes, stop the workers, release the warm state.
+        """Drain the lanes and stop the workers.
 
         Queries already admitted are served; anything still queued when
         the workers exit (possible only when close races an ingest's
@@ -317,8 +311,6 @@ class AsyncGateway:
                             "served"))
                     self._release(1)
             self._pool.shutdown(wait=True)
-        if self._session is not None:
-            self._session.close()
         if self._ready_event is not None:
             self._ready_event.set()  # wake waiters into the closed error
 
@@ -570,9 +562,9 @@ class AsyncGateway:
                   queries: list[LocationQuery]) -> list[LocationAnswer]:
         if self._cluster is not None:
             return self._cluster.locate_slice(
-                lane_id, queries, bucket_seconds=self._bucket_seconds,
-                state=self._state)
-        return self._session.query(queries)
+                lane_id, queries, bucket_seconds=self._bucket_seconds)
+        return self._backend.locate_batch(
+            queries, bucket_seconds=self._bucket_seconds)
 
     def _ingest_sync(self, events: list[ConnectivityEvent]):
         if self._dispatch_lock is not None:
@@ -583,4 +575,4 @@ class AsyncGateway:
     def _ingest_backend(self, events: list[ConnectivityEvent]):
         if self._cluster is not None:
             return self._cluster.ingest(events)
-        return self._session.ingest(events)
+        return self._engine.ingest(events)

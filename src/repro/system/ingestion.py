@@ -9,16 +9,22 @@ storage engine in batches, and maintains the in-memory
 Ingestion is an *online* operation: every :meth:`IngestionEngine.ingest`
 call merges the new rows incrementally (see ``EventTable.freeze``),
 re-estimates δ only for the devices whose logs actually changed, and
-publishes an :class:`IngestReport` to subscribers — which is how a
-:class:`~repro.system.locater.Locater` learns it must invalidate models
-trained on the pre-ingest table (``Locater.on_ingest``).
+returns an :class:`IngestReport` of what changed.  The engine notifies
+no one: the merge moves the table's generation, and every
+:class:`~repro.system.locater.Locater` over the table notices that at
+its next serve and invalidates what the new rows staled
+(``Locater.on_ingest``).  The one thing the engine invalidates itself
+is its own store: when it persists rows, it purges the store's cleaned
+answers in the same call, so the store never holds an answer older
+than its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
+from repro.events.device import DEFAULT_DELTA_SECONDS
 from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
@@ -30,8 +36,13 @@ from repro.util.timeutil import TimeInterval
 class IngestReport:
     """What one :meth:`IngestionEngine.ingest` call changed.
 
+    Both the engine and a ``Locater``'s pull build it with :meth:`of`;
+    a pulled report spans every merge since the ``Locater``'s last
+    serve.
+
     Attributes:
-        count: Events ingested by this call.
+        count: Events ingested by this call (0 in a pulled report: the
+            change feed does not count rows).
         generation: The table generation after the merge (pass to
             ``EventTable.changed_since`` to resume the change feed).
         changed: Per changed MAC, the interval spanning the timestamps of
@@ -49,6 +60,29 @@ class IngestReport:
     delta_changes: Mapping[str, tuple[float, float]] = field(
         default_factory=dict)
 
+    @classmethod
+    def of(cls, table: EventTable, changed: Mapping[str, TimeInterval],
+           prior_deltas: Mapping[str, float],
+           count: int = 0) -> "IngestReport":
+        """The report for the ``changed`` devices of ``table``.
+
+        ``changed`` is the table's change feed
+        (``EventTable.changed_since``) over the merges reported; a
+        changed device's δ moved when it differs from ``prior_deltas``,
+        where a device missing there had
+        :data:`~repro.events.device.DEFAULT_DELTA_SECONDS` (the δ the
+        registry gives a device it has just met).
+        """
+        registry = table.registry
+        delta_changes: dict[str, tuple[float, float]] = {}
+        for mac in changed:
+            old = prior_deltas.get(mac, DEFAULT_DELTA_SECONDS)
+            new = registry.get(mac).delta
+            if new != old:
+                delta_changes[mac] = (old, new)
+        return cls(count=count, generation=table.generation,
+                   changed=changed, delta_changes=delta_changes)
+
     @property
     def macs(self) -> frozenset[str]:
         """The devices whose logs changed."""
@@ -60,7 +94,9 @@ class IngestionEngine:
 
     Args:
         table: Event table the cleaning engine queries.
-        storage: Optional storage engine receiving the raw (dirty) rows.
+        storage: Optional storage engine receiving the raw (dirty) rows;
+            an ingest that changes the table also purges its cleaned
+            answers.
         batch_size: Rows per storage write.
         estimate_deltas: Re-estimate δ after each ingest batch for the
             devices whose logs changed (cheap, and keeps validity windows
@@ -69,9 +105,6 @@ class IngestionEngine:
     Event ids continue from whatever the table or storage already holds,
     so a second engine — or one restarted over a persisted store — never
     reissues ids that collide with existing rows.
-
-    Subscribers registered with :meth:`subscribe` receive the
-    :class:`IngestReport` of every ingest call, in registration order.
     """
 
     def __init__(self, table: EventTable,
@@ -89,45 +122,11 @@ class IngestionEngine:
         if storage is not None:
             seed = max(seed, storage.max_event_id())
         self._next_event_id = seed + 1
-        self._subscribers: list[Callable[[IngestReport], None]] = []
 
     @property
     def table(self) -> EventTable:
         """The event table maintained by this engine."""
         return self._table
-
-    def subscribe(self, listener: Callable[[IngestReport], None]
-                  ) -> Callable[[], None]:
-        """Register a change-feed listener; returns an unsubscribe hook.
-
-        The returned zero-arg handle and :meth:`unsubscribe` are
-        equivalent; both are idempotent, so teardown paths (e.g. a
-        cluster closing its shards, a streaming session exiting its
-        context) can call either without tracking registration state.
-        """
-        self._subscribers.append(listener)
-        return lambda: self.unsubscribe(listener)
-
-    def unsubscribe(self, listener: Callable[[IngestReport], None]) -> bool:
-        """Remove a change-feed listener; returns whether it was registered.
-
-        Listeners hold references to whole serving stacks (a
-        ``Locater.on_ingest`` bound method keeps its models and memos
-        alive), so long-lived engines must drop them on teardown or the
-        stacks leak and keep receiving reports.
-
-        Removal is a single atomic ``list.remove`` — no check-then-act
-        window — so concurrent unsubscribes of the same listener (a
-        gateway closing its session from the event loop while shard
-        teardown runs elsewhere) race benignly: exactly one caller wins
-        and returns True.  An ingest mid-publish is unaffected either
-        way; it notifies a snapshot of the subscriber list.
-        """
-        try:
-            self._subscribers.remove(listener)
-        except ValueError:
-            return False
-        return True
 
     def resync_event_ids(self) -> int:
         """Catch the id counter up with the table and storage maxima.
@@ -150,8 +149,9 @@ class IngestionEngine:
         """Consume a stream of events; returns what changed.
 
         The report's ``count`` says how many events were ingested; its
-        ``changed``/``delta_changes`` maps drive surgical invalidation in
-        subscribers.
+        ``changed``/``delta_changes`` maps say which devices changed over
+        which interval, and whose δ moved.  When anything changed, the
+        storage's cleaned answers are purged before this returns.
         """
         # Another engine over the same table (a cluster's and a
         # streaming session's, say) may have stamped ids since this one
@@ -175,20 +175,16 @@ class IngestionEngine:
             self._flush(batch)
         self._table.freeze()
         changed = self._table.changed_since(generation_before)
-        delta_changes: dict[str, tuple[float, float]] = {}
+        prior = {mac: self._table.registry.get(mac).delta
+                 for mac in changed}
         if self._estimate_deltas and changed:
-            old = {mac: self._table.registry.get(mac).delta
-                   for mac in changed}
-            new = self._estimator.fit_devices(self._table, sorted(changed))
-            delta_changes = {mac: (old[mac], new[mac]) for mac in changed
-                             if new[mac] != old[mac]}
-        report = IngestReport(count=count,
-                              generation=self._table.generation,
-                              changed=changed,
-                              delta_changes=delta_changes)
-        for listener in list(self._subscribers):
-            listener(report)
-        return report
+            self._estimator.fit_devices(self._table, sorted(changed))
+        if self._storage is not None and changed:
+            # The store now holds rows its answers were not cleaned
+            # against; purge them in the same call, so a system rebuilt
+            # over the store (after a restart, say) never reads one.
+            self._storage.clear_answers()
+        return IngestReport.of(self._table, changed, prior, count=count)
 
     def _flush(self, batch: list[ConnectivityEvent]) -> None:
         if self._storage is not None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-import weakref
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
@@ -19,6 +18,7 @@ from repro.space.metadata import SpaceMetadata
 from repro.system.config import LocaterConfig
 from repro.system.planner import DEFAULT_BUCKET_SECONDS, plan_queries
 from repro.errors import EmptyHistoryError
+from repro.system import streaming
 from repro.system.ingestion import IngestReport
 from repro.system.memory import MEMO_ENTRY_NBYTES, MemoryManager
 from repro.system.query import LocationQuery
@@ -60,36 +60,49 @@ class LocationAnswer:
                 f"(region g{self.region_id})")
 
 
-# No slots: the memory-budget tier tracks live states through weakrefs
-# (dataclass weakref_slot only exists on 3.11+, and the 3.10 floor
-# matters more than a few dozen bytes on a per-batch object).
+#: Bound on a Locater's neighbor-snapshot memo (one entry per distinct
+#: query timestamp); oldest-inserted snapshots evict first.
+MAX_SNAPSHOTS = 4096
+
+#: When any one of a Locater's affinity/feature memo dicts outgrows
+#: this by the end of a ``locate_batch`` call, it is cleared wholesale —
+#: memos are pure caches, so the only cost is recomputation, and
+#: wholesale clearing keeps the steady-state bookkeeping trivial.
+MAX_MEMO_ENTRIES = 65536
+
+
 @dataclass
 class BatchState:
     """Shared-computation state threaded through ``locate_batch``.
 
-    Normally created fresh per call; a streaming session keeps one alive
-    across query bursts (every memo is a pure function of table state,
-    so reuse never changes answers) and prunes it on ingest via
-    :meth:`drop_device` / the neighbor index's invalidation hooks.
+    Every :class:`Locater` owns one and keeps it warm across calls
+    (every memo is a pure function of table state, so reuse never
+    changes answers).  The pull at the top of each call keeps it fresh:
+    :meth:`drop_devices` and the neighbor index's invalidation hooks
+    after a surgical invalidation, :meth:`reset` after a full one.
     """
 
     neighbors: NeighborIndex
     coarse: CoarseSharedState = field(default_factory=CoarseSharedState)
     fine: FineSharedState = field(default_factory=FineSharedState)
 
-    def drop_device(self, mac: str) -> None:
-        """Forget every memo involving one device (its log changed)."""
-        self.drop_devices({mac})
-
     def drop_devices(self, macs: "set[str]") -> None:
         """Forget memos involving any given device, one pass per memo."""
         self.coarse.drop_devices(macs)
         self.fine.drop_devices(macs)
 
+    def reset(self) -> None:
+        """Forget every memo and snapshot: the state of a fresh one."""
+        for name in CoarseSharedState.MEMO_ATTRS:
+            setattr(self.coarse, name, {})
+        for name in FineSharedState.MEMO_ATTRS:
+            setattr(self.fine, name, {})
+        self.neighbors.invalidate_all()
+
     def memo_dicts(self) -> list[dict]:
         """Every memo dict of this state, freshly resolved.
 
-        The single enumeration the trim/reset plumbing iterates (the
+        The single enumeration the trim/size plumbing iterates (the
         shared states declare their own ``MEMO_ATTRS``); resolved on
         each call because the drop paths rebind the dicts.
         """
@@ -112,7 +125,9 @@ class InvalidationSummary:
         delta_changed: Devices whose δ estimate moved — their validity
             windows shifted at all times, so time-keyed snapshots
             involving them are stale everywhere.
-        answers_dropped: Cleaned answers purged from storage.
+        answers_dropped: Cleaned answers purged from storage (0 when
+            the engine that merged the rows into that same store
+            purged them first).
     """
 
     full: bool
@@ -189,6 +204,17 @@ class Locater:
             self.memory = MemoryManager(self.config.memory_budget_bytes)
             table.enable_eviction(self.memory)
             self.coarse.set_memory_manager(self.memory)
+        # The one warm state, and what the pull compares against: the
+        # table generation and per-device δ last caught up with (see
+        # _catch_up).
+        self._state = BatchState(neighbors=NeighborIndex(
+            building, table, max_snapshots=MAX_SNAPSHOTS))
+        self._memo_entry = self._charge_memos() \
+            if self.memory is not None else None
+        self.full_invalidations = 0
+        self._seen_generation = table.generation
+        self._seen_deltas = {device.mac: device.delta
+                             for device in table.registry}
 
     def _resolve_history(self) -> "TimeInterval | None":
         if self.config.history_days is None:
@@ -234,69 +260,41 @@ class Locater:
         """Answer one :class:`LocationQuery` — the single-query code path.
 
         ``locate`` and the batch engine's per-query execution both funnel
-        through here (``locate_batch`` passes its shared ``state``);
-        cluster shards route to this entry point too.
+        through here; cluster shards route to this entry point too.  It
+        first pulls whatever the table merged since the last call (see
+        :meth:`on_ingest`).  ``state`` is the hook ``locate_batch``
+        passes its owned warm state through; left None, the query takes
+        the memo-free reference path.
         """
+        self._catch_up()
         answer = self._locate_one(query, state)
         if self.memory is not None:
             self.memory.enforce()
         return answer
 
-    def make_batch_state(self,
-                         max_snapshots: "int | None" = None) -> BatchState:
-        """A shared-computation state for :meth:`locate_batch`.
+    def _charge_memos(self):
+        """Put the warm state's memos under the memory budget.
 
-        Create one per batch (the default), or keep one alive across
-        bursts in a streaming session — in that case every ingest must
-        prune it (see :class:`~repro.system.streaming.StreamingSession`)
-        and ``max_snapshots`` should bound the neighbor-snapshot memo.
+        One persistent LRU entry: its size tracks the memo dicts and
+        neighbor snapshots (nominal bytes per entry — O(1) to report),
+        and evicting resets the state (memos are pure functions of the
+        table; they recompute on demand).
         """
-        state = BatchState(neighbors=NeighborIndex(
-            self._building, self._table, max_snapshots=max_snapshots))
-        if self.memory is not None:
-            self._register_batch_state(state)
-        return state
-
-    def _register_batch_state(self, state: BatchState) -> None:
-        """Put a batch state's memos under the memory budget.
-
-        One persistent LRU entry per state: its size tracks the memo
-        dicts and neighbor snapshots (nominal bytes per entry — O(1) to
-        report), evicting rebinds them all to empty (memos are pure
-        functions of the table; they recompute on demand).  The entry is
-        held through a weakref so the budget never pins a dead state,
-        and is released when the state is collected.
-        """
-        ref = weakref.ref(state)
+        state = self._state
 
         def memo_size() -> int:
-            live = ref()
-            if live is None:
-                return 0
-            entries = sum(len(d) for d in live.memo_dicts())
-            return (entries + live.neighbors.snapshot_count) \
+            entries = sum(len(d) for d in state.memo_dicts())
+            return (entries + state.neighbors.snapshot_count) \
                 * MEMO_ENTRY_NBYTES
 
-        def evict_memos() -> None:
-            live = ref()
-            if live is None:
-                return
-            for name in CoarseSharedState.MEMO_ATTRS:
-                setattr(live.coarse, name, {})
-            for name in FineSharedState.MEMO_ATTRS:
-                setattr(live.fine, name, {})
-            live.neighbors.invalidate_all()
-
-        entry = self.memory.charge("batch-memos", ("batch-memos", id(state)),
-                                   size_fn=memo_size, evictor=evict_memos,
-                                   persistent=True)
-        weakref.finalize(state, self.memory.release, entry)
+        return self.memory.charge("batch-memos", ("batch-memos", id(state)),
+                                  size_fn=memo_size, evictor=state.reset,
+                                  persistent=True)
 
     def locate_batch(self, queries: Iterable[LocationQuery],
                      bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
                      timings: "list[tuple[int, float]] | None" = None,
-                     share_computation: bool = True,
-                     state: "BatchState | None" = None
+                     share_computation: bool = True
                      ) -> list[LocationAnswer]:
         """Answer a batch of queries with shared computation.
 
@@ -305,6 +303,11 @@ class Locater:
         bucket-granular timestamp order so the caching engine warms
         front-to-back — then each group is answered with shared neighbor
         snapshots, coarse gap features, and fine-grained affinity memos.
+        Those live in the system's one warm state, which outlives the
+        call: the next batch starts from it, after the pull at the top
+        of every call has invalidated whatever the table merged since
+        (see :meth:`on_ingest`).  A memo dict that outgrew
+        :data:`MAX_MEMO_ENTRIES` during the call is cleared at its end.
 
         Answers are **bitwise identical** to calling :meth:`locate` once
         per query in the plan's execution order
@@ -323,21 +326,18 @@ class Locater:
                 keeping the planner's execution order — the paper's
                 efficiency experiments need this so the *caching engine*
                 (not the batch memos) is the only thing amortizing work
-                across queries.
-            state: Externally owned shared-computation state (see
-                :meth:`make_batch_state`); defaults to a fresh one per
-                call.  Ignored when ``share_computation`` is False.
+                across queries.  The warm state is then left alone.
 
         Example:
             >>> answers = locater.locate_batch(
             ...     [LocationQuery("7fbh", t) for t in grid])
             >>> [a.location_label for a in answers]
         """
+        self._catch_up()
         queries = list(queries)
         plan = plan_queries(queries, bucket_seconds=bucket_seconds)
-        if not share_computation:
-            state = None
-        else:
+        state = None
+        if share_computation:
             # Bulk-train before executing: one vectorized sweep over the
             # devices whose queries will actually consult models (a gap
             # query; event hits never train), instead of lazy
@@ -346,8 +346,9 @@ class Locater:
             # pre-pass is skipped too, keeping the paper-cost ablations
             # honest.
             self.coarse.train_devices(self._devices_needing_models(plan))
-            if state is None:
-                state = self.make_batch_state()
+            state = self._state
+            if self._memo_entry is not None:
+                self.memory.touch(self._memo_entry)
         answers: "list[LocationAnswer | None]" = [None] * len(queries)
         for group in plan.groups:
             for planned in group.queries:
@@ -360,6 +361,10 @@ class Locater:
                                                                state)
                     timings.append((planned.index,
                                     time.perf_counter() - start))
+        if state is not None:
+            for memo in state.memo_dicts():
+                if len(memo) > MAX_MEMO_ENTRIES:
+                    memo.clear()
         if self.memory is not None:
             self.memory.enforce()
         return answers  # type: ignore[return-value]  # every slot filled
@@ -442,26 +447,59 @@ class Locater:
     # ------------------------------------------------------------------
     # Online ingestion
     # ------------------------------------------------------------------
+    def _catch_up(self) -> None:
+        """Pull freshness from the table: invalidate what it merged since
+        the last call.
+
+        Runs first in every serve.  Reading the table's generation
+        freezes pending appends first, as every table read does; when
+        the generation is where it was, nothing happened and this is one
+        integer compare.  Otherwise :meth:`IngestReport.of
+        <repro.system.ingestion.IngestReport.of>` builds the report
+        :meth:`on_ingest` acts on from the table's change feed and the
+        δ seen at the last catch-up.  The seen state advances only after
+        that succeeded, so a failed catch-up is retried by the next
+        call.
+        """
+        table = self._table
+        generation = table.generation
+        if generation == self._seen_generation:
+            return
+        report = IngestReport.of(
+            table, table.changed_since(self._seen_generation),
+            self._seen_deltas)
+        self.on_ingest(report)
+        self._seen_deltas.update(
+            (mac, new) for mac, (_, new) in report.delta_changes.items())
+        self._seen_generation = generation
+
     def on_ingest(self, report: IngestReport) -> InvalidationSummary:
-        """React to new events so served answers stay fresh.
+        """Invalidate what one change to the table staled.
 
-        Subscribe this to an :class:`~repro.system.ingestion
-        .IngestionEngine` wrapping the same table::
-
-            engine = IngestionEngine(locater.table, storage=storage)
-            engine.subscribe(locater.on_ingest)
+        The step the pull at the top of every serve runs when the
+        table's generation moved, whichever engine (or bare ``append``)
+        moved it — nothing needs wiring to an ingest path.  Calling it
+        directly with an :class:`~repro.system.ingestion.IngestReport`
+        is redundant but harmless: the next serve pulls the same change
+        again, and every step below is idempotent.
 
         Invalidation is *surgical* when provably safe: only the changed
-        devices' coarse models, affinity memos and (when they fed it)
-        the population aggregate are dropped, and everything else keeps
-        serving from cache — a rebuilt system would reproduce the
-        surviving state bit for bit, because each cached value is a pure
-        function of inputs the ingest did not touch.  When the training
-        window itself moved (``history_days`` sliding window, or the
-        span's day range grew, which changes every device's density
-        feature), invalidation escalates to a full drop.  Cleaned
-        answers in storage are always purged: co-location couples
-        devices, so no stored answer is provably unaffected.
+        devices' coarse models, affinity memos, the neighbor snapshots
+        within δ of the new rows (all of them when a δ moved) and (when
+        they fed it) the population aggregate are dropped, and
+        everything else keeps serving from cache — a rebuilt system
+        would reproduce the surviving state bit for bit, because each
+        cached value is a pure function of inputs the ingest did not
+        touch.  When the training window itself moved (``history_days``
+        sliding window, or the span's day range grew, which changes
+        every device's density feature), invalidation escalates to a
+        full drop of every model and memo, counted in
+        ``full_invalidations``.  Cleaned answers in storage are always
+        purged: co-location couples devices, so no stored answer is
+        provably unaffected.  (An engine that persists the rows into
+        that store has purged it already, inside its ``ingest``, so a
+        system built over the store before this serve finds no stale
+        answer either.)
 
         Invalidated devices are *not* retrained here: a device may change
         on many consecutive ingest ticks before it is queried again, so
@@ -483,30 +521,38 @@ class Locater:
         fingerprint = self._span_fingerprint()
         full = self.config.history_days is not None or \
             fingerprint != self._history_fingerprint
-        self._history_fingerprint = fingerprint
         delta_changed = frozenset(report.delta_changes)
         if full:
             history = self._resolve_history()
             self.coarse.set_history(history)
             self._device_index.set_history(history)
-            if self.memory is not None:
-                self.memory.enforce()
-            return InvalidationSummary(full=True, macs=frozenset(),
-                                       delta_changed=delta_changed,
-                                       answers_dropped=answers_dropped)
-        # The span may have grown inside the same day range; models
-        # survive (see _span_fingerprint), but the lazily-cached window
-        # must track what a cold rebuild would resolve.
-        self.coarse.advance_history(self._table.span())
-        self.coarse.invalidate_devices(report.macs)
-        self._device_index.invalidate_devices(report.macs)
+            self._state.reset()
+            self.full_invalidations += 1
+            summary = InvalidationSummary(full=True, macs=frozenset(),
+                                          delta_changed=delta_changed,
+                                          answers_dropped=answers_dropped)
+        else:
+            # The span may have grown inside the same day range; models
+            # survive (see _span_fingerprint), but the lazily-cached
+            # window must track what a cold rebuild would resolve.
+            self.coarse.advance_history(self._table.span())
+            self.coarse.invalidate_devices(report.macs)
+            self._device_index.invalidate_devices(report.macs)
+            summary = InvalidationSummary(full=False, macs=report.macs,
+                                          delta_changed=delta_changed,
+                                          answers_dropped=answers_dropped)
+            # Through the module attribute, so a wrapped policy sees
+            # the call.
+            streaming.prune_batch_state(self._state, report, summary,
+                                        self._table.registry)
+        # Only now: a failure above leaves the old fingerprint, so a
+        # retry escalates exactly as this attempt did.
+        self._history_fingerprint = fingerprint
         if self.memory is not None:
             # The merged rows just grew some logs; spill back under
             # budget before the next serve.
             self.memory.enforce()
-        return InvalidationSummary(full=False, macs=report.macs,
-                                   delta_changed=delta_changed,
-                                   answers_dropped=answers_dropped)
+        return summary
 
     # ------------------------------------------------------------------
     def _persist(self, answer: LocationAnswer) -> None:

@@ -1,71 +1,62 @@
 """Online serving: interleave ingestion with query answering (Fig. 5, live).
 
 LOCATER is a *live* system — association events stream in from wireless
-controllers while location queries keep arriving.  The pieces involved
-are all independently usable (``IngestionEngine.subscribe``,
-``Locater.on_ingest``, ``Locater.make_batch_state``); this module wires
-them into one object so a deployment loop is three lines::
+controllers while location queries keep arriving.  Freshness is pulled,
+not pushed: the ingestion engine only appends, and every
+:class:`~repro.system.locater.Locater` serve first compares the table's
+generation with the last one it saw, invalidating what changed since
+(``Locater.on_ingest``).  So any ingest path keeps answers fresh without
+wiring, and a deployment loop is three lines::
 
     session = StreamingSession(locater)          # wraps locater.table
-    session.ingest(new_events)                   # merge + invalidate
-    answers = session.query(burst)               # fresh, shared-work
+    session.ingest(new_events)                   # append + merge
+    answers = session.query(burst)               # pull, then answer
 
-The session owns a persistent :class:`~repro.system.locater.BatchState`
-so query bursts keep reusing neighbor snapshots and affinity memos
-*across* bursts, and prunes exactly the entries each ingest staled:
-memos mentioning a changed device, and online-device snapshots within
-validity reach of the new rows (all snapshots, when a device's δ
-estimate moved).  Because every cached value is a pure function of table
-state, the answers are bitwise identical to what a system rebuilt from
-scratch over the merged log would produce — the equivalence suite in
+The locater owns one persistent
+:class:`~repro.system.locater.BatchState`, so query bursts keep reusing
+neighbor snapshots and affinity memos *across* bursts, and the pull
+prunes exactly the entries an ingest staled with
+:func:`prune_batch_state`: memos mentioning a changed device, and
+online-device snapshots within validity reach of the new rows (all
+snapshots, when a device's δ estimate moved).  Because every cached
+value is a pure function of table state, the answers are bitwise
+identical to what a system rebuilt from scratch over the merged log
+would produce — the equivalence suite in
 ``tests/integration/test_streaming_equivalence.py`` enforces this.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.events.event import ConnectivityEvent
 from repro.system.ingestion import IngestionEngine, IngestReport
-from repro.system.locater import Locater, LocationAnswer
 from repro.system.planner import DEFAULT_BUCKET_SECONDS
 from repro.system.query import LocationQuery
 
-
-#: Bound on the session's neighbor-snapshot memo (one entry per distinct
-#: query timestamp); oldest-inserted snapshots evict first.
-MAX_SNAPSHOTS = 4096
-
-#: When any one of the session's affinity/feature memo dicts outgrows
-#: this, it is cleared wholesale — memos are pure caches, so the only
-#: cost is recomputation, and wholesale clearing keeps the steady-state
-#: bookkeeping trivial.
-MAX_MEMO_ENTRIES = 65536
+if TYPE_CHECKING:
+    from repro.system.locater import Locater, LocationAnswer
 
 
 def prune_batch_state(state, report: IngestReport, summary,
                       registry) -> None:
-    """Drop from a persistent batch state everything one ingest staled.
+    """Drop from a warm batch state everything one ingest staled.
 
-    THE surgical-invalidation policy for held states — shared by
-    :class:`StreamingSession` and the cluster layer's ingest fan-out so
-    the rule cannot drift between them (the bitwise-equivalence suites
-    of both depend on it): memos mentioning a changed device are
+    THE surgical-invalidation policy for warm states, run by
+    ``Locater.on_ingest``: memos mentioning a changed device are
     dropped, and online-device snapshots within validity reach of the
     new rows are invalidated (all snapshots, when any device's δ
     estimate moved — a moved δ shifts that device's validity windows
     everywhere).
 
-    Full invalidations are the *caller's* job (a session swaps in a
-    fresh state; a cluster resets in place) — this handles the
+    Full invalidations reset the state instead; this handles the
     surgical case only.
 
     Args:
-        state: A :class:`~repro.system.locater.BatchState` or any
-            object with the same ``drop_devices``/``neighbors`` surface
-            (e.g. a cluster's fan-out state).
-        report: The ingest report that triggered the invalidation.
+        state: A :class:`~repro.system.locater.BatchState`.
+        report: The change that triggered the invalidation.
         summary: The :class:`~repro.system.locater.InvalidationSummary`
             the locater derived from it.
         registry: The table's device registry (for per-device δ slack).
@@ -84,13 +75,15 @@ class StreamingSession:
     """A long-running serve loop: ingest batches, answer query bursts.
 
     Args:
-        locater: The cleaning system to keep fresh.
+        locater: The cleaning system to serve (a lone ``Locater`` or a
+            ``ShardedLocater``).
         engine: Optional ingestion engine; must wrap the locater's table.
-            Defaults to a new storage-less engine over that table.  The
-            session subscribes itself — do not additionally subscribe
-            ``locater.on_ingest`` to the same engine, or invalidation
-            runs twice (harmless, but wasted work).
+            Defaults to a new storage-less engine over that table.
         bucket_seconds: Planning bucket width for query bursts.
+
+    The session holds no state of its own: the locater owns the warm
+    state and pulls its freshness from the table at every query, so the
+    engine needs no wiring to it.
     """
 
     def __init__(self, locater: Locater,
@@ -104,10 +97,6 @@ class StreamingSession:
         self._locater = locater
         self._engine = engine
         self._bucket_seconds = bucket_seconds
-        self._state = locater.make_batch_state(max_snapshots=MAX_SNAPSHOTS)
-        self._unsubscribe = engine.subscribe(self._on_ingest)
-        self.ingests = 0
-        self.full_invalidations = 0
 
     @property
     def locater(self) -> Locater:
@@ -120,78 +109,36 @@ class StreamingSession:
         return self._engine
 
     @property
-    def state(self):
-        """The persistent shared-computation state (pruned on ingest).
+    def full_invalidations(self) -> int:
+        """Full invalidations the lone locater has run so far.
 
-        Replaced wholesale after a full invalidation, so hold the
-        session — not this object — across ingests.
+        Read from the ``Locater``, which counts them; a cluster reports
+        its shards' counts through ``shard_stats()`` instead.
         """
-        return self._state
+        return self._locater.full_invalidations
 
     # ------------------------------------------------------------------
     def ingest(self, events: Iterable[ConnectivityEvent]) -> IngestReport:
-        """Merge new events; stale models and memos are pruned en route."""
+        """Merge new events; the next query invalidates what they staled."""
         return self._engine.ingest(events)
 
     def query(self, queries: Sequence[LocationQuery]
               ) -> list[LocationAnswer]:
         """Answer a burst of queries against the current table."""
         return self._locater.locate_batch(
-            queries, bucket_seconds=self._bucket_seconds, state=self._state)
+            queries, bucket_seconds=self._bucket_seconds)
 
     def locate(self, mac: str, timestamp: float) -> LocationAnswer:
-        """Answer a single query (still sharing the session's memos)."""
+        """Answer a single query (still sharing the locater's memos)."""
         return self.query([LocationQuery(mac=mac, timestamp=timestamp)])[0]
 
     def close(self) -> None:
-        """Detach from the engine's change feed.  Idempotent — shard
-        teardown may run again after a supervised restart replaces a
-        half-closed worker, and a gateway may close its session while a
-        serve loop is mid-tick.  The handle is swapped out *before* it
-        is invoked (and unsubscribe itself removes atomically), so
-        concurrent or re-entrant closes release the subscription exactly
-        once."""
-        unsubscribe, self._unsubscribe = self._unsubscribe, None
-        if unsubscribe is not None:
-            unsubscribe()
+        """Release nothing — the session holds no resource — but keep
+        the serve loop's shape: a session still closes, and works as a
+        context manager."""
 
     def __enter__(self) -> "StreamingSession":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def observe_report(self, report: IngestReport):
-        """React to a merge some *external* actor applied to the table.
-
-        The cluster's shared-memory sync path uses this: the authoritative
-        process merged and published new segments, the attached view
-        applied the sync, and this session must now invalidate and prune
-        exactly as if its own engine had merged — same escalation rule,
-        same surgical pruning, same counters.  Returns the
-        :class:`~repro.system.locater.InvalidationSummary`.
-        """
-        return self._on_ingest(report)
-
-    # ------------------------------------------------------------------
-    def _on_ingest(self, report: IngestReport):
-        """Invalidate the locater and prune the persistent batch state."""
-        self.ingests += 1
-        summary = self._locater.on_ingest(report)
-        if summary.full:
-            self.full_invalidations += 1
-            self._state = self._locater.make_batch_state(
-                max_snapshots=MAX_SNAPSHOTS)
-            return summary
-        prune_batch_state(self._state, report, summary,
-                          self._locater.table.registry)
-        self._trim_memos()
-        return summary
-
-    def _trim_memos(self) -> None:
-        """Bound the persistent memos (timestamp-keyed entries accrue
-        across bursts; clearing an oversized memo only costs
-        recomputation)."""
-        for memo in self._state.memo_dicts():
-            if len(memo) > MAX_MEMO_ENTRIES:
-                memo.clear()

@@ -5,10 +5,13 @@ rest on one convention: every memo/cache container a shared-state class
 accumulates must be reachable from that class's invalidation surface
 (``drop_device(s)`` / ``invalidate_*`` / ``clear``-style methods), and
 that surface must actually be invoked from the ingest path
-(:meth:`Locater.on_ingest` and the ``prune_batch_state`` policy it fans
-out through).  A memo dict added without a matching drop hook serves
-stale values after the first ingest — silently, because every test that
-does not interleave ingest with that exact memo still passes.
+(:meth:`Locater.on_ingest`, which every ``Locater`` runs itself when
+its pull finds the table's generation moved, and the
+``prune_batch_state`` policy it calls).  The pull makes forgetting to
+*call* the ingest path impossible, but invalidation stays surgical: a
+memo dict added without a matching drop hook still serves stale values
+after the first ingest — silently, because every test that does not
+interleave ingest with that exact memo still passes.
 
 Three sub-rules, all reported under RL001:
 
@@ -48,9 +51,7 @@ INVALIDATION_RE = re.compile(
     r"^(drop_|invalidate|clear|reset|prune|release|evict)")
 
 #: Functions forming the ingest call surface (cross-check targets).
-INGEST_SURFACE = frozenset({
-    "on_ingest", "_on_ingest", "prune_batch_state", "observe_report",
-})
+INGEST_SURFACE = frozenset({"on_ingest", "prune_batch_state"})
 
 
 def _is_container_default(node: ast.AST) -> bool:

@@ -29,6 +29,7 @@ from repro.cluster import (
 )
 from repro.errors import ShardQuarantinedError
 from repro.eval.queries import generated_query_set, labeled_query_set
+from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
 from repro.sim.scenarios import (
@@ -37,6 +38,8 @@ from repro.sim.scenarios import (
 )
 from repro.system.config import LocaterConfig
 from repro.system.locater import Locater
+from repro.system.storage import InMemoryStorage
+from repro.util.timeutil import SECONDS_PER_DAY
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
@@ -109,6 +112,45 @@ class TestRecovery:
             assert cluster.supervisor.restarts == {victim: 2}
             assert [episode.outcome for episode
                     in cluster.recovery_events] == ["recovered"] * 2
+
+    def test_resurrected_shard_finds_no_pre_ingest_answer(
+            self, chaos_world):
+        # Regression: a shard resurrected after an ingest but before its
+        # next serve starts with nothing to catch up on, so the cluster
+        # must have purged its namespace already — else its exact
+        # repeats short-circuit to answers cleaned before the merge.
+        dataset, queries = chaos_world
+        # chaos_world is module-scoped: ingest into a private copy.
+        table = dataset.table.restrict(dataset.table.span())
+        config = LocaterConfig(use_caching=False)
+        # Never fed: the hash routes of a caching-off cluster.
+        probe = ComponentAffinityRouter(dataset.building)
+        victim = _busiest_shard(probe, queries, 4)
+        devices = sorted({query.mac for query in queries
+                          if probe.shard_of(query.mac, 4) == victim})
+        # Dispatch indices to the victim: 0 = the warm-up batch, 1 = the
+        # first batch after the ingest (the kill fires before it runs).
+        plan = FaultPlan([Fault(shard_id=victim, kind="kill",
+                                method="locate_batch", call_index=1)])
+        storage = InMemoryStorage()
+        with ShardedLocater(
+                dataset.building, dataset.metadata, table, shard_count=4,
+                executor=FaultInjectingExecutor(SerialShardExecutor(), plan),
+                config=config, storage=storage,
+                recovery=RecoveryPolicy(backoff=(0.0,))) as cluster:
+            cluster.locate_batch(queries)  # every answer stored
+            start = table.span().end + SECONDS_PER_DAY
+            cluster.ingest([
+                ConnectivityEvent(timestamp=start + i * 60.0, mac=mac,
+                                  ap_id=table.log(mac).ap_at(
+                                      len(table.log(mac)) - 1))
+                for i, mac in enumerate(devices)])
+            repeats = cluster.locate_batch(queries)
+            assert plan.exhausted
+            assert cluster.supervisor.restarts == {victim: 1}
+        cold = Locater(dataset.building, dataset.metadata, table,
+                       config=config)
+        assert repeats == cold.locate_batch(queries)
 
     @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
     def test_hung_worker_recovery_is_bitwise(self, chaos_world):
@@ -350,3 +392,39 @@ class TestDegradation:
                 orphans[0].mac, orphans[0].timestamp) == \
                 fallback_control.locate(orphans[0].mac,
                                         orphans[0].timestamp)
+
+    def test_fallback_catches_up_with_an_ingest(self, chaos_world):
+        # Regression: the parent-side fallback reads the authoritative
+        # table, but while freshness was pushed nothing told it about
+        # an ingest, so it kept serving what it had trained before.
+        dataset, queries = chaos_world
+        # chaos_world is module-scoped: ingest into a private copy.
+        table = dataset.table.restrict(dataset.table.span())
+        config = LocaterConfig(use_caching=False)
+        # Never fed: the hash routes of a caching-off cluster.
+        probe = ComponentAffinityRouter(dataset.building)
+        victim = _busiest_shard(probe, queries, 4)
+        orphans = [query for query in queries
+                   if probe.shard_of(query.mac, 4) == victim]
+        plan = FaultPlan([Fault(shard_id=victim, kind="kill",
+                                method="locate_batch", call_index=0)])
+        with ShardedLocater(
+                dataset.building, dataset.metadata, table, shard_count=4,
+                executor=FaultInjectingExecutor(SerialShardExecutor(), plan),
+                config=config,
+                recovery=RecoveryPolicy(max_restarts=0, backoff=(0.0,),
+                                        degraded="fallback")) as cluster:
+            cluster.locate_batch(queries)  # quarantine; warm the fallback
+            assert cluster.quarantined == {victim}
+            # The orphans' devices come back a day past the span.
+            start = table.span().end + SECONDS_PER_DAY
+            devices = sorted({query.mac for query in orphans})
+            cluster.ingest([
+                ConnectivityEvent(timestamp=start + i * 60.0, mac=mac,
+                                  ap_id=table.log(mac).ap_at(
+                                      len(table.log(mac)) - 1))
+                for i, mac in enumerate(devices)])
+            cold = Locater(dataset.building, dataset.metadata, table,
+                           config=config)
+            assert cluster.locate_batch(orphans) == \
+                cold.locate_batch(orphans)

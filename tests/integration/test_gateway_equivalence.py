@@ -45,7 +45,7 @@ from repro.sim.scenarios import streaming_day_workload
 from repro.system.config import LocaterConfig
 from repro.system.locater import Locater
 from repro.system.storage import InMemoryStorage
-from repro.system.streaming import MAX_SNAPSHOTS, StreamingSession
+from repro.system.streaming import StreamingSession
 from repro.util.rng import make_rng
 
 EXECUTORS = {
@@ -272,14 +272,12 @@ class TestJournalReplay:
             with ShardedLocater(dataset.building, dataset.metadata,
                                 _warm_table(workload), shard_count=2,
                                 storage=replay_storage) as replay:
-                state = replay.make_batch_state(
-                    max_snapshots=MAX_SNAPSHOTS)
                 for record in gateway.journal:
                     if isinstance(record, IngestRecord):
                         replay.ingest(list(record.events))
                     else:
                         assert replay.locate_batch(
-                            list(record.queries), state=state) == \
+                            list(record.queries)) == \
                             list(record.answers)
                 assert replay.cache_stats().total == live_stats.total
                 self._assert_storage_matches(
@@ -297,7 +295,7 @@ class TestJournalReplay:
     def test_process_cluster_replay(self, day):
         # Process replicas keep their warm state worker-side; the
         # replay threads no state at all and must still reproduce the
-        # schedule (each worker session substitutes its own).
+        # schedule (each worker's Locater keeps its own).
         dataset, workload, background = day
         with ShardedLocater(dataset.building, dataset.metadata,
                             _warm_table(workload), shard_count=2,

@@ -236,6 +236,30 @@ class TestSegmentOwnership:
         finally:
             table.close()
 
+    @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
+    def test_heap_table_keeps_the_callers_spill_dir(self, world, tmp_path,
+                                                    lone_answers):
+        # The store the cluster moves the table back to spills where
+        # the caller's did, not into a fresh temp directory.
+        dataset, queries = world
+        table = dataset.table.restrict(dataset.table.span())
+        table.migrate_store(HeapColumnStore(spill_dir=tmp_path))
+        try:
+            with ShardedLocater(dataset.building, dataset.metadata,
+                                table, shard_count=2,
+                                executor=ProcessShardExecutor(),
+                                config=CONFIG) as cluster:
+                assert cluster.locate_batch(queries[:4]) == \
+                    lone_answers[:4]
+            assert isinstance(table.store, HeapColumnStore)
+            budgeted = Locater(dataset.building, dataset.metadata, table,
+                               config=CONFIG.with_(memory_budget_bytes=0))
+            assert budgeted.locate_batch(queries) == lone_answers
+            assert list(tmp_path.iterdir())
+            assert table.store.spill_dir == tmp_path
+        finally:
+            table.close()
+
 
 class TestMemoryAccounting:
     def test_attached_shards_cost_one_copy(self, world):
@@ -284,10 +308,12 @@ class TestAttachedStreaming:
                                    cold_table, config=CONFIG)
                     assert cluster.locate_batch(batch.queries) == \
                         cold.locate_batch(batch.queries)
-                # Worker-side sessions observed every sync, and the
-                # attached views track the authoritative table exactly.
+                # Workers applied one sync per tick that merged rows,
+                # and the attached views track the authoritative table
+                # exactly.
                 for stats in cluster.shard_stats():
-                    assert stats["ingests"] == len(workload.batches)
+                    assert stats["table_syncs"] == sum(
+                        1 for batch in workload.batches if batch.ingest)
                     assert stats["events"] == len(table)
         finally:
             table.close()

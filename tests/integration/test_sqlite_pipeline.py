@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.system.config import LocaterConfig
 from repro.system.ingestion import IngestionEngine
 from repro.system.locater import Locater
 from repro.system.storage import SqliteStorage
+from repro.util.timeutil import SECONDS_PER_DAY
 
 
 class TestSqlitePipeline:
@@ -54,3 +56,41 @@ class TestSqlitePipeline:
                               small_dataset.table, storage=storage)
             again = locater.locate(mac, t)
             assert again.location_label == first.location_label
+
+    def test_restart_after_ingest_reuses_no_stale_answer(
+            self, small_dataset, tmp_path):
+        # The engine persists new rows and purges the store's answers in
+        # the same call: a system rebuilt over the store after the
+        # process exits, before any serve, must clean afresh.
+        db_path = str(tmp_path / "restart.db")
+        config = LocaterConfig(use_caching=False)
+        building, metadata = small_dataset.building, small_dataset.metadata
+        mac = next(m for m in small_dataset.macs()
+                   if len(small_dataset.table.log(m)) > 20)
+        t = float(small_dataset.table.log(mac).times[3]) + 10.0
+        with SqliteStorage(db_path) as storage:
+            table = EventTable()
+            engine = IngestionEngine(table, storage=storage)
+            for device in small_dataset.table.macs():
+                engine.ingest(small_dataset.table.events_of(device))
+            locater = Locater(building, metadata, table, config=config,
+                              storage=storage)
+            first = locater.locate(mac, t)
+            assert first.inside  # a stored answer would lose .fine
+            assert storage.find_answer(mac, t) == first.location_label
+            # The device comes back a day past the span; the process
+            # exits before the next query.
+            start = table.span().end + SECONDS_PER_DAY
+            log = table.log(mac)
+            engine.ingest([
+                ConnectivityEvent(timestamp=start + i * 60.0, mac=mac,
+                                  ap_id=log.ap_at(len(log) - 1))
+                for i in range(5)])
+            assert storage.find_answer(mac, t) is None
+        with SqliteStorage(db_path) as storage:
+            reloaded = EventTable()
+            IngestionEngine(reloaded).ingest(storage.load_events())
+            restarted = Locater(building, metadata, reloaded,
+                                config=config, storage=storage)
+            cold = Locater(building, metadata, reloaded, config=config)
+            assert restarted.locate(mac, t) == cold.locate(mac, t)

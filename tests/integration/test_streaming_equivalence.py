@@ -33,9 +33,16 @@ def world():
     return dataset, workload
 
 
-def _cold_system(dataset, events, config):
+def _cold_system(dataset, events, config, deltas_from=None):
     table = EventTable.from_events(events)
-    DeltaEstimator().fit_table(table)
+    if deltas_from is None:
+        DeltaEstimator().fit_table(table)
+    else:
+        # Rows merged by bare appends get no δ refit: rebuild over the
+        # same table state, logs and δ alike.
+        for mac in table.macs():
+            table.registry.get(mac).delta = deltas_from.registry.get(
+                mac).delta
     return Locater(dataset.building, dataset.metadata, table,
                    config=config)
 
@@ -49,17 +56,55 @@ def _streaming_session(dataset, workload, config):
     return StreamingSession(locater, engine)
 
 
+def _through_session(session, batch):
+    session.ingest(batch.ingest)
+    return session.query(batch.queries)
+
+
+def _through_bare_engine(session, batch):
+    # No session in the loop and nothing wired: an engine appends, and
+    # the locater notices at its next serve.
+    IngestionEngine(session.locater.table).ingest(batch.ingest)
+    return session.locater.locate_batch(batch.queries)
+
+
+def _ingest_twice(session, batch):
+    # Two merges before one burst: the burst's pull spans both
+    # generations in one catch-up.
+    half = len(batch.ingest) // 2
+    session.ingest(batch.ingest[:half])
+    session.ingest(batch.ingest[half:])
+    return session.query(batch.queries)
+
+
+def _append_without_freeze(session, batch):
+    # Rows left pending in the table: the pull must freeze before it
+    # compares generations.  Answered one query at a time.
+    table = session.locater.table
+    for event in batch.ingest:
+        table.append(event)
+    return [session.locater.locate(query.mac, query.timestamp)
+            for query in batch.queries]
+
+
 class TestStreamingEquivalence:
-    def test_every_burst_matches_cold_rebuild(self, world):
+    @pytest.mark.parametrize("feed", [
+        _through_session, _through_bare_engine, _ingest_twice,
+        _append_without_freeze,
+    ], ids=["session", "bare-engine", "two-ingests", "append-no-freeze"])
+    def test_every_burst_matches_cold_rebuild(self, world, feed):
         dataset, workload = world
         config = LocaterConfig(use_caching=False)
         session = _streaming_session(dataset, workload, config)
+        appended = feed is _append_without_freeze
         for batch in workload.batches:
-            session.ingest(batch.ingest)
-            streamed = session.query(batch.queries)
+            streamed = feed(session, batch)
             cold = _cold_system(
-                dataset, workload.events_through(batch.index), config)
-            expected = cold.locate_batch(batch.queries)
+                dataset, workload.events_through(batch.index), config,
+                deltas_from=session.locater.table if appended else None)
+            expected = [cold.locate(query.mac, query.timestamp)
+                        for query in batch.queries] if appended \
+                else cold.locate_batch(batch.queries)
             # Full LocationAnswer equality: coarse route, room, the
             # entire fine posterior and edge weights, float for float.
             assert streamed == expected

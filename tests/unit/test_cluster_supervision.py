@@ -47,10 +47,10 @@ class Worker:
         self.log.append((self.shard_id, "work"))
         return self.shard_id * 10 + x
 
-    def on_ingest(self, tag: str) -> str:
+    def apply_table_sync(self, tag: str) -> str:
         self._maybe_fail()
-        self.log.append((self.shard_id, "on_ingest"))
-        return f"invalidated-{self.shard_id}-{tag}"
+        self.log.append((self.shard_id, "apply_table_sync"))
+        return f"synced-{self.shard_id}-{tag}"
 
     def bug(self) -> None:
         raise ValueError(f"shard {self.shard_id} has a bug")
@@ -200,13 +200,12 @@ def test_checkpoint_scoping_only_touches_named_shards():
 
 
 def test_skip_after_restart_methods_are_not_redispatched():
-    assert "on_ingest" in SKIP_AFTER_RESTART
-    assert "apply_table_sync" in SKIP_AFTER_RESTART
+    assert SKIP_AFTER_RESTART == {"apply_table_sync"}
     executor, supervisor, log = build(failures={0: 1})
-    result = supervisor.call_one(0, "on_ingest", "t0")
+    result = supervisor.call_one(0, "apply_table_sync", "t0")
     assert result is None, \
         "a resurrected shard already reflects the merged table"
-    assert (0, "on_ingest") not in log
+    assert (0, "apply_table_sync") not in log
     # The shard recovered — serving calls flow again.
     assert supervisor.call_one(0, "work") == 1
 

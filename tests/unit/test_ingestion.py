@@ -62,53 +62,6 @@ class TestIngestionEngine:
         assert report.changed["m2"].start == 1000.0
         assert report.generation == engine.table.generation
 
-    def test_subscribers_receive_reports(self):
-        engine = IngestionEngine(EventTable())
-        seen: list[IngestReport] = []
-        unsubscribe = engine.subscribe(seen.append)
-        engine.ingest(_events(3))
-        assert len(seen) == 1 and seen[0].count == 3
-        unsubscribe()
-        engine.ingest(_events(2, start=9000.0))
-        assert len(seen) == 1
-
-    def test_unsubscribe_method_and_handle_agree(self):
-        engine = IngestionEngine(EventTable())
-        seen: list[IngestReport] = []
-        unsubscribe = engine.subscribe(seen.append)
-        assert engine.unsubscribe(seen.append) is True
-        assert engine.unsubscribe(seen.append) is False  # idempotent
-        unsubscribe()  # handle after explicit removal: no-op, no raise
-        engine.ingest(_events(2))
-        assert seen == []
-
-    def test_unsubscribe_removes_only_the_given_listener(self):
-        engine = IngestionEngine(EventTable())
-        first: list[IngestReport] = []
-        second: list[IngestReport] = []
-        engine.subscribe(first.append)
-        engine.subscribe(second.append)
-        assert engine.unsubscribe(first.append) is True
-        engine.ingest(_events(3))
-        assert first == []
-        assert len(second) == 1
-
-    def test_closed_streaming_session_stops_receiving_reports(
-            self, fig1_building, fig1_metadata, fig1_table):
-        # Regression: session teardown must unsubscribe, or the engine
-        # keeps invalidating (and keeping alive) a dead serving stack.
-        from repro.system.locater import Locater
-        from repro.system.streaming import StreamingSession
-
-        locater = Locater(fig1_building, fig1_metadata, fig1_table)
-        engine = IngestionEngine(fig1_table)
-        start = fig1_table.span().end + 60.0
-        with StreamingSession(locater, engine) as session:
-            engine.ingest(_events(3, mac="d1", start=start))
-            assert session.ingests == 1
-        engine.ingest(_events(2, mac="d1", start=start + 5000.0))
-        assert session.ingests == 1  # closed session saw nothing
-
     def test_storage_receives_rows(self):
         storage = InMemoryStorage()
         engine = IngestionEngine(EventTable(), storage=storage,
@@ -161,60 +114,3 @@ class TestIngestionEngine:
         engine = IngestionEngine(EventTable())
         report = engine.ingest([])
         assert report.count == 0 and not report.changed
-
-
-class TestConcurrentTeardown:
-    """Regression: unsubscribe/close race freely (gateway teardown can
-    overlap shard teardown after a supervised restart).  Exactly one
-    concurrent unsubscribe wins; the rest are no-ops, never errors."""
-
-    def test_concurrent_unsubscribe_has_exactly_one_winner(self):
-        import threading
-
-        engine = IngestionEngine(EventTable())
-        listener = object.__repr__  # any callable; identity is the key
-        for _ in range(25):
-            engine.subscribe(listener)
-            barrier = threading.Barrier(4)
-            outcomes: list[bool] = []
-
-            def attempt():
-                barrier.wait()
-                outcomes.append(engine.unsubscribe(listener))
-
-            threads = [threading.Thread(target=attempt)
-                       for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            assert sorted(outcomes) == [False, False, False, True]
-
-    def test_concurrent_session_close_releases_once(
-            self, fig1_building, fig1_metadata, fig1_table):
-        import threading
-
-        from repro.system.locater import Locater
-        from repro.system.streaming import StreamingSession
-
-        locater = Locater(fig1_building, fig1_metadata, fig1_table)
-        engine = IngestionEngine(fig1_table)
-        for _ in range(25):
-            session = StreamingSession(locater, engine)
-            barrier = threading.Barrier(4)
-
-            def close():
-                barrier.wait()
-                session.close()
-
-            threads = [threading.Thread(target=close)
-                       for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            # The subscription is gone and re-closing stays a no-op.
-            start = fig1_table.span().end + 60.0
-            engine.ingest(_events(1, mac="d1", start=start))
-            assert session.ingests == 0
-            session.close()

@@ -7,15 +7,23 @@ the cluster-layer mechanics around it.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.cluster import ProcessShardExecutor, ShardedLocater
 from repro.errors import ClusterError, ConfigurationError
 from repro.events.event import ConnectivityEvent
+from repro.events.table import EventTable
+from repro.events.validity import DeltaEstimator
+from repro.sim.scenarios import streaming_day_workload
 from repro.system.config import LocaterConfig
 from repro.system.ingestion import IngestionEngine
+from repro.system.locater import Locater
 from repro.system.query import LocationQuery
 from repro.system.storage import InMemoryStorage
+from repro.system.streaming import StreamingSession
 from repro.util.timeutil import SECONDS_PER_DAY
 
 
@@ -104,14 +112,26 @@ class TestIngestReports:
             assert [e.mac for e in stored] == [e.mac for e in events]
             assert all(e.event_id >= 0 for e in stored)
 
-    def test_external_engine_wiring_via_on_ingest(self, cluster,
-                                                  small_dataset):
-        engine = IngestionEngine(cluster.table)
-        engine.subscribe(cluster.on_ingest)
-        report = engine.ingest(_fresh_events(small_dataset, count=4))
-        summary = cluster.on_ingest(report)
-        assert not summary.full
-        assert summary.macs == report.macs
+    def test_external_engine_needs_no_wiring(self, cluster, small_dataset):
+        # An engine the cluster never heard of merges into its table,
+        # one day past the span, so every warm shard model goes stale;
+        # the next query pulls the change, cluster and shards alike,
+        # and answers as a lone system built over the merged table.
+        queries = [LocationQuery(mac=mac,
+                                 timestamp=small_dataset.span.end
+                                 - SECONDS_PER_DAY / 2)
+                   for mac in small_dataset.macs()]
+        cluster.locate_batch(queries)  # warm every shard
+        table = cluster.table
+        start = table.span().end + SECONDS_PER_DAY
+        events = [ConnectivityEvent(timestamp=start + i * 60.0, mac=mac,
+                                    ap_id=table.log(mac).ap_at(
+                                        len(table.log(mac)) - 1))
+                  for i, mac in enumerate(small_dataset.macs()[:4])]
+        IngestionEngine(table).ingest(events)
+        lone = Locater(small_dataset.building, small_dataset.metadata,
+                       table, config=LocaterConfig(use_caching=False))
+        assert cluster.locate_batch(queries) == lone.locate_batch(queries)
 
     def test_mixed_ingest_entry_points_never_reissue_ids(
             self, cluster, small_dataset):
@@ -130,62 +150,103 @@ class TestIngestReports:
         assert cluster.table.max_event_id == before + 8
 
 
-class TestClusterBatchState:
-    def test_fanout_surface(self, cluster, small_dataset):
-        state = cluster.make_batch_state(max_snapshots=16)
-        assert len(state.shard_states) == 3
-        queries = [  # warm some memos through the state
-            LocationQuery(mac=mac,
-                          timestamp=small_dataset.span.end
-                          - SECONDS_PER_DAY / 2)
-            for mac in small_dataset.macs()[:4]]
-        cluster.locate_batch(queries, state=state)
-        # memo_dicts flattens each shard's memos (7 dicts per shard),
-        # resolved freshly so post-drop rebinding is reflected.
-        assert len(state.memo_dicts()) == \
-            sum(len(s.memo_dicts()) for s in state.shard_states)
-        assert sum(map(len, state.memo_dicts())) > 0
-        state.drop_devices(set(small_dataset.macs()))
-        assert sum(map(len, state.memo_dicts())) == 0
-        assert state.neighbors.invalidate_all() >= 0
-        # reset() ≡ fresh state: everything empty afterwards.
-        cluster.locate_batch(queries, state=state)
-        state.reset()
-        assert sum(map(len, state.memo_dicts())) == 0
+class TestStreamingOverProcessShards:
+    def test_session_is_bitwise_a_lone_session(self, small_dataset):
+        # A session's engine merges into the cluster's table; the
+        # catch-up's table sync brings every worker's attached view
+        # along, and each worker's Locater pulls from its view.
+        workload = streaming_day_workload(small_dataset, batches=3,
+                                          queries_per_burst=6, seed=5)
+        config = LocaterConfig(use_caching=False)
 
-    def test_process_clusters_refuse_shared_state(self, small_dataset):
-        with ShardedLocater(small_dataset.building,
-                            small_dataset.metadata, small_dataset.table,
-                            shard_count=2,
-                            config=LocaterConfig(use_caching=False),
-                            executor=ProcessShardExecutor()) as cluster:
-            with pytest.raises(ConfigurationError):
-                cluster.make_batch_state()
-            with pytest.raises(ConfigurationError):
-                cluster.on_ingest(None)  # type: ignore[arg-type]
+        def warm_table():
+            table = EventTable.from_events(workload.warmup)
+            DeltaEstimator().fit_table(table)
+            return table
+
+        lone = StreamingSession(Locater(small_dataset.building,
+                                        small_dataset.metadata,
+                                        warm_table(), config=config))
+        with ShardedLocater(small_dataset.building, small_dataset.metadata,
+                            warm_table(), shard_count=2,
+                            executor=ProcessShardExecutor(),
+                            config=config) as cluster:
+            with StreamingSession(cluster) as session:
+                for batch in workload.batches:
+                    lone.ingest(batch.ingest)
+                    session.ingest(batch.ingest)
+                    assert session.query(batch.queries) == \
+                        lone.query(batch.queries)
 
 
 class TestLifecycle:
     def test_partial_ingest_failure_poisons_the_cluster(
-            self, cluster, small_dataset):
-        # Regression: if the invalidation fan-out reaches some shards
+            self, small_dataset):
+        # Regression: if the catch-up's migration reaches some shards
         # but not others, the survivors silently diverge from the
         # authoritative table — the cluster must fail stop, not keep
         # serving (and must refuse a retry, which would double-merge).
-        failing = cluster.executor.shards[1]
+        table = small_dataset.table.restrict(small_dataset.table.span())
+        with ShardedLocater(small_dataset.building,
+                            small_dataset.metadata, table,
+                            shard_count=3) as cluster:
+            def boom(macs):
+                raise RuntimeError("shard edge export exploded")
 
-        def boom(report):
-            raise RuntimeError("shard invalidation exploded")
+            cluster.executor.shards[1].export_cache_edges = boom  # type: ignore[method-assign]
+            # A device first seen now binds into an existing component,
+            # which re-keys devices: the catch-up must migrate.
+            start = table.span().end + 60.0
+            events = [ConnectivityEvent(timestamp=start + i * 30.0,
+                                        mac="fresh-device",
+                                        ap_id=table.ap_ids[0])
+                      for i in range(3)]
+            with pytest.raises(RuntimeError, match="exploded"):
+                cluster.ingest(events)
+            with pytest.raises(ClusterError, match="poisoned"):
+                cluster.locate_batch([])
+            with pytest.raises(ClusterError, match="poisoned"):
+                cluster.ingest(events)
+        # Teardown still allowed (the context manager closed it).
 
-        failing.on_ingest = boom  # type: ignore[method-assign]
-        events = _fresh_events(small_dataset, count=3)
-        with pytest.raises(RuntimeError):
-            cluster.ingest(events)
-        with pytest.raises(ClusterError, match="poisoned"):
-            cluster.locate_batch([])
-        with pytest.raises(ClusterError, match="poisoned"):
-            cluster.ingest(events)
-        cluster.close()  # teardown still allowed
+    def test_concurrent_route_reads_catch_up_once(self, small_dataset):
+        # A gateway's lanes read routes and serve on threads.  After a
+        # merge from another engine every one of them sees the moved
+        # generation, but only one may catch up: a second migration (on
+        # process shards, a second sync of the same merge) would
+        # diverge the shards.  A slow open-check widens the window
+        # between the generation check and the work.
+        table = small_dataset.table.restrict(small_dataset.table.span())
+        with ShardedLocater(small_dataset.building,
+                            small_dataset.metadata, table,
+                            shard_count=3) as cluster:
+            observe = cluster._router.observe_table
+            check_open = cluster._check_open
+            observed = []
+
+            def counted(table, macs):
+                observed.append(sorted(macs))
+                return observe(table, macs)
+
+            def slow_check_open():
+                time.sleep(0.05)
+                check_open()
+
+            cluster._router.observe_table = counted  # type: ignore[method-assign]
+            cluster._check_open = slow_check_open  # type: ignore[method-assign]
+            IngestionEngine(table).ingest(_fresh_events(small_dataset))
+            macs = small_dataset.macs()[:4]
+            routes: dict[str, int] = {}
+            threads = [threading.Thread(
+                target=lambda mac=mac: routes.update(
+                    {mac: cluster.shard_of(mac)}))
+                for mac in macs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert len(observed) == 1
+            assert routes == {mac: cluster.shard_of(mac) for mac in macs}
 
     def test_closed_cluster_refuses_calls(self, small_dataset):
         cluster = ShardedLocater(small_dataset.building,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.coarse.localizer import CoarseLocalizer, CoarseSharedState
 from repro.coarse.aggregate import PopulationAggregate
@@ -12,7 +13,10 @@ from repro.fine.affinity import DeviceAffinityIndex
 from repro.fine.localizer import FineSharedState
 from repro.fine.neighbors import NeighborIndex
 from repro.system.ingestion import IngestionEngine
+from repro.system.config import LocaterConfig
+from repro.system import locater as locater_module
 from repro.system.locater import Locater
+from repro.system.query import LocationQuery
 from repro.system.storage import InMemoryStorage
 from repro.util.timeutil import TimeInterval, hours, minutes
 
@@ -214,7 +218,7 @@ class TestSharedStateDrops:
 
 
 class TestLocaterOnIngest:
-    """The minimal wiring: subscribe ``locater.on_ingest`` to the engine."""
+    """No wiring: every serve pulls ``on_ingest`` from the table itself."""
 
     def test_stale_stored_answer_regression(self, fig1_building,
                                             fig1_metadata, fig1_table):
@@ -225,7 +229,6 @@ class TestLocaterOnIngest:
         locater = Locater(fig1_building, fig1_metadata, fig1_table,
                           storage=storage)
         engine = IngestionEngine(fig1_table, storage=storage)
-        engine.subscribe(locater.on_ingest)
         t_evening = hours(15)  # after d3's last event: answered outside
         assert not locater.locate("d3", t_evening).inside
         engine.ingest(_evts("d3", [(t_evening - 120, "wap3"),
@@ -241,23 +244,28 @@ class TestLocaterOnIngest:
         locater = Locater(fig1_building, fig1_metadata, fig1_table,
                           storage=storage)
         engine = IngestionEngine(fig1_table, storage=storage)
-        engine.subscribe(locater.on_ingest)
         locater.locate("d1", hours(9))
         summary = locater.on_ingest(engine.ingest([]))
         assert summary.answers_dropped == 0
+        assert storage.find_answer("d1", hours(9)) is not None
+        # Nor does the next serve's pull: the generation did not move.
+        locater.locate_batch([])
         assert storage.find_answer("d1", hours(9)) is not None
 
     def test_models_invalidated_for_changed_device_only(
             self, fig1_building, fig1_metadata, fig1_table):
         locater = Locater(fig1_building, fig1_metadata, fig1_table)
         engine = IngestionEngine(fig1_table)
-        engine.subscribe(locater.on_ingest)
         locater.coarse.models_for("d1")
         kept = locater.coarse.models_for("d2")
         # Same-day ingest: the span's day range is unchanged, so the
-        # invalidation is surgical.  The retrain happens in bulk at the
-        # next serve (locate_batch's train_devices pre-pass), not here.
+        # invalidation is surgical.  It runs at the next serve (here an
+        # empty batch, so nothing retrains), and the retrain happens in
+        # bulk at a serve that queries the device (locate_batch's
+        # train_devices pre-pass), not here.
         engine.ingest(_evts("d1", [(hours(15), "wap3")]))
+        assert "d1" in locater.coarse._models  # the engine pushes nothing
+        locater.locate_batch([])
         assert "d1" not in locater.coarse._models
         assert locater.coarse.models_for("d2") is kept
 
@@ -274,10 +282,100 @@ class TestLocaterOnIngest:
 
     def test_sliding_history_always_full(self, fig1_building,
                                          fig1_metadata, fig1_table):
-        from repro.system.config import LocaterConfig
         locater = Locater(fig1_building, fig1_metadata, fig1_table,
                           config=LocaterConfig(history_days=2))
         engine = IngestionEngine(fig1_table)
         summary = locater.on_ingest(
             engine.ingest(_evts("d1", [(hours(15), "wap3")])))
         assert summary.full
+
+    def test_pulled_report_matches_the_engines(
+            self, fig1_building, fig1_metadata, fig1_table):
+        # The pull rebuilds the report the engine returned: the same
+        # changed intervals, and a device first seen after construction
+        # counts as having had the default δ — the engine's old δ.  (The
+        # pulled report counts no rows: nothing downstream reads it.)
+        locater = Locater(fig1_building, fig1_metadata, fig1_table)
+        engine = IngestionEngine(fig1_table)
+        pulled = []
+        on_ingest = locater.on_ingest
+
+        def capture(report):
+            pulled.append(report)
+            return on_ingest(report)
+
+        locater.on_ingest = capture  # type: ignore[method-assign]
+        report = engine.ingest(
+            _evts("d1", [(hours(15), "wap3")]) +
+            _evts("new", [(hours(9) + i * 300.0, "wap1")
+                          for i in range(20)]))
+        assert "new" in report.delta_changes
+        locater.locate_batch([])
+        locater.locate_batch([])  # unmoved generation: no second pull
+        [seen] = pulled
+        assert (seen.generation, seen.changed, seen.delta_changes) == \
+            (report.generation, report.changed, report.delta_changes)
+
+    def test_failed_catch_up_retries_on_the_next_call(
+            self, fig1_building, fig1_metadata, fig1_table):
+        locater = Locater(fig1_building, fig1_metadata, fig1_table)
+        engine = IngestionEngine(fig1_table)
+        locater.coarse.models_for("d1")
+        engine.ingest(_evts("d1", [(hours(15), "wap3")]))
+        invalidate = locater.coarse.invalidate_devices
+
+        def interrupted(macs):
+            locater.coarse.invalidate_devices = invalidate
+            raise RuntimeError("invalidation interrupted")
+
+        locater.coarse.invalidate_devices = interrupted  # type: ignore[method-assign]
+        with pytest.raises(RuntimeError, match="interrupted"):
+            locater.locate_batch([])
+        assert "d1" in locater.coarse._models
+        locater.locate_batch([])  # the generation is still unseen
+        assert "d1" not in locater.coarse._models
+
+    def test_explicit_on_ingest_then_pull_stays_fresh(
+            self, fig1_building, fig1_metadata, fig1_table):
+        # Calling on_ingest with an engine's report is redundant — the
+        # next serve pulls the same change — but harmless, also when the
+        # explicit call escalated to a full drop and the pull, finding
+        # the day range already seen, runs surgically.
+        config = LocaterConfig(use_caching=False)
+        locater = Locater(fig1_building, fig1_metadata, fig1_table,
+                          config=config)
+        engine = IngestionEngine(fig1_table)
+        queries = [LocationQuery(mac=mac, timestamp=hours(t))
+                   for mac in ("d1", "d2", "d3") for t in (9, 11, 13)]
+        locater.locate_batch(queries)  # warm the memos
+        summary = locater.on_ingest(
+            engine.ingest(_evts("d1", [(hours(30), "wap3")])))
+        assert summary.full
+        # The full drop resets the warm state itself: the pull that
+        # follows prunes surgically and would leave stale memos behind.
+        assert not any(locater._state.memo_dicts())
+        assert locater._state.neighbors.snapshot_count == 0
+        cold = Locater(fig1_building, fig1_metadata, fig1_table,
+                       config=config)
+        assert locater.locate_batch(queries) == cold.locate_batch(queries)
+        assert locater.full_invalidations == 1
+
+    def test_memos_stay_bounded_without_an_ingest(
+            self, fig1_building, fig1_metadata, fig1_table, monkeypatch):
+        # The warm state outlives every call, so the memo bound must
+        # hold where memos grow — at the end of each locate_batch —
+        # not only after an ingest that may never come.
+        config = LocaterConfig(use_caching=False)
+        queries = [LocationQuery(mac=mac, timestamp=hours(t))
+                   for mac in ("d1", "d2", "d3") for t in (9, 11, 13)]
+        unbounded = Locater(fig1_building, fig1_metadata, fig1_table,
+                            config=config)
+        expected = unbounded.locate_batch(queries)
+        assert max(map(len, unbounded._state.memo_dicts())) > 1
+        monkeypatch.setattr(locater_module, "MAX_MEMO_ENTRIES", 1)
+        locater = Locater(fig1_building, fig1_metadata, fig1_table,
+                          config=config)
+        for _ in range(2):
+            # Clearing is wholesale and never changes an answer.
+            assert locater.locate_batch(queries) == expected
+            assert max(map(len, locater._state.memo_dicts())) <= 1
