@@ -73,11 +73,11 @@ def report():
 
 @pytest.fixture
 def bench_json(benchmark):
-    """Archive a machine-readable perf record as ``results/BENCH_<name>.json``.
+    """Archive a machine-readable record as ``results/BENCH_<name>.json``.
 
-    The perf-trajectory counterpart of ``report``: where ``report``
-    archives the human-readable table, this writes the structured record
-    downstream tooling diffs across commits.  ``payload`` is the
+    The structured counterpart of ``report``: where ``report`` archives
+    the human-readable table, this writes the same run as JSON for a
+    reader to inspect; nothing downstream consumes it.  ``payload`` is the
     experiment's data — a dict, an object with ``to_json()``, or a
     dataclass — and is wrapped with the run configuration plus the
     wall-clock stats pytest-benchmark measured for the experiment call

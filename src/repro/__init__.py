@@ -39,8 +39,8 @@ back in input order::
     print(plan.stats())
 
 ``examples/batch_queries.py`` walks through the API end to end and
-benchmarks it against the per-query loop
-(``benchmarks/test_bench_batch_engine.py`` holds the tracked benchmark).
+times it against the per-query loop; the warm batch path is gated by
+perfbench's ``gateway`` workload (``perfbench/README.md``).
 
 Streaming ingestion
 -------------------
@@ -71,10 +71,10 @@ rebuilt over the store never reads one older than the rows.
     answers = session.query(burst)           # pull, then shared-work answers
 
 Answers are bitwise identical to a system rebuilt from scratch over the
-merged log (``tests/integration/test_streaming_equivalence.py``), at a
-fraction of the cost (``benchmarks/test_bench_streaming.py``, archived
-in ``results/bench_streaming.txt``).  ``examples/streaming_ingest.py``
-walks the loop end to end.
+merged log, with exactly one full invalidation per streaming day
+(``tests/integration/test_streaming_equivalence.py``); the incremental
+path's cost is gated by perfbench's ``live_day`` workload.
+``examples/streaming_ingest.py`` walks the loop end to end.
 
 Array numeric core
 ------------------
@@ -90,9 +90,9 @@ candidate rooms in one pass, and ``RoomPosterior`` folds whole affinity
 vectors with one ``np.log`` per neighbor.  String-keyed dicts survive
 only at the public boundary (``FineResult.posterior``, the CLI, the
 eval harness) as thin adapters — see :mod:`repro.fine` for the
-contract, :mod:`repro.fine.reference` for the retained scalar oracle,
-and ``benchmarks/test_bench_fine_core.py`` for the tracked
-sequential-path speedup.
+contract and :mod:`repro.fine.reference` for the retained scalar
+oracle that ``tests/property/test_prop_fine_core.py`` checks the array
+core against.
 
 Sharded cluster layer
 ---------------------
@@ -138,11 +138,11 @@ unchanged against a cluster, with any executor::
 See :mod:`repro.cluster` for the architecture (router / executor /
 shard lifecycle) and the component-routing contract,
 ``examples/campus_cluster.py`` for a 3-building campus on a 4-shard
-cluster with streaming ingest, ``examples/cluster_caching.py`` for
-caching-on cluster serving, and ``benchmarks/test_bench_cluster.py`` /
-``benchmarks/test_bench_cluster_caching.py`` (archived in
-``results/``) for throughput versus shard count and the cluster-scale
-cache speedup.
+cluster with streaming ingest, and ``examples/cluster_caching.py`` for
+caching-on cluster serving.  The cache-total identity, Fig. 12's cost
+model included, is asserted in ``test_cluster_equivalence.py``'s
+``TestCachingEquivalence``; perfbench's ``gateway`` workload times two
+in-process shards, and no gated workload runs process shards yet.
 
 Memory architecture
 -------------------
@@ -214,9 +214,8 @@ bitwise the answers, storage writes and summed cache counters of the
 same queries run through plain ``locate_batch``, and a default cluster
 behind the gateway answers like a lone ``Locater`` replaying the same
 windows (``tests/integration/test_gateway_equivalence.py`` — the
-realized schedule is journaled and replayed).  The window/latency
-trade-off is measured in ``benchmarks/test_bench_gateway.py``
-(archived as ``results/BENCH_gateway.json``)::
+realized schedule is journaled and replayed).  Throughput and latency
+behind the gateway are gated by perfbench's ``gateway`` workload::
 
     from repro import AsyncGateway, ShardedLocater
 
@@ -316,6 +315,7 @@ from repro.errors import (
     GatewayError,
     GatewayOverloadedError,
     InvalidEventError,
+    InvalidQueryError,
     LocalizationError,
     ReproError,
     ShardQuarantinedError,
@@ -427,6 +427,7 @@ __all__ = [
     "IngestionEngine",
     "InMemoryStorage",
     "InvalidEventError",
+    "InvalidQueryError",
     "LocalAffinityGraph",
     "LocalizationError",
     "Locater",

@@ -13,6 +13,7 @@ import argparse
 import sys
 from collections.abc import Sequence
 
+from repro.errors import InvalidQueryError
 from repro.sim.scenarios import ScenarioSpec
 from repro.sim.simulator import Simulator
 from repro.system.config import LocaterConfig
@@ -93,6 +94,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_locate(args: argparse.Namespace) -> int:
+    try:
+        queries = [LocationQuery(mac=args.mac, timestamp=t)
+                   for t in args.time]
+    except InvalidQueryError as exc:
+        print(f"invalid query: {exc}", file=sys.stderr)
+        return 2
     dataset = Simulator(_make_spec(args)).run(days=args.days)
     config = (LocaterConfig.independent() if args.mode == "independent"
               else LocaterConfig.dependent())
@@ -102,7 +109,6 @@ def _cmd_locate(args: argparse.Namespace) -> int:
         print(f"unknown device {args.mac!r}; known devices: "
               f"{', '.join(dataset.macs()[:5])} ...", file=sys.stderr)
         return 2
-    queries = [LocationQuery(mac=args.mac, timestamp=t) for t in args.time]
     answers = locater.locate_batch(queries)
     for query, answer in zip(queries, answers):
         print(answer)

@@ -156,9 +156,11 @@ worker crashes instead of surfacing them:
   orphaned by a hard-killed owner.
 
 ``examples/fault_tolerant_cluster.py`` scripts a mid-workload worker
-kill and shows the cluster recovering to bitwise-identical answers;
-``benchmarks/test_bench_cluster_recovery.py`` measures recovery latency
-and degraded-mode availability.
+kill and shows the cluster recovering to bitwise-identical answers.
+``tests/integration/test_cluster_recovery.py`` asserts that two kills
+of the busiest shard, serial or a real SIGKILL of a process worker, are
+both absorbed with answers and summed cache counters bitwise, and that
+both degraded modes leave the surviving shards unchanged.
 
 Typical use::
 
@@ -172,11 +174,10 @@ Typical use::
 
 ``examples/campus_cluster.py`` walks a 3-building campus on a 4-shard
 cluster with streaming ingest; ``examples/cluster_caching.py`` shows
-caching-on cluster serving through a component merge;
-``benchmarks/test_bench_cluster.py`` tracks throughput versus shard
-count and executor choice, and
-``benchmarks/test_bench_cluster_caching.py`` tracks the Fig. 9/12
-cache effect (hit rate, on/off serving ratio) at cluster scale.
+caching-on cluster serving through a component merge.
+``tests/integration/test_cluster_equivalence.py`` holds every shard
+count and executor to a lone ``Locater``, cache totals included, and
+perfbench's ``gateway`` workload times two in-process shards.
 """
 
 from repro.cluster.executor import (

@@ -30,8 +30,7 @@ Training is array-native end to end, mirroring the fine core's layout:
 
 The pre-vectorization dict/loop implementations live in
 :mod:`repro.coarse.reference` as the property-suite oracle
-(``tests/property/test_prop_coarse_core.py``) and the baseline of
-``benchmarks/test_bench_coarse_train.py``; nothing in the production
+(``tests/property/test_prop_coarse_core.py``); nothing in the production
 pipeline imports them.
 
 Bulk-training contract

@@ -7,15 +7,11 @@ one-shot design matrices (:meth:`repro.coarse.features
 (:class:`repro.coarse.semi_supervised.SelfTrainingClassifier`).  This
 module retains the pre-vectorization implementations — per-gap feature
 dicts, a per-day ``count_in`` density loop, and the literal
-vstack/``list.remove`` Algorithm 1 — with two jobs:
-
-* **oracle** for the property suite
-  (``tests/property/test_prop_coarse_core.py``): on random logs and
-  training sets the array path must reproduce these bit for bit —
-  identical gaps, identical design matrices, identical promotion order
-  and labels, identical final coefficients under warm start;
-* **baseline** for ``benchmarks/test_bench_coarse_train.py``, which
-  tracks the array path's cold-training and post-ingest retrain speedup.
+vstack/``list.remove`` Algorithm 1 — as the **oracle** of the property
+suite (``tests/property/test_prop_coarse_core.py``): on random logs and
+training sets the array path must reproduce these bit for bit —
+identical gaps, identical design matrices, identical promotion order and
+labels, identical final coefficients under warm start.
 
 Nothing in the production pipeline imports this module.
 """

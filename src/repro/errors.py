@@ -52,6 +52,16 @@ class LocalizationError(ReproError):
     """A localization query could not be answered."""
 
 
+class InvalidQueryError(LocalizationError, ValueError):
+    """A location query was malformed: a non-finite or negative timestamp,
+    or an empty MAC.
+
+    The query-side twin of :class:`InvalidEventError`, and likewise a
+    :class:`ValueError`, the type these checks raised before they were
+    typed.
+    """
+
+
 class TrainingError(ReproError):
     """A model could not be trained (e.g. degenerate labels or features)."""
 

@@ -15,9 +15,6 @@ table4_scenarios  Table 4 — precision per profile on simulated scenarios
 fig10_efficiency  Fig. 10 — avg time/query vs #processed queries
 fig11_stopcond    Fig. 11 — stop conditions on vs off
 fig12_scalability Fig. 12 — caching on vs off (D-LOCATER)
-streaming         Fig. 5 live loop — incremental ingest vs full rebuild
-cluster_scaling   throughput vs shard count/executor (extension)
-cluster_caching   Fig. 9's speedup half under sharding (extension)
 ================  =========================================================
 """
 

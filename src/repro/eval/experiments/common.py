@@ -30,17 +30,7 @@ def scenario_dataset(name: str, days: int = 10, seed: int = 11,
     return Simulator(spec).run(days=days)
 
 
-@lru_cache(maxsize=4)
-def campus_dataset(days: int = 6, population: int = 48,
-                   buildings: int = 3, seed: int = 17) -> Dataset:
-    """The multi-building campus workload (memoized, deterministic)."""
-    spec = ScenarioSpec.campus(seed=seed, population=population,
-                               buildings=buildings)
-    return Simulator(spec).run(days=days)
-
-
 def clear_caches() -> None:
     """Drop memoized datasets (tests use this to control memory)."""
     dbh_dataset.cache_clear()
     scenario_dataset.cache_clear()
-    campus_dataset.cache_clear()

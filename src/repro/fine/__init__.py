@@ -52,8 +52,8 @@ adapters over the array core, so the CLI, eval harness, and storage
 layers are untouched by the representation.  Batch and sequential paths
 share the same core, keeping their answers bitwise identical.  The
 pre-vectorization scalar implementation is retained in
-:mod:`repro.fine.reference` as the property-suite oracle and the
-tracked benchmark baseline (``benchmarks/test_bench_fine_core.py``).
+:mod:`repro.fine.reference` as the property-suite oracle
+(``tests/property/test_prop_fine_core.py``).
 """
 
 from repro.fine.affinity import (

@@ -3,15 +3,11 @@
 The production classes in :mod:`repro.fine.worlds` and
 :mod:`repro.fine.affinity` run on dense numpy arrays over interned room
 codes.  This module retains the pre-vectorization implementations —
-string-keyed dicts, per-room Python loops, scalar ``math.log`` — with
-two jobs:
-
-* **oracle** for the property suite
-  (``tests/property/test_prop_fine_core.py``): on random priors and
-  affinity maps the array core must agree with these within 1e-9, with
-  identical argmax and preserved bounds ordering;
-* **baseline** for ``benchmarks/test_bench_fine_core.py``, which tracks
-  the array core's speedup over this path on a wide candidate set.
+string-keyed dicts, per-room Python loops, scalar ``math.log`` — as the
+**oracle** of the property suite
+(``tests/property/test_prop_fine_core.py``): on random priors and
+affinity maps the array core must agree with these within 1e-9, with
+identical argmax and preserved bounds ordering.
 
 Nothing in the production pipeline imports this module.
 """

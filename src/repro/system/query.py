@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro.errors import InvalidQueryError
 from repro.util.timeutil import format_timestamp
 
 
@@ -20,10 +22,13 @@ class LocationQuery:
 
     def __post_init__(self) -> None:
         if not self.mac:
-            raise ValueError("query mac must be non-empty")
-        if self.timestamp < 0:
-            raise ValueError(
-                f"query timestamp must be >= 0, got {self.timestamp}")
+            raise InvalidQueryError("query mac must be non-empty")
+        # NaN fails every comparison, so ``timestamp < 0`` alone would
+        # admit it (and answer "outside"); inf overflows the planner.
+        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
+            raise InvalidQueryError(
+                f"query timestamp must be finite and >= 0, "
+                f"got {self.timestamp}")
 
     def __str__(self) -> str:
         return f"Q({self.mac} @ {format_timestamp(self.timestamp)})"

@@ -36,6 +36,17 @@ class TestCli:
                      "--mac", "nope", "--time", "1000"])
         assert code == 2
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-1"])
+    def test_locate_rejects_a_bad_time(self, capsys, time):
+        code = main(["locate", "--scenario", "dbh", "--days", "1",
+                     "--population", "4", "--seed", "3",
+                     "--mac", "dbh-mac0001", "--time", "1000",
+                     "--time", time])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "finite and >= 0" in err
+
     def test_experiment_table2_smallest(self, capsys):
         code = main(["experiment", "table2", "--days", "4",
                      "--population", "8"])

@@ -264,15 +264,27 @@ class TestCachingEquivalence:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("config,share_computation", [
+        (LocaterConfig(), True),
+        # Fig. 12's cost model: affinities re-mined from history per
+        # query and no cross-query memo, so the cache is the only
+        # amortization left.
+        (LocaterConfig(reuse_affinity_cache=False), False),
+    ], ids=["default", "fig12-cost"])
     def test_batch_identical_including_cache_totals(
-            self, isolated_world, shards, executor):
+            self, isolated_world, shards, executor, config,
+            share_computation):
         dataset, queries = isolated_world
-        lone = Locater(dataset.building, dataset.metadata, dataset.table)
-        expected = lone.locate_batch(queries)
+        lone = Locater(dataset.building, dataset.metadata, dataset.table,
+                       config=config)
+        expected = lone.locate_batch(queries,
+                                     share_computation=share_computation)
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=shards,
-                            executor=EXECUTORS[executor]()) as cluster:
-            assert cluster.locate_batch(queries) == expected
+                            executor=EXECUTORS[executor](),
+                            config=config) as cluster:
+            assert cluster.locate_batch(
+                queries, share_computation=share_computation) == expected
             # The shards' caches, summed, saw exactly the lone system's
             # traffic: same hits, misses, edges and nodes.
             assert cluster.cache_stats().total == lone.cache.stats()

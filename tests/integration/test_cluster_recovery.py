@@ -77,10 +77,18 @@ def _split(queries, parts):
 
 
 class TestRecovery:
-    def test_budget_absorbs_repeated_kills_bitwise(self, chaos_world):
+    @pytest.mark.parametrize("executor", [
+        pytest.param(SerialShardExecutor, id="serial"),
+        pytest.param(ProcessShardExecutor, id="process",
+                     marks=pytest.mark.skipif(not FORK_AVAILABLE,
+                                              reason="fork unavailable")),
+    ])
+    def test_budget_absorbs_repeated_kills_bitwise(self, chaos_world,
+                                                   executor):
         # Two scripted kills of the same shard, both within the default
         # budget: two recovery episodes, zero quarantines, and the
-        # checkpoint restore keeps even the cache counters exact.
+        # checkpoint restore keeps even the cache counters exact.  On
+        # process shards each kill is a real SIGKILL of the worker.
         dataset, queries = chaos_world
         thirds = _split(queries, 3)
         with ShardedLocater(dataset.building, dataset.metadata,
@@ -97,10 +105,10 @@ class TestRecovery:
             Fault(shard_id=victim, kind="kill",
                   method="locate_batch", call_index=3),
         ])
-        executor = FaultInjectingExecutor(SerialShardExecutor(), plan)
+        injector = FaultInjectingExecutor(executor(), plan)
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=4,
-                            executor=executor,
+                            executor=injector,
                             recovery=RecoveryPolicy(max_restarts=2,
                                                     backoff=(0.0,))
                             ) as cluster:

@@ -5,18 +5,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.eval.experiments import (
-    cluster_caching,
-    cluster_recovery,
-    cluster_scaling,
     fig7_thresholds,
+    fig8_history,
     fig9_caching,
     fig10_efficiency,
     fig11_stopcond,
     fig12_scalability,
     table2_weights,
     table3_baselines,
+    table4_scenarios,
 )
 
 # Tiny shared parameters so the whole module stays fast; the benchmarks
@@ -66,6 +64,24 @@ class TestTable2:
         assert "I-FINE" in result.render()
 
 
+class TestFig8:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig8_history.run(weeks_grid=(0, 0.5), population=10,
+                                per_device=3)
+
+    def test_one_point_per_history_length(self, result):
+        assert result.bands
+        for metric in ("Pc", "Pf", "Po"):
+            for band in result.bands:
+                series = result.series(metric, band)
+                assert len(series) == len(result.weeks) == 2
+                assert all(0.0 <= value <= 100.0 for value in series)
+
+    def test_render(self, result):
+        assert "Fig 8: Pf vs history" in result.render()
+
+
 class TestFig9:
     @pytest.fixture(scope="class")
     def result(self):
@@ -108,6 +124,29 @@ class TestTable3:
         assert "|" in text
 
 
+class TestTable4:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return table4_scenarios.run(days=3, population_scale=0.2,
+                                    scenarios=("office", "airport"))
+
+    def test_cell_and_margin_for_every_profile(self, result):
+        assert result.scenarios == ["office", "airport"]
+        for scenario in result.scenarios:
+            assert result.profiles[scenario]
+            for profile in result.profiles[scenario]:
+                assert all(0.0 <= value <= 100.0
+                           for value in result.triple(scenario, profile))
+                assert -100.0 <= result.margin(scenario, profile) <= 100.0
+        assert set(result.cells) == set(result.margins) == {
+            (scenario, profile) for scenario in result.scenarios
+            for profile in result.profiles[scenario]}
+
+    def test_render(self, result):
+        text = result.render()
+        assert "Table 4 [office]" in text and "Table 4 [airport]" in text
+
+
 class TestEfficiencyFigures:
     def test_fig10_curves(self):
         result = fig10_efficiency.run(per_device=4, generated_count=40,
@@ -130,85 +169,3 @@ class TestEfficiencyFigures:
         variants = {variant for variant, _ in result.mean_ms}
         assert variants == {"D-LOCATER", "D-LOCATER+C"}
         assert all(ms > 0 for ms in result.mean_ms.values())
-
-
-class TestClusterScaling:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return cluster_scaling.run(days=2, population=12, buildings=2,
-                                   queries=40, shard_counts=(1, 2), seed=7)
-
-    def test_sweep_covers_both_executors_per_shard_count(self, result):
-        assert [(run.shards, run.executor) for run in result.runs] == [
-            (1, "serial"), (1, "process"), (2, "serial"), (2, "process")]
-
-    def test_every_configuration_matches_the_lone_system(self, result):
-        assert result.all_identical
-        assert result.best("process") is not None
-        assert all(result.speedup(run) > 0 for run in result.runs)
-
-    def test_render(self, result):
-        text = result.render()
-        assert "answers identical: True" in text
-        assert "serial" in text and "process" in text
-
-
-#: One chaos run: two kills of the busiest of three shards, absorbed
-#: across three batches of a three-building isolated campus.
-RECOVERY = dict(buildings=3, population=24, days=3, queries=30, shards=3,
-                batches=3, kills=2, seed=17)
-
-
-class TestClusterRecovery:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return cluster_recovery.run(executor="serial", **RECOVERY)
-
-    def test_every_kill_is_absorbed_bitwise(self, result):
-        assert result.equivalence_verified
-        assert result.availability == 1.0
-        assert [episode["outcome"] for episode in result.episodes] == \
-            ["recovered"] * RECOVERY["kills"]
-        assert {episode["shard_id"] for episode in result.episodes} == \
-            {result.victim_shard}
-
-    def test_render(self, result):
-        text = result.render()
-        assert "bitwise identical: True" in text
-        assert f"shard {result.victim_shard}" in text
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cluster_recovery.run(executor="thread", **RECOVERY)
-
-
-class TestClusterCaching:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return cluster_caching.run(buildings=3, population=24, days=3,
-                                   labeled_per_device=1, generated=20,
-                                   shard_counts=(1, 2), seed=17)
-
-    def test_both_settings_match_the_lone_system(self, result):
-        assert result.all_identical
-        assert [(run.shards, run.caching) for run in result.runs] == [
-            (1, False), (1, True), (2, False), (2, True)]
-        assert result.component_count == 3
-
-    def test_sharding_leaves_cache_traffic_unchanged(self, result):
-        # Component routing makes the per-shard caches exact, so the
-        # summed counters cannot depend on the shard count.
-        traffic = {(run.hits, run.misses) for run in result.runs
-                   if run.caching}
-        assert len(traffic) == 1
-        hits, misses = traffic.pop()
-        assert hits + misses > 0
-        assert all(run.hit_rate is None for run in result.runs
-                   if not run.caching)
-
-    def test_json_mirrors_the_runs(self, result):
-        payload = result.to_json()
-        assert payload["workload"]["component_count"] == 3
-        assert [(row["shards"], row["caching"], row["identical"])
-                for row in payload["runs"]] == [
-            (run.shards, run.caching, True) for run in result.runs]

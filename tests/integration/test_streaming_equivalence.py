@@ -12,16 +12,25 @@ the table and the comparison is exact.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
-from repro.sim.scenarios import ScenarioSpec, streaming_day_workload
+from repro.sim.scenarios import (
+    ScenarioSpec,
+    StreamingBatch,
+    streaming_day_workload,
+)
 from repro.sim.simulator import Simulator
 from repro.system.config import LocaterConfig
 from repro.system.ingestion import IngestionEngine
 from repro.system.locater import Locater
+from repro.system.query import LocationQuery
 from repro.system.streaming import StreamingSession
+from repro.util.rng import make_rng
+from repro.util.timeutil import TimeInterval
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +40,25 @@ def world():
     workload = streaming_day_workload(dataset, batches=6,
                                       queries_per_burst=8, seed=3)
     return dataset, workload
+
+
+def _history_burst(workload, count=40, seed=5):
+    """A burst into the warm-up history, served before the first tick.
+
+    Repeated in every later burst, its exact (mac, time) pairs re-read
+    whatever memo the first serve wrote, so a memo the day rollover's
+    full invalidation failed to drop shows up as a stale answer.
+    """
+    rng = make_rng(seed)
+    macs = sorted({event.mac for event in workload.warmup})
+    start = workload.warmup[0].timestamp
+    cut = workload.batches[0].interval.start
+    queries = tuple(
+        LocationQuery(mac=macs[int(rng.integers(len(macs)))],
+                      timestamp=float(rng.uniform(start, cut)))
+        for _ in range(count))
+    return StreamingBatch(index=-1, interval=TimeInterval(start, cut),
+                          ingest=(), queries=queries)
 
 
 def _cold_system(dataset, events, config, deltas_from=None):
@@ -97,7 +125,10 @@ class TestStreamingEquivalence:
         config = LocaterConfig(use_caching=False)
         session = _streaming_session(dataset, workload, config)
         appended = feed is _append_without_freeze
-        for batch in workload.batches:
+        history = _history_burst(workload)
+        for batch in (history, *(
+                replace(batch, queries=batch.queries + history.queries)
+                for batch in workload.batches)):
             streamed = feed(session, batch)
             cold = _cold_system(
                 dataset, workload.events_through(batch.index), config,
@@ -108,6 +139,8 @@ class TestStreamingEquivalence:
             # Full LocationAnswer equality: coarse route, room, the
             # entire fine posterior and edge weights, float for float.
             assert streamed == expected
+        # The day rolled over once, at its first rows.
+        assert session.locater.full_invalidations == 1
 
     def test_sequential_path_matches_too(self, world):
         # The session's persistent batch state must also agree with the

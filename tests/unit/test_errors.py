@@ -15,6 +15,7 @@ from repro.errors import (
     GatewayError,
     GatewayOverloadedError,
     InvalidEventError,
+    InvalidQueryError,
     LocalizationError,
     ReproError,
     ShardQuarantinedError,
@@ -32,7 +33,8 @@ from repro.errors import (
 ALL_ERRORS = [
     ConfigurationError, SpaceModelError, UnknownRoomError,
     UnknownRegionError, UnknownDeviceError, EventTableError,
-    EmptyHistoryError, InvalidEventError, LocalizationError, TrainingError,
+    EmptyHistoryError, InvalidEventError, LocalizationError,
+    InvalidQueryError, TrainingError,
     SimulationError, StorageError, ClusterError,
     ShardUnavailableError, ShardTimeoutError, ShardQuarantinedError,
     ClusterCallError, GatewayError, GatewayClosedError,
@@ -101,6 +103,8 @@ def test_gateway_overloaded_error_carries_queue_depth():
     (EmptyHistoryError, EventTableError),
     (InvalidEventError, EventTableError),
     (InvalidEventError, ValueError),
+    (InvalidQueryError, LocalizationError),
+    (InvalidQueryError, ValueError),
     (GatewayClosedError, GatewayError),
 ])
 def test_refinement_subtrees(child, parent):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvalidQueryError, ReproError
 from repro.fine.localizer import FineMode
 from repro.system.config import LocaterConfig
 from repro.system.query import LocationQuery
@@ -60,9 +62,14 @@ class TestLocationQuery:
         assert "d1" in str(query)
 
     def test_rejects_empty_mac(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidQueryError):
             LocationQuery(mac="", timestamp=0.0)
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            LocationQuery(mac="d1", timestamp=-1.0)
+    @pytest.mark.parametrize("timestamp", [-1.0, math.nan, math.inf,
+                                           -math.inf])
+    def test_rejects_negative_time(self, timestamp):
+        with pytest.raises(InvalidQueryError) as caught:
+            LocationQuery(mac="d1", timestamp=timestamp)
+        # Typed at the API boundary, and still the ValueError it was.
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value, ValueError)
