@@ -70,9 +70,8 @@ def main() -> None:
     for batch in workload.batches:
         report = cluster.ingest(batch.ingest)
         answers = cluster.locate_batch(batch.queries)
-        per_shard = " ".join(
-            f"s{i}:+{r.count}" for i, r in enumerate(report.shard_reports))
-        print(f"tick {batch.index}: +{report.count} events ({per_shard})")
+        print(f"tick {batch.index}: +{report.count} events, "
+              f"{len(report.changed)} devices changed")
         for answer in answers[:2]:
             shard = cluster.shard_of(answer.query.mac)
             print(f"  [shard {shard}] {answer.query.mac} @ "

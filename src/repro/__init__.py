@@ -289,7 +289,6 @@ from repro.cache import (
 )
 from repro.cluster import (
     ClusterCacheStats,
-    ClusterIngestReport,
     ComponentAffinityRouter,
     Fault,
     FaultInjectingExecutor,
@@ -397,7 +396,6 @@ __all__ = [
     "CachingEngine",
     "ClusterCacheStats",
     "ClusterError",
-    "ClusterIngestReport",
     "CoarseLocalizer",
     "ColumnStore",
     "ComponentAffinityRouter",

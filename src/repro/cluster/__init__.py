@@ -198,7 +198,6 @@ from repro.cluster.router import (
 from repro.cluster.shard import Shard
 from repro.cluster.sharded import (
     ClusterCacheStats,
-    ClusterIngestReport,
     ShardedLocater,
 )
 from repro.cluster.supervision import (
@@ -209,7 +208,6 @@ from repro.cluster.supervision import (
 
 __all__ = [
     "ClusterCacheStats",
-    "ClusterIngestReport",
     "ComponentAffinityRouter",
     "Fault",
     "FaultInjectingExecutor",

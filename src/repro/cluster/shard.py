@@ -25,7 +25,6 @@ import os
 from collections.abc import Sequence
 
 from repro.system.locater import Locater, LocationAnswer
-from repro.system.planner import DEFAULT_BUCKET_SECONDS
 from repro.system.query import LocationQuery
 
 
@@ -51,24 +50,14 @@ class Shard:
         """Answer one query (the cluster routed it here)."""
         return self.locater.locate_query(query)
 
-    def locate_batch(self, queries: Sequence[LocationQuery],
-                     bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
-                     collect_timings: bool = False,
-                     share_computation: bool = True
-                     ) -> "tuple[list[LocationAnswer], list[tuple[int, float]] | None]":
-        """Answer this shard's slice of a batch.
+    def locate_batch(self, queries: Sequence[LocationQuery]
+                     ) -> list[LocationAnswer]:
+        """Answer this shard's slice of a batch, in slice order.
 
-        Returns the answers in slice order plus, when requested, the
-        per-query timings as (slice index, seconds) pairs — the cluster
-        maps both back to the caller's input indices.  The locater's
-        warm state carries memos from one slice to the next.
+        The locater's warm state carries memos from one slice to the
+        next.
         """
-        timings: "list[tuple[int, float]] | None" = \
-            [] if collect_timings else None
-        answers = self.locater.locate_batch(
-            queries, bucket_seconds=bucket_seconds, timings=timings,
-            share_computation=share_computation)
-        return answers, timings
+        return self.locater.locate_batch(queries)
 
     # ------------------------------------------------------------------
     # Ingest

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
 from repro.cluster.executor import (
-    ProcessShardExecutor,
     SerialShardExecutor,
     ShardExecutor,
     ShardFactory,
@@ -81,7 +80,6 @@ from repro.space.metadata import SpaceMetadata
 from repro.system.config import LocaterConfig
 from repro.system.ingestion import IngestionEngine, IngestReport
 from repro.system.locater import Locater, LocationAnswer
-from repro.system.planner import DEFAULT_BUCKET_SECONDS
 from repro.system.query import LocationQuery
 from repro.system.storage import StorageEngine
 
@@ -105,38 +103,6 @@ class ClusterCacheStats:
 
     def __len__(self) -> int:
         return len(self.per_shard)
-
-
-@dataclass(frozen=True, slots=True)
-class ClusterIngestReport:
-    """What one :meth:`ShardedLocater.ingest` call changed, per shard.
-
-    Attributes:
-        total: The merge-once report over the cluster's authoritative
-            table — exactly what a lone system's engine would publish.
-        shard_reports: The router's partition of ``total``: per shard,
-            the events routed to it and the changed *owned* devices.
-            Counts sum to ``total.count``; changed maps union to
-            ``total.changed``.
-    """
-
-    total: IngestReport
-    shard_reports: tuple[IngestReport, ...]
-
-    @property
-    def count(self) -> int:
-        """Events ingested by this call (all shards)."""
-        return self.total.count
-
-    @property
-    def generation(self) -> int:
-        """Table generation after the merge."""
-        return self.total.generation
-
-    @property
-    def macs(self) -> frozenset[str]:
-        """All devices whose logs changed."""
-        return self.total.macs
 
 
 class _AttachedShardFactory:
@@ -204,8 +170,8 @@ class ShardedLocater:
             exhausted — quarantined, degrading only their own devices
             (``policy.degraded``: typed error or parent-side fallback)
             while every other shard keeps serving bitwise-unchanged.
-            ``policy.call_timeout`` is applied to a process executor's
-            receives.  None (default): failures surface as
+            A hung process shard is detected by the executor's own
+            ``call_timeout``.  None (default): failures surface as
             :class:`~repro.errors.ClusterError` exactly as before.
 
     Example:
@@ -266,12 +232,6 @@ class ShardedLocater:
                                            config=config,
                                            storage=views[shard_id]))
 
-        if recovery is not None and recovery.call_timeout is not None:
-            # Reach through a wrapper (e.g. FaultInjectingExecutor) so
-            # the timeout lands on the executor that owns the pipes.
-            target = getattr(self._executor, "inner", self._executor)
-            if isinstance(target, ProcessShardExecutor):
-                target.call_timeout = recovery.call_timeout
         # Process shards attach the table's shared-memory segments by
         # name.  A heap table moves there for the cluster's lifetime,
         # and back (to the caller's spill directory, if any) on close.
@@ -407,9 +367,8 @@ class ShardedLocater:
                 config=base.with_(use_caching=False))
         return self._fallback
 
-    def _degraded_answer(self, shard_id: int, queries: list[LocationQuery],
-                         bucket_seconds: float,
-                         share_computation: bool) -> list[LocationAnswer]:
+    def _degraded_answer(self, shard_id: int, queries: list[LocationQuery]
+                         ) -> list[LocationAnswer]:
         """Serve a quarantined shard's slice per the degradation policy."""
         if self._recovery is None or self._recovery.degraded == "error":
             macs = sorted({query.mac for query in queries})
@@ -417,9 +376,7 @@ class ShardedLocater:
                 shard_id,
                 f"shard {shard_id} is quarantined (restart budget "
                 f"exhausted); its devices are offline: {', '.join(macs)}")
-        return self._fallback_locater().locate_batch(
-            queries, bucket_seconds=bucket_seconds,
-            share_computation=share_computation)
+        return self._fallback_locater().locate_batch(queries)
 
     # ------------------------------------------------------------------
     # Queries
@@ -447,23 +404,17 @@ class ShardedLocater:
             answer = self._supervisor.call_one(
                 shard_id, "locate_query", query)
         except ShardQuarantinedError:
-            return self._degraded_answer(
-                shard_id, [query], DEFAULT_BUCKET_SECONDS, True)[0]
+            return self._degraded_answer(shard_id, [query])[0]
         self._checkpoint([shard_id])
         return answer
 
-    def locate_batch(self, queries: Iterable[LocationQuery],
-                     bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
-                     timings: "list[tuple[int, float]] | None" = None,
-                     share_computation: bool = True
+    def locate_batch(self, queries: Iterable[LocationQuery]
                      ) -> list[LocationAnswer]:
         """Answer a batch: partition by owner, execute shards, merge.
 
         Same contract as :meth:`Locater.locate_batch` — answers return
-        in input order; ``timings`` entries carry input indices (their
-        *order* interleaves per shard rather than following the global
-        plan).  Every shard is called, an empty slice included, so every
-        shard's ``Locater`` catches up with the table.
+        in input order.  Every shard is called, an empty slice included,
+        so every shard's ``Locater`` catches up with the table.
         """
         self._check_open()
         self._catch_up()
@@ -471,15 +422,13 @@ class ShardedLocater:
         indexed = list(enumerate(queries))
         parts = self._router.partition(
             indexed, [q.mac for q in queries], self._shard_count)
-        args = [
-            ([query for _, query in part], bucket_seconds,
-             timings is not None, share_computation)
-            for part in parts]
-        results = self._call_all("locate_batch", args)
+        results = self._call_all(
+            "locate_batch", [([query for _, query in part],)
+                             for part in parts])
         answers: "list[LocationAnswer | None]" = [None] * len(queries)
         served: list[int] = []
-        for shard_id, (part, result) in enumerate(zip(parts, results)):
-            if result is None:
+        for shard_id, (part, part_answers) in enumerate(zip(parts, results)):
+            if part_answers is None:
                 # Only the supervised path yields None slots: the shard
                 # is quarantined (before the call, or its recovery
                 # failed mid-call).  Its slice degrades per policy;
@@ -487,25 +436,16 @@ class ShardedLocater:
                 if not part:
                     continue
                 part_answers = self._degraded_answer(
-                    shard_id, [query for _, query in part],
-                    bucket_seconds, share_computation)
-                part_timings = None
-            else:
-                part_answers, part_timings = result
-                if part:
-                    served.append(shard_id)
+                    shard_id, [query for _, query in part])
+            elif part:
+                served.append(shard_id)
             for (index, _), answer in zip(part, part_answers):
                 answers[index] = answer
-            if timings is not None and part_timings:
-                timings.extend((part[local][0], seconds)
-                               for local, seconds in part_timings)
         self._checkpoint(served)
         return answers  # type: ignore[return-value]  # every slot filled
 
     def locate_slice(self, shard_id: int,
-                     queries: "Sequence[LocationQuery]",
-                     bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
-                     share_computation: bool = True
+                     queries: "Sequence[LocationQuery]"
                      ) -> list[LocationAnswer]:
         """Answer a pre-routed slice on one shard (the serving layer's
         per-lane entry).
@@ -542,20 +482,16 @@ class ShardedLocater:
                     shard_id in self._supervisor.quarantined:
                 raise ShardQuarantinedError(
                     shard_id, f"shard {shard_id} is quarantined")
-            answers, _ = self._call_one(
-                shard_id, "locate_batch", queries, bucket_seconds,
-                False, share_computation)
+            answers = self._call_one(shard_id, "locate_batch", queries)
         except ShardQuarantinedError:
-            return self._degraded_answer(
-                shard_id, queries, bucket_seconds, share_computation)
+            return self._degraded_answer(shard_id, queries)
         self._checkpoint([shard_id])
         return answers
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def ingest(self, events: Iterable[ConnectivityEvent]
-               ) -> ClusterIngestReport:
+    def ingest(self, events: Iterable[ConnectivityEvent]) -> IngestReport:
         """Merge new events once, then bring the cluster up to date.
 
         The cluster's engine stamps ids and merges into the
@@ -566,26 +502,25 @@ class ShardedLocater:
         and migrating the devices that re-keyed), and process shards
         receive a :class:`~repro.events.table.TableSync` — the new
         segment names and counters, no event data — that advances their
-        attached views.  Finally the stamped batch is partitioned to
-        persist each shard's slice of the dirty stream.  No shard
-        invalidates a model or memo here: each ``Locater`` pulls that
-        invalidation at its next serve.
+        attached views.  Finally, with a storage backend, the stamped
+        batch is partitioned to persist each shard's slice of the dirty
+        stream.  No shard invalidates a model or memo here: each
+        ``Locater`` pulls that invalidation at its next serve.  The
+        report is the engine's, for the whole cluster: :meth:`shard_of`
+        says which shard owns each changed device.
         """
         self._check_open()
         report = self._engine.ingest(events)
         stamped = self._tap.take()
         self._catch_up()
-        partitions = partition_events(stamped, self._router,
-                                      self._shard_count)
-        for view, partition in zip(self._views, partitions):
-            if view is not None and partition:
-                view.store_events(partition)
+        if self._storage is not None:
+            partitions = partition_events(stamped, self._router,
+                                          self._shard_count)
+            for view, partition in zip(self._views, partitions):
+                if partition:
+                    view.store_events(partition)
         self._checkpoint()
-        return ClusterIngestReport(
-            total=report,
-            shard_reports=tuple(
-                self._slice_report(report, partitions[shard_id], shard_id)
-                for shard_id in range(self._shard_count)))
+        return report
 
     def _catch_up(self) -> None:
         """Pull what the cluster owns up to the table's generation.
@@ -673,19 +608,6 @@ class ShardedLocater:
             # later crash must not resurrect one from a pre-extraction
             # checkpoint (the moved edges would exist twice).
             self._checkpoint()
-
-    def _slice_report(self, report: IngestReport,
-                      partition: "list[ConnectivityEvent]",
-                      shard_id: int) -> IngestReport:
-        """The owned slice of a cluster report for one shard."""
-        owned = {mac: interval for mac, interval in report.changed.items()
-                 if self._router.shard_of(mac, self._shard_count)
-                 == shard_id}
-        return IngestReport(
-            count=len(partition), generation=report.generation,
-            changed=owned,
-            delta_changes={mac: move for mac, move
-                           in report.delta_changes.items() if mac in owned})
 
     # ------------------------------------------------------------------
     # Observability / lifecycle

@@ -77,24 +77,20 @@ class RecoveryPolicy:
             shard sleeps ``backoff[min(k, len-1)]`` first.  A fixed
             schedule, not jittered wall-clock — answer paths stay
             deterministic (RL002).
-        call_timeout: Seconds a process-shard call may take before the
-            worker is declared hung (None: wait forever).  Applied to
-            the cluster's :class:`ProcessShardExecutor` at construction.
-        checkpoint_cache: Snapshot each shard's §5 cache state after
-            successful operations so resurrection restores contents and
-            hit/miss counters bitwise (costs one extra round-trip per
-            shard per operation; irrelevant when caching is off).
         degraded: What a quarantined shard's devices get —
             ``"error"`` raises :class:`~repro.errors.ShardQuarantinedError`
             per query; ``"fallback"`` serves them from a parent-side
             cache-less ``Locater`` over the authoritative table (full
             answer quality, no warm state).
+
+    The policy holds no timeout: a hung process shard is detected by
+    its executor's own ``call_timeout``.  Nor does it choose whether
+    caches are checkpointed: the cluster sets that from
+    ``use_caching`` (see :class:`ShardSupervisor`).
     """
 
     max_restarts: int = 2
     backoff: tuple[float, ...] = (0.0, 0.05, 0.2)
-    call_timeout: "float | None" = None
-    checkpoint_cache: bool = True
     degraded: str = "error"
 
     def __post_init__(self) -> None:
@@ -104,9 +100,6 @@ class RecoveryPolicy:
         if any(delay < 0 for delay in self.backoff):
             raise ConfigurationError(
                 f"backoff delays must be >= 0, got {self.backoff}")
-        if self.call_timeout is not None and self.call_timeout <= 0:
-            raise ConfigurationError(
-                f"call_timeout must be positive, got {self.call_timeout}")
         if self.degraded not in ("error", "fallback"):
             raise ConfigurationError(
                 f"degraded must be 'error' or 'fallback', "
@@ -156,25 +149,22 @@ class ShardSupervisor:
             started with).  The attached-table cluster needs this — a
             resurrection must map the table's *current* segments, not
             the ones described at start time.
-        checkpoints: Enable cache checkpointing (the cluster turns this
-            off when caching is off; the export round-trips would all
-            answer None).
-        on_restart: Called with the shard id after each successful
-            resurrection (the cluster uses it to keep parent-side
-            wiring in step).
+        checkpoints: Snapshot each shard's §5 cache state after
+            successful operations, so resurrection restores contents
+            and hit/miss counters bitwise (one extra round-trip per
+            shard per operation).  The cluster turns this off when
+            caching is off: the export round-trips would all answer
+            None.
     """
 
     def __init__(self, executor: ShardExecutor,
                  policy: "RecoveryPolicy | None" = None,
                  factory_provider: "Callable[[], ShardFactory] | None" = None,
-                 checkpoints: bool = True,
-                 on_restart: "Callable[[int], None] | None" = None) -> None:
+                 checkpoints: bool = True) -> None:
         self._executor = executor
         self._policy = policy if policy is not None else RecoveryPolicy()
         self._factory_provider = factory_provider
-        self._checkpoints_enabled = checkpoints and \
-            self._policy.checkpoint_cache
-        self._on_restart = on_restart
+        self._checkpoints_enabled = checkpoints
         self._restarts: dict[int, int] = {}
         self._quarantined: set[int] = set()
         self._checkpoints: dict[int, Any] = {}
@@ -330,9 +320,8 @@ class ShardSupervisor:
 
         Deterministic sequence: deterministic backoff sleep → rebuild
         the worker/shard from the factory → restore the last cache
-        checkpoint → notify ``on_restart``.  A restart that itself
-        fails (e.g. the replacement dies during handshake) consumes
-        budget and loops.
+        checkpoint.  A restart that itself fails (e.g. the replacement
+        dies during handshake) consumes budget and loops.
         """
         started = time.perf_counter()
         while True:
@@ -356,8 +345,6 @@ class ShardSupervisor:
                 if state is not None:
                     self._executor.call_one(
                         shard_id, "import_cache_state", state)
-                if self._on_restart is not None:
-                    self._on_restart(shard_id)
             except ClusterError as exc:
                 error = exc
                 continue

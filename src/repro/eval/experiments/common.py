@@ -28,9 +28,3 @@ def scenario_dataset(name: str, days: int = 10, seed: int = 11,
     """One of the paper's four simulated scenarios (memoized)."""
     spec = ScenarioSpec.by_name(name, seed=seed).scaled(population_scale)
     return Simulator(spec).run(days=days)
-
-
-def clear_caches() -> None:
-    """Drop memoized datasets (tests use this to control memory)."""
-    dbh_dataset.cache_clear()
-    scenario_dataset.cache_clear()

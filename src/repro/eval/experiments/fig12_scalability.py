@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 from repro.eval.queries import generated_query_set, labeled_query_set
 from repro.eval.reporting import format_table
-from repro.eval.runner import evaluate_batch
+from repro.eval.runner import evaluate
 from repro.eval.experiments.common import dbh_dataset
 from repro.fine.localizer import FineMode
 from repro.system.config import LocaterConfig
 from repro.system.locater import Locater
+from repro.system.planner import plan_queries
 
 
 @dataclass(slots=True)
@@ -79,13 +80,13 @@ def run(days: int = 10, population: int = 18, per_device: int = 8,
                                    reuse_affinity_cache=False)
             system = Locater(dataset.building, dataset.metadata,
                              dataset.table, config=config)
-            # Batch path for execution order, but with shared-state
-            # memoization off: this figure ablates the caching engine,
-            # and the batch memos would otherwise hand the non-cached
+            # One locate per query in the planner's execution order,
+            # with no batch memos: this figure ablates the caching
+            # engine, and the memos would otherwise hand the non-cached
             # arm the same cross-query amortization for free.
-            outcome = evaluate_batch(system, dataset, queries,
-                                     record_latency=True,
-                                     share_computation=False)
+            outcome = evaluate(system, dataset,
+                               plan_queries(queries).ordered_queries(),
+                               record_latency=True)
             mean_ms[(variant, qset_name)] = outcome.mean_query_ms
             latencies = outcome.per_query_seconds
             half = max(1, len(latencies) // 2)

@@ -25,10 +25,7 @@ class BatchSystemUnderTest(Protocol):
 
     def locate(self, mac: str, timestamp: float) -> LocationAnswer: ...
 
-    def locate_batch(self, queries: Sequence[LocationQuery],
-                     bucket_seconds: float = ...,
-                     timings: "list[tuple[int, float]] | None" = ...,
-                     share_computation: bool = ...
+    def locate_batch(self, queries: Sequence[LocationQuery]
                      ) -> list[LocationAnswer]: ...
 
 
@@ -39,7 +36,8 @@ class EvaluationResult:
     Attributes:
         counts: Pooled precision counters.
         per_device: Counters keyed by MAC (for per-band pooling).
-        elapsed_seconds: Total wall-clock spent inside ``locate``.
+        elapsed_seconds: Total wall-clock spent inside ``locate`` (or
+            in the one ``locate_batch`` call).
         per_query_seconds: Running time of each query, in order (drives
             the paper's Fig. 10 running-time-vs-queries curves).
     """
@@ -85,35 +83,22 @@ def evaluate(system: SystemUnderTest, dataset: Dataset,
 
 
 def evaluate_batch(system: SystemUnderTest, dataset: Dataset,
-                   queries: Sequence[LocationQuery],
-                   record_latency: bool = False,
-                   share_computation: bool = True) -> EvaluationResult:
+                   queries: Sequence[LocationQuery]) -> EvaluationResult:
     """Like :func:`evaluate`, but through ``locate_batch`` when available.
 
     Systems without a batch entry point (the baselines) fall back to the
-    per-query loop of :func:`evaluate`.  Latencies are recorded in the
-    batch planner's *execution* order — bucket-granular timestamp order
-    — which is the order in which the caching engine warms, so warm-up
-    curves (Fig. 10/12) read the same way as in the sequential runner.
-
-    Args:
-        share_computation: Forwarded to ``locate_batch``.  Timing
-            experiments that ablate the *caching engine* must pass False
-            so the batch memos don't amortize the very work whose
-            per-query cost is being measured.
+    per-query loop of :func:`evaluate`.  A batch is timed as one call
+    into ``elapsed_seconds``; per-query latencies come from
+    :func:`evaluate` over ``plan_queries(queries).ordered_queries()``,
+    the per-query path a batch is bitwise equal to.
     """
     if not isinstance(system, BatchSystemUnderTest):
-        return evaluate(system, dataset, queries,
-                        record_latency=record_latency)
-    timings: list[tuple[int, float]] = []
-    answers = system.locate_batch(queries, timings=timings,
-                                  share_computation=share_computation)
-    result = EvaluationResult()
+        return evaluate(system, dataset, queries)
+    start = time.perf_counter()
+    answers = system.locate_batch(queries)
+    result = EvaluationResult(elapsed_seconds=time.perf_counter() - start)
     for query, answer in zip(queries, answers):
         _score_answer(result, dataset, query, answer)
-    result.elapsed_seconds = sum(seconds for _, seconds in timings)
-    if record_latency:
-        result.per_query_seconds = [seconds for _, seconds in timings]
     return result
 
 

@@ -78,9 +78,8 @@ from repro.errors import (
     GatewayOverloadedError,
 )
 from repro.events.event import ConnectivityEvent
-from repro.system.ingestion import IngestionEngine
+from repro.system.ingestion import IngestionEngine, IngestReport
 from repro.system.locater import Locater, LocationAnswer
-from repro.system.planner import DEFAULT_BUCKET_SECONDS
 from repro.system.query import LocationQuery
 
 #: Lane-queue sentinel: the worker drains up to it, then exits.
@@ -184,11 +183,10 @@ class AsyncGateway:
             happens under load, with no timed latency floor).
         max_batch: Queries per window; a full window executes without
             waiting out ``max_wait``.  ``max_batch=1`` disables
-            coalescing — the benchmark's per-query baseline.
+            coalescing.
         max_pending: Admission bound on queries admitted but
             unanswered; past it ``locate`` sheds with
             :class:`~repro.errors.GatewayOverloadedError`.
-        bucket_seconds: Planner bucket width for every window.
         journal: Record every executed window and ingest tick (see
             :class:`WindowRecord`).  Off by default — the journal grows
             without bound and exists for equivalence proofs and replay
@@ -207,7 +205,6 @@ class AsyncGateway:
     def __init__(self, backend: "Locater | ShardedLocater", *,
                  max_wait: float = 0.002, max_batch: int = 64,
                  max_pending: int = 1024,
-                 bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
                  journal: bool = False) -> None:
         if max_wait < 0:
             raise ConfigurationError(
@@ -224,7 +221,6 @@ class AsyncGateway:
         self._max_wait = max_wait
         self._max_batch = max_batch
         self._max_pending = max_pending
-        self._bucket_seconds = bucket_seconds
         self._journal: "list[WindowRecord | IngestRecord] | None" = \
             [] if journal else None
         self._lane_count = backend.shard_count \
@@ -346,14 +342,15 @@ class AsyncGateway:
             _Pending(query, future))
         return await future
 
-    async def ingest(self, events: Iterable[ConnectivityEvent]):
+    async def ingest(self, events: Iterable[ConnectivityEvent]
+                     ) -> IngestReport:
         """Merge new events, serialized against every in-flight window.
 
         Acquires all lane locks (in lane order — workers hold only
         their own, so this cannot deadlock), runs the backend's ingest
         off the loop, re-routes queued queries whose devices the ingest
-        re-keyed, and releases the lanes.  Returns the
-        backend's ingest report.
+        re-keyed, and releases the lanes.  Returns the ingest engine's
+        report, for a lone system and a cluster alike.
         """
         await self.start()
         events = list(events)
@@ -561,10 +558,8 @@ class AsyncGateway:
     def _dispatch(self, lane_id: int,
                   queries: list[LocationQuery]) -> list[LocationAnswer]:
         if self._cluster is not None:
-            return self._cluster.locate_slice(
-                lane_id, queries, bucket_seconds=self._bucket_seconds)
-        return self._backend.locate_batch(
-            queries, bucket_seconds=self._bucket_seconds)
+            return self._cluster.locate_slice(lane_id, queries)
+        return self._backend.locate_batch(queries)
 
     def _ingest_sync(self, events: list[ConnectivityEvent]):
         if self._dispatch_lock is not None:

@@ -18,7 +18,7 @@ from repro.system.locater import (
 )
 from repro.system.memory import MemoryManager, approx_nbytes
 from repro.system.planner import (
-    DEFAULT_BUCKET_SECONDS,
+    BUCKET_SECONDS,
     PlannedQuery,
     QueryGroup,
     QueryPlan,
@@ -34,11 +34,11 @@ from repro.system.storage import (
 from repro.system.streaming import StreamingSession
 
 __all__ = [
+    "BUCKET_SECONDS",
     "Baseline1",
     "Baseline2",
     "BatchState",
     "CoarseBaseline",
-    "DEFAULT_BUCKET_SECONDS",
     "IngestReport",
     "IngestionEngine",
     "InMemoryStorage",

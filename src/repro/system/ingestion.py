@@ -98,9 +98,10 @@ class IngestionEngine:
             an ingest that changes the table also purges its cleaned
             answers.
         batch_size: Rows per storage write.
-        estimate_deltas: Re-estimate δ after each ingest batch for the
-            devices whose logs changed (cheap, and keeps validity windows
-            calibrated as data grows).
+
+    After each ingest batch the engine re-estimates δ for the devices
+    whose logs changed (cheap, and keeps validity windows calibrated as
+    data grows).
 
     Event ids continue from whatever the table or storage already holds,
     so a second engine — or one restarted over a persisted store — never
@@ -109,14 +110,12 @@ class IngestionEngine:
 
     def __init__(self, table: EventTable,
                  storage: "StorageEngine | None" = None,
-                 batch_size: int = 1000,
-                 estimate_deltas: bool = True) -> None:
+                 batch_size: int = 1000) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self._table = table
         self._storage = storage
         self._batch_size = batch_size
-        self._estimate_deltas = estimate_deltas
         self._estimator = DeltaEstimator()
         seed = table.max_event_id
         if storage is not None:
@@ -177,7 +176,7 @@ class IngestionEngine:
         changed = self._table.changed_since(generation_before)
         prior = {mac: self._table.registry.get(mac).delta
                  for mac in changed}
-        if self._estimate_deltas and changed:
+        if changed:
             self._estimator.fit_devices(self._table, sorted(changed))
         if self._storage is not None and changed:
             # The store now holds rows its answers were not cleaned

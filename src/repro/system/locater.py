@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
@@ -16,7 +15,7 @@ from repro.fine.neighbors import NeighborIndex, find_neighbors
 from repro.space.building import Building
 from repro.space.metadata import SpaceMetadata
 from repro.system.config import LocaterConfig
-from repro.system.planner import DEFAULT_BUCKET_SECONDS, plan_queries
+from repro.system.planner import plan_queries
 from repro.errors import EmptyHistoryError
 from repro.system import streaming
 from repro.system.ingestion import IngestReport
@@ -291,10 +290,7 @@ class Locater:
                                   size_fn=memo_size, evictor=state.reset,
                                   persistent=True)
 
-    def locate_batch(self, queries: Iterable[LocationQuery],
-                     bucket_seconds: float = DEFAULT_BUCKET_SECONDS,
-                     timings: "list[tuple[int, float]] | None" = None,
-                     share_computation: bool = True
+    def locate_batch(self, queries: Iterable[LocationQuery]
                      ) -> list[LocationAnswer]:
         """Answer a batch of queries with shared computation.
 
@@ -317,16 +313,10 @@ class Locater:
         in *input* order.
 
         Args:
-            queries: The batch, in any order.
-            bucket_seconds: Planning bucket width (see planner module).
-            timings: Optional sink; when given, one ``(input_index,
-                seconds)`` pair per query is appended in execution order
-                (drives the warm-up curves of Fig. 10/12).
-            share_computation: Disable to pay full per-query cost while
-                keeping the planner's execution order — the paper's
-                efficiency experiments need this so the *caching engine*
-                (not the batch memos) is the only thing amortizing work
-                across queries.  The warm state is then left alone.
+            queries: The batch, in any order.  The paper's per-query
+                cost model (§6.4) is :meth:`locate` once per query in
+                plan order — lazy training, no memos — and that is what
+                the Fig. 10/12 drivers time.
 
         Example:
             >>> answers = locater.locate_batch(
@@ -335,36 +325,22 @@ class Locater:
         """
         self._catch_up()
         queries = list(queries)
-        plan = plan_queries(queries, bucket_seconds=bucket_seconds)
-        state = None
-        if share_computation:
-            # Bulk-train before executing: one vectorized sweep over the
-            # devices whose queries will actually consult models (a gap
-            # query; event hits never train), instead of lazy
-            # one-at-a-time training inside the burst.  Training is
-            # pure, so answers are unchanged; with sharing disabled the
-            # pre-pass is skipped too, keeping the paper-cost ablations
-            # honest.
-            self.coarse.train_devices(self._devices_needing_models(plan))
-            state = self._state
-            if self._memo_entry is not None:
-                self.memory.touch(self._memo_entry)
+        plan = plan_queries(queries)
+        # Bulk-train before executing: one vectorized sweep over the
+        # devices whose queries will actually consult models (a gap
+        # query; event hits never train), instead of lazy one-at-a-time
+        # training inside the burst.  Training is pure, so answers are
+        # unchanged.
+        self.coarse.train_devices(self._devices_needing_models(plan))
+        state = self._state
+        if self._memo_entry is not None:
+            self.memory.touch(self._memo_entry)
         answers: "list[LocationAnswer | None]" = [None] * len(queries)
-        for group in plan.groups:
-            for planned in group.queries:
-                if timings is None:
-                    answers[planned.index] = self.locate_query(planned.query,
-                                                               state)
-                else:
-                    start = time.perf_counter()
-                    answers[planned.index] = self.locate_query(planned.query,
-                                                               state)
-                    timings.append((planned.index,
-                                    time.perf_counter() - start))
-        if state is not None:
-            for memo in state.memo_dicts():
-                if len(memo) > MAX_MEMO_ENTRIES:
-                    memo.clear()
+        for planned in plan.ordered():
+            answers[planned.index] = self.locate_query(planned.query, state)
+        for memo in state.memo_dicts():
+            if len(memo) > MAX_MEMO_ENTRIES:
+                memo.clear()
         if self.memory is not None:
             self.memory.enforce()
         return answers  # type: ignore[return-value]  # every slot filled

@@ -15,7 +15,8 @@ across buckets, device-major inside a bucket — so that:
   sampling, contact tracing) share one online-device snapshot for
   neighbor discovery and reuse memoized affinity computations.
 
-The plan never changes *what* is computed — only the order and the
+The bucket width is fixed at :data:`BUCKET_SECONDS` (one hour).  The
+plan never changes *what* is computed — only the order and the
 sharing.  ``Locater.locate_batch`` therefore produces answers bitwise
 identical to calling ``locate`` once per query in the plan's execution
 order (``QueryPlan.ordered_queries``); the equivalence suite in
@@ -28,13 +29,12 @@ import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
-from repro.errors import ConfigurationError
 from repro.system.query import LocationQuery
 
-#: Default width of a planning time bucket (one hour).  Buckets bound how
-#: far execution may deviate from global timestamp order while still
+#: Width of a planning time bucket (one hour).  Buckets bound how far
+#: execution may deviate from global timestamp order while still
 #: keeping one device's nearby queries adjacent.
-DEFAULT_BUCKET_SECONDS = 3600.0
+BUCKET_SECONDS = 3600.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +57,7 @@ class QueryGroup:
 
     Attributes:
         mac: The queried device.
-        bucket: Bucket ordinal (``floor(timestamp / bucket_seconds)``).
+        bucket: Bucket ordinal (``floor(timestamp / BUCKET_SECONDS)``).
         queries: The group's queries, sorted by (timestamp, input index).
     """
 
@@ -95,7 +95,6 @@ class QueryPlan:
     """
 
     groups: tuple[QueryGroup, ...]
-    bucket_seconds: float
 
     def __len__(self) -> int:
         return sum(len(group) for group in self.groups)
@@ -130,8 +129,8 @@ class QueryPlan:
         }
 
 
-def plan_queries(queries: "Iterable[LocationQuery] | Sequence[LocationQuery]",
-                 bucket_seconds: float = DEFAULT_BUCKET_SECONDS) -> QueryPlan:
+def plan_queries(queries: "Iterable[LocationQuery] | Sequence[LocationQuery]"
+                 ) -> QueryPlan:
     """Group ``queries`` by (device, time bucket) into an execution plan.
 
     The plan is deterministic: groups are sorted by (bucket, mac) and
@@ -142,15 +141,10 @@ def plan_queries(queries: "Iterable[LocationQuery] | Sequence[LocationQuery]",
 
     Args:
         queries: The batch, in caller order.
-        bucket_seconds: Bucket width; must be positive.
     """
-    if not bucket_seconds > 0 or not math.isfinite(bucket_seconds):
-        raise ConfigurationError(
-            f"bucket_seconds must be positive and finite, "
-            f"got {bucket_seconds}")
     grouped: dict[tuple[int, str], list[PlannedQuery]] = {}
     for index, query in enumerate(queries):
-        bucket = int(math.floor(query.timestamp / bucket_seconds))
+        bucket = int(math.floor(query.timestamp / BUCKET_SECONDS))
         grouped.setdefault((bucket, query.mac), []).append(
             PlannedQuery(index=index, query=query))
     groups = []
@@ -159,4 +153,4 @@ def plan_queries(queries: "Iterable[LocationQuery] | Sequence[LocationQuery]",
                          key=lambda p: (p.query.timestamp, p.index))
         groups.append(QueryGroup(mac=mac, bucket=bucket,
                                  queries=tuple(members)))
-    return QueryPlan(groups=tuple(groups), bucket_seconds=bucket_seconds)
+    return QueryPlan(groups=tuple(groups))

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigurationError
 from repro.events.event import ConnectivityEvent
 from repro.system.ingestion import IngestionEngine, IngestReport
-from repro.system.planner import DEFAULT_BUCKET_SECONDS
 from repro.system.query import LocationQuery
 
 if TYPE_CHECKING:
@@ -79,7 +78,6 @@ class StreamingSession:
             ``ShardedLocater``).
         engine: Optional ingestion engine; must wrap the locater's table.
             Defaults to a new storage-less engine over that table.
-        bucket_seconds: Planning bucket width for query bursts.
 
     The session holds no state of its own: the locater owns the warm
     state and pulls its freshness from the table at every query, so the
@@ -87,8 +85,7 @@ class StreamingSession:
     """
 
     def __init__(self, locater: Locater,
-                 engine: "IngestionEngine | None" = None,
-                 bucket_seconds: float = DEFAULT_BUCKET_SECONDS) -> None:
+                 engine: "IngestionEngine | None" = None) -> None:
         if engine is None:
             engine = IngestionEngine(locater.table)
         elif engine.table is not locater.table:
@@ -96,7 +93,6 @@ class StreamingSession:
                 "ingestion engine and locater must share one event table")
         self._locater = locater
         self._engine = engine
-        self._bucket_seconds = bucket_seconds
 
     @property
     def locater(self) -> Locater:
@@ -125,8 +121,7 @@ class StreamingSession:
     def query(self, queries: Sequence[LocationQuery]
               ) -> list[LocationAnswer]:
         """Answer a burst of queries against the current table."""
-        return self._locater.locate_batch(
-            queries, bucket_seconds=self._bucket_seconds)
+        return self._locater.locate_batch(queries)
 
     def locate(self, mac: str, timestamp: float) -> LocationAnswer:
         """Answer a single query (still sharing the locater's memos)."""

@@ -46,6 +46,7 @@ from repro.sim.scenarios import (
 from repro.system.config import LocaterConfig
 from repro.system.ingestion import IngestionEngine
 from repro.system.locater import Locater
+from repro.system.planner import plan_queries
 from repro.system.storage import InMemoryStorage
 from repro.system.streaming import StreamingSession
 
@@ -182,8 +183,6 @@ class TestStreamingEquivalence:
             for batch in workload.batches:
                 report = cluster.ingest(batch.ingest)
                 assert report.count == len(batch.ingest)
-                assert sum(r.count for r in report.shard_reports) == \
-                    report.count
                 cold = self._cold(dataset,
                                   workload.events_through(batch.index),
                                   config)
@@ -264,27 +263,29 @@ class TestCachingEquivalence:
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize("config,share_computation", [
-        (LocaterConfig(), True),
-        # Fig. 12's cost model: affinities re-mined from history per
-        # query and no cross-query memo, so the cache is the only
-        # amortization left.
-        (LocaterConfig(reuse_affinity_cache=False), False),
+    @pytest.mark.parametrize("config,serve", [
+        (LocaterConfig(),
+         lambda system, queries: system.locate_batch(queries)),
+        # Fig. 12's cost model, served the way fig12 times it: one
+        # locate_query per query in plan order, affinities re-mined from
+        # history per query and no cross-query memo, so the cache is the
+        # only amortization left.
+        (LocaterConfig(reuse_affinity_cache=False),
+         lambda system, queries: [
+             system.locate_query(query)
+             for query in plan_queries(queries).ordered_queries()]),
     ], ids=["default", "fig12-cost"])
     def test_batch_identical_including_cache_totals(
-            self, isolated_world, shards, executor, config,
-            share_computation):
+            self, isolated_world, shards, executor, config, serve):
         dataset, queries = isolated_world
         lone = Locater(dataset.building, dataset.metadata, dataset.table,
                        config=config)
-        expected = lone.locate_batch(queries,
-                                     share_computation=share_computation)
+        expected = serve(lone, queries)
         with ShardedLocater(dataset.building, dataset.metadata,
                             dataset.table, shard_count=shards,
                             executor=EXECUTORS[executor](),
                             config=config) as cluster:
-            assert cluster.locate_batch(
-                queries, share_computation=share_computation) == expected
+            assert serve(cluster, queries) == expected
             # The shards' caches, summed, saw exactly the lone system's
             # traffic: same hits, misses, edges and nodes.
             assert cluster.cache_stats().total == lone.cache.stats()

@@ -294,6 +294,101 @@ class TestRecovery:
             chaos_table.close()
 
 
+def _slices(cluster, queries):
+    """(shard id, slice) pairs: ``queries`` routed as a gateway routes."""
+    parts: dict[int, list] = {}
+    for query in queries:
+        parts.setdefault(cluster.shard_of(query.mac), []).append(query)
+    return sorted(parts.items())
+
+
+class TestSliceDispatch:
+    """``locate_slice`` (the gateway's per-lane entry) under supervision.
+
+    A slice reaches one shard through ``Shard.locate_batch``, without
+    the fan-out of ``locate_batch``, so its resurrect and degrade
+    branches are checked on their own.
+    """
+
+    @pytest.mark.parametrize("executor", [
+        pytest.param(SerialShardExecutor, id="serial"),
+        pytest.param(ProcessShardExecutor, id="process",
+                     marks=pytest.mark.skipif(not FORK_AVAILABLE,
+                                              reason="fork unavailable")),
+    ])
+    def test_killed_slice_recovers_bitwise(self, chaos_world, executor):
+        dataset, queries = chaos_world
+        with ShardedLocater(dataset.building, dataset.metadata,
+                            dataset.table, shard_count=4) as control:
+            slices = _slices(control, queries)
+            expected = [[control.locate_slice(shard_id, part)
+                         for shard_id, part in slices] for _ in range(2)]
+            expected_totals = control.cache_stats().total
+        victim = _busiest_shard(_component_router(dataset), queries, 4)
+        # Dispatch indices to the victim: 0 = its first slice, 1 = its
+        # second slice (the kill fires), 2 = the recovery re-dispatch.
+        plan = FaultPlan([Fault(shard_id=victim, kind="kill",
+                                method="locate_batch", call_index=1)])
+        with ShardedLocater(dataset.building, dataset.metadata,
+                            dataset.table, shard_count=4,
+                            executor=FaultInjectingExecutor(executor(),
+                                                            plan),
+                            recovery=RecoveryPolicy(backoff=(0.0,))
+                            ) as cluster:
+            assert _slices(cluster, queries) == slices
+            assert [[cluster.locate_slice(shard_id, part)
+                     for shard_id, part in slices]
+                    for _ in range(2)] == expected
+            assert cluster.cache_stats().total == expected_totals
+            assert plan.exhausted
+            assert cluster.supervisor.restarts == {victim: 1}
+
+    @pytest.mark.parametrize("degraded", ["error", "fallback"])
+    def test_quarantined_slice_degrades_alone(self, chaos_world, degraded):
+        dataset, queries = chaos_world
+        victim = _busiest_shard(_component_router(dataset), queries, 4)
+        with ShardedLocater(dataset.building, dataset.metadata,
+                            dataset.table, shard_count=4) as control:
+            slices = _slices(control, queries)
+            orphans = dict(slices)[victim]
+            survivors = [(shard_id, part) for shard_id, part in slices
+                         if shard_id != victim]
+            assert survivors
+            expected = [control.locate_slice(shard_id, part)
+                        for shard_id, part in survivors]
+            control_per_shard = control.cache_stats().per_shard
+        plan = FaultPlan([Fault(shard_id=victim, kind="kill",
+                                method="locate_batch", call_index=0)])
+        with ShardedLocater(
+                dataset.building, dataset.metadata, dataset.table,
+                shard_count=4,
+                executor=FaultInjectingExecutor(SerialShardExecutor(), plan),
+                recovery=RecoveryPolicy(max_restarts=0, backoff=(0.0,),
+                                        degraded=degraded)) as cluster:
+            if degraded == "error":
+                with pytest.raises(ShardQuarantinedError) as excinfo:
+                    cluster.locate_slice(victim, orphans)
+                assert excinfo.value.shard_id == victim
+            else:
+                # The fallback is a cache-less lone system over the
+                # authoritative table.
+                fallback_control = Locater(
+                    dataset.building, dataset.metadata, dataset.table,
+                    config=LocaterConfig(use_caching=False))
+                assert cluster.locate_slice(victim, orphans) == \
+                    fallback_control.locate_batch(orphans)
+            assert cluster.quarantined == {victim}
+            assert [cluster.locate_slice(shard_id, part)
+                    for shard_id, part in survivors] == expected
+            per_shard = cluster.cache_stats().per_shard
+            for shard_id in range(4):
+                if shard_id == victim:
+                    assert per_shard[shard_id] is None
+                else:
+                    assert per_shard[shard_id] == \
+                        control_per_shard[shard_id]
+
+
 class TestDegradation:
     """Restart budget exhausted: only the dead shard's devices degrade."""
 

@@ -79,7 +79,6 @@ def test_plan_is_invariant_under_arrival_order(queries, data):
     baseline = plan_queries(queries)
     permuted = plan_queries(shuffled)
     assert _planned_values(permuted) == _planned_values(baseline)
-    assert permuted.bucket_seconds == baseline.bucket_seconds
     # The execution order itself (by value) is arrival-order invariant.
     assert [p.query for p in permuted.ordered()] == \
         [p.query for p in baseline.ordered()]

@@ -71,7 +71,7 @@ class TestIngestionEngine:
 
     def test_delta_estimated_after_ingest(self):
         table = EventTable()
-        engine = IngestionEngine(table, estimate_deltas=True)
+        engine = IngestionEngine(table)
         engine.ingest(_events(50))
         # Regular 5-minute probing → delta near 300 s, not the default.
         assert table.registry.get("m1").delta == pytest.approx(300.0,
@@ -98,13 +98,6 @@ class TestIngestionEngine:
         # Re-ingesting an identical cadence leaves δ in place: no entry.
         second = engine.ingest(_events(50, start=50 * 300.0))
         assert "m1" not in second.delta_changes
-
-    def test_delta_estimation_can_be_disabled(self):
-        from repro.events.device import DEFAULT_DELTA_SECONDS
-        table = EventTable()
-        engine = IngestionEngine(table, estimate_deltas=False)
-        engine.ingest(_events(50))
-        assert table.registry.get("m1").delta == DEFAULT_DELTA_SECONDS
 
     def test_bad_batch_size_rejected(self):
         with pytest.raises(ValueError):

