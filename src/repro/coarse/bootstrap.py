@@ -16,10 +16,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.coarse.features import RegionCodeResolver
 from repro.events.gaps import Gap
 from repro.events.table import DeviceLog
-from repro.space.building import Building
+from repro.space.building import Building, RegionCodeResolver
 from repro.util.timeutil import (
     SECONDS_PER_DAY,
     TimeInterval,
@@ -144,7 +143,7 @@ class BootstrapLabeler:
         if not segments:
             return {}
         codes = np.concatenate(segments)
-        regions = self._region_codes.regions_of(log, codes)
+        regions = self._region_codes.regions_of(log.ap_vocab, codes)
         counts = np.bincount(regions)
         return {int(region_id): int(count)
                 for region_id, count in enumerate(counts) if count}

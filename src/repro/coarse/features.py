@@ -39,43 +39,6 @@ NUMERIC_COLUMNS = ("start_time", "end_time", "duration", "density")
 CATEGORICAL_COLUMNS = ("start_day", "end_day", "start_region", "end_region")
 
 
-class RegionCodeResolver:
-    """Memoized AP-vocabulary-code → region-id resolution for one building.
-
-    The single implementation behind every code-indexed region lookup
-    (bootstrap visit counts, the modal-region count): a lookup array the
-    size of the AP vocabulary, grown lazily as the (append-only,
-    table-wide) vocabulary grows, with each distinct code resolved
-    through ``building.region_of_ap`` exactly once on first sight — so
-    unknown APs never referenced by any event stay unresolved, matching
-    the historical per-event behavior.
-    """
-
-    def __init__(self, building: Building) -> None:
-        self._building = building
-        self._vocab: "Sequence[str] | None" = None
-        self._lookup: "np.ndarray | None" = None
-
-    def regions_of(self, log: DeviceLog, codes: np.ndarray) -> np.ndarray:
-        """Region id per entry of ``codes`` (AP vocabulary indices)."""
-        vocab = log.ap_vocab
-        lookup = self._lookup
-        if self._vocab is not vocab or lookup is None:
-            lookup = np.full(len(vocab), -1, dtype=np.int64)
-        elif lookup.size < len(vocab):  # vocabulary grew since caching
-            lookup = np.concatenate(
-                [lookup, np.full(len(vocab) - lookup.size, -1,
-                                 dtype=np.int64)])
-        for code in np.unique(codes[lookup[codes] < 0]):
-            lookup[int(code)] = self._building.region_of_ap(
-                log.resolve_ap(int(code))).region_id
-        # Cache vocab and lookup together only once fully resolved, so a
-        # failed resolution can never pair a new vocab with stale codes.
-        self._vocab = vocab
-        self._lookup = lookup
-        return lookup[codes]
-
-
 @dataclass(frozen=True, slots=True)
 class GapFeatureMatrix:
     """One device's gap features in array form.

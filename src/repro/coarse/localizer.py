@@ -21,16 +21,13 @@ from repro.coarse.bootstrap import (
     LABEL_INSIDE,
     LABEL_OUTSIDE,
 )
-from repro.coarse.features import (
-    GapFeatureExtractor,
-    RegionCodeResolver,
-)
+from repro.coarse.features import GapFeatureExtractor
 from repro.coarse.semi_supervised import SelfTrainingClassifier
 from repro.events.gaps import extract_gaps, find_gap_at
 from repro.events.table import EventTable
 from repro.events.validity import valid_event_at
 from repro.ml.pipeline import FeaturePipeline
-from repro.space.building import Building
+from repro.space.building import Building, RegionCodeResolver
 from repro.util.timeutil import TimeInterval
 
 #: Building-level answers.
@@ -327,7 +324,7 @@ class CoarseLocalizer:
         times, ap_indices = log.slice_interval(self.history)
         if times.size == 0:
             return None
-        regions = self._region_codes.regions_of(log, ap_indices)
+        regions = self._region_codes.regions_of(log.ap_vocab, ap_indices)
         counts = np.bincount(regions)
         # Ties break to the lowest region id, as the historical
         # max-over-sorted-dict-keys did.

@@ -49,10 +49,15 @@ class EvaluationResult:
 
     @property
     def mean_query_ms(self) -> float:
-        """Average per-query latency in milliseconds."""
-        if not self.per_query_seconds:
+        """Average per-query latency in milliseconds.
+
+        ``elapsed_seconds`` over the queries scored, so it reads the same
+        whether or not per-query latencies were recorded (a batch records
+        none); 0.0 only when no query was scored.
+        """
+        if not self.counts.total:
             return 0.0
-        return 1000.0 * self.elapsed_seconds / len(self.per_query_seconds)
+        return 1000.0 * self.elapsed_seconds / self.counts.total
 
 
 def evaluate(system: SystemUnderTest, dataset: Dataset,

@@ -39,10 +39,18 @@ Neighbor discovery (§4.2) is vectorized the same way.
 regions, memoized per timestamp — is one pass of
 :func:`~repro.events.validity.valid_events_at` over the table's
 generation-keyed :meth:`~repro.events.table.EventTable.flat_logs`
-instead of a loop over devices; ``neighbors_for`` derives each query's
-list from it.  :func:`~repro.fine.neighbors.find_neighbors` and
-:func:`~repro.events.validity.valid_event_at` stay the scalar reference
-(``tests/property/test_prop_snapshot.py``).
+instead of a loop over devices.  A snapshot holds two int32 arrays,
+each online device's row and region id, plus the view's ``macs``
+tuple.  Rows decode through that tuple, never through the current
+view: a memoized snapshot outlives later generations (invalidation is
+surgical, within δ of new rows), and a new device shifts every later
+row.  ``neighbors_for`` picks a query's neighbors with one row of the
+building's precomputed region × region overlap table and builds
+``NeighborDevice`` objects only for the first ``max_neighbors`` hits.
+:func:`~repro.fine.neighbors.find_neighbors`,
+:func:`~repro.events.validity.valid_event_at` and
+:meth:`~repro.space.region.Region.shared_rooms` stay the scalar
+reference (``tests/property/test_prop_snapshot.py``).
 
 The **dict boundary contract**: everything callers consume keeps its
 string-keyed mapping form — ``FineResult.posterior``, ``edge_weights``,

@@ -22,7 +22,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import LocalizationError
 from repro.fine.affinity import (
     DeviceAffinityIndex,
     GroupAffinityModel,
@@ -216,13 +215,7 @@ class FineLocalizer:
                 (see :class:`FineSharedState`).  Sharing never changes
                 the answer — only how often affinities are recomputed.
         """
-        candidates = tuple(
-            room.room_id
-            for room in self._building.candidate_rooms(region_id))
-        if not candidates:
-            raise LocalizationError(
-                f"region g{region_id} has no candidate rooms")
-
+        candidates = self._building.candidate_room_ids(region_id)
         prior = self._prior_at(mac, candidates, timestamp, shared)
         posterior = RoomPosterior.from_vector(
             candidates, prior, affinity_cap=self.affinity_cap)

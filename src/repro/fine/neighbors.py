@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.events.table import EventTable
 from repro.events.validity import valid_event_at, valid_events_at
-from repro.space.building import Building
+from repro.space.building import Building, RegionCodeResolver
 from repro.util.timeutil import TimeInterval
 
 
@@ -36,6 +38,35 @@ class NeighborDevice:
     shared_rooms: frozenset[str]
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class NeighborSnapshot:
+    """The devices online at one timestamp, as rows of a table view.
+
+    Attributes:
+        macs: The :class:`~repro.events.table.FlatLogs` view's MAC tuple
+            at the generation the snapshot was computed from.  Rows
+            decode through it, never through the current view: a
+            snapshot outside δ of later appends stays memoized across
+            generations, and a new device shifts every later row.  Only
+            the tuple is kept, not the view, whose event arrays would pin
+            a whole generation.
+        rows: Row (in ``macs``) of each online device, ascending — so in
+            sorted-MAC order.
+        region_ids: Region of each one's valid event (int32, aligned
+            with ``rows``).
+    """
+
+    macs: tuple[str, ...]
+    rows: np.ndarray
+    region_ids: np.ndarray
+
+    def online(self) -> list[tuple[str, int]]:
+        """(mac, region id) of each online device, in sorted-MAC order."""
+        macs = self.macs
+        return [(macs[row], region_id) for row, region_id in
+                zip(self.rows.tolist(), self.region_ids.tolist())]
+
+
 class NeighborIndex:
     """Batch neighbor discovery: one online snapshot per distinct time.
 
@@ -43,7 +74,7 @@ class NeighborIndex:
     of queries sharing a timestamp (occupancy grids, contact tracing,
     trajectory sampling on a common grid) repeats that scan needlessly —
     the set of online devices and their regions depends only on the
-    timestamp.  This index computes the (mac, region) snapshot once per
+    timestamp.  This index computes one :class:`NeighborSnapshot` per
     distinct timestamp and derives each query's neighbor list from it.
 
     ``neighbors_for`` returns exactly what :func:`find_neighbors` would
@@ -54,8 +85,19 @@ class NeighborIndex:
     :func:`~repro.events.validity.valid_events_at` finds every device's
     valid event at once over the table's
     :meth:`~repro.events.table.EventTable.flat_logs`, the logs of the
-    current generation concatenated in sorted-MAC order.  The table
-    builds that view on the first read after a freeze moves its
+    current generation concatenated in sorted-MAC order, and a
+    :class:`~repro.space.building.RegionCodeResolver` maps those events'
+    AP codes to region ids (raising ``UnknownRegionError`` exactly when
+    an online device holds an AP outside the building).  The snapshot
+    keeps two int32 arrays — each online device's row and region id —
+    plus the view's ``macs`` tuple, which every snapshot of one
+    generation shares.  ``neighbors_for`` selects the rows whose region
+    overlaps the query's with one row of the building's precomputed
+    region × region overlap table, and builds :class:`NeighborDevice`
+    objects only for the first ``max_neighbors`` hits, from the
+    building's per-region candidate tuples and per-pair shared rooms.
+
+    The table builds the view on the first read after a freeze moves its
     generation and shares it with every index (and every in-process
     shard) over the table, so a snapshot computed after an append sees
     the new rows without any ingest hook.  δ is read from the registry
@@ -76,8 +118,8 @@ class NeighborIndex:
         self._building = building
         self._table = table
         self._max_snapshots = max_snapshots
-        self._snapshots: dict[float, tuple] = {}
-        self._region_rooms: dict[int, tuple[str, ...]] = {}  # repro-lint: disable=RL001  memo of the immutable Building topology, never stale
+        self._snapshots: dict[float, NeighborSnapshot] = {}
+        self._region_codes = RegionCodeResolver(building)
 
     @property
     def snapshot_count(self) -> int:
@@ -109,25 +151,17 @@ class NeighborIndex:
             del self._snapshots[t]
         return len(stale)
 
-    def _candidate_rooms(self, region) -> tuple[str, ...]:
-        rooms = self._region_rooms.get(region.region_id)
-        if rooms is None:
-            rooms = tuple(sorted(region.rooms))
-            self._region_rooms[region.region_id] = rooms
-        return rooms
-
-    def snapshot(self, timestamp: float) -> tuple:
-        """Online devices at ``timestamp`` as ordered (mac, region) pairs."""
+    def snapshot(self, timestamp: float) -> NeighborSnapshot:
+        """Online devices at ``timestamp``, memoized per timestamp."""
         snap = self._snapshots.get(timestamp)
         if snap is None:
             flat = self._table.flat_logs()
             rows, positions = valid_events_at(flat, timestamp)
-            macs, vocab = flat.macs, flat.ap_vocab
-            region_of_ap = self._building.region_of_ap
-            snap = tuple(
-                (macs[row], region_of_ap(vocab[code]))
-                for row, code in zip(rows.tolist(),
-                                     flat.ap_codes[positions].tolist()))
+            region_ids = self._region_codes.regions_of(
+                flat.ap_vocab, flat.ap_codes[positions])
+            snap = NeighborSnapshot(macs=flat.macs,
+                                    rows=rows.astype(np.int32),
+                                    region_ids=region_ids.astype(np.int32))
             if self._max_snapshots is not None and \
                     len(self._snapshots) >= self._max_snapshots:
                 # FIFO eviction (dicts preserve insertion order): a
@@ -141,21 +175,29 @@ class NeighborIndex:
                       max_neighbors: "int | None" = None
                       ) -> list[NeighborDevice]:
         """Same contract and result as :func:`find_neighbors`."""
-        query_region = self._building.region(region_id)
+        building = self._building
+        overlap = building.region_overlap(region_id)
+        shared_rooms = building.shared_rooms_of(region_id)
+        snap = self.snapshot(timestamp)
+        hits = np.flatnonzero(overlap[snap.region_ids])
+        limit = len(hits) if max_neighbors is None else max(max_neighbors, 0)
+        # Each MAC is online once, so the first limit + 1 hits hold the
+        # first ``limit`` that are not the queried device.
+        hits = hits[:limit + 1]
+        macs = snap.macs
         neighbors: list[NeighborDevice] = []
-        for other, other_region in self.snapshot(timestamp):
-            if max_neighbors is not None and len(neighbors) >= max_neighbors:
+        for row, other_region in zip(snap.rows[hits].tolist(),
+                                     snap.region_ids[hits].tolist()):
+            if len(neighbors) >= limit:
                 break
+            other = macs[row]
             if other == mac:
-                continue
-            shared = query_region.shared_rooms(other_region)
-            if not shared:
                 continue
             neighbors.append(NeighborDevice(
                 mac=other,
-                region_id=other_region.region_id,
-                candidate_rooms=self._candidate_rooms(other_region),
-                shared_rooms=shared,
+                region_id=other_region,
+                candidate_rooms=building.candidate_room_ids(other_region),
+                shared_rooms=shared_rooms[other_region],
             ))
         return neighbors
 

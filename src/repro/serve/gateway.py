@@ -12,7 +12,10 @@ Architecture (one box per concern)::
   :class:`~repro.errors.GatewayOverloadedError` *immediately* (bounded
   queue depth, typed rejection) instead of queueing into unbounded
   latency; cooperative clients ``await gateway.ready()`` for the
-  backpressure signal to clear.
+  backpressure signal to clear.  A query for a MAC the table has
+  never seen is rejected there too, with
+  :class:`~repro.errors.UnknownDeviceError`, so it fails its own caller
+  and never the window it would have joined.
 * **Lanes** — one submission queue per shard, routed by the cluster's
   :meth:`~repro.cluster.sharded.ShardedLocater.shard_of` (a lone
   ``Locater`` is one lane).  Each lane's worker coroutine gathers a
@@ -76,6 +79,7 @@ from repro.errors import (
     ConfigurationError,
     GatewayClosedError,
     GatewayOverloadedError,
+    UnknownDeviceError,
 )
 from repro.events.event import ConnectivityEvent
 from repro.system.ingestion import IngestionEngine, IngestReport
@@ -326,8 +330,17 @@ class AsyncGateway:
             LocationQuery(mac=mac, timestamp=timestamp))
 
     async def locate_query(self, query: LocationQuery) -> LocationAnswer:
-        """Admit, route and await one explicit query."""
+        """Admit, route and await one explicit query.
+
+        A MAC the table has never seen raises
+        :class:`~repro.errors.UnknownDeviceError` before admission, so it
+        fails its own caller only: admitted, it would fail every query
+        of its window inside ``locate_batch``.  The check is a registry
+        read, and an ingest registers its MACs at once.
+        """
         await self.start()
+        if query.mac not in self._backend.table.registry:
+            raise UnknownDeviceError(f"device {query.mac!r} never observed")
         if self._pending >= self._max_pending:
             self._shed += 1
             raise GatewayOverloadedError(self._pending, self._max_pending)

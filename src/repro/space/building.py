@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import SpaceModelError, UnknownRegionError, UnknownRoomError
 from repro.space.access_point import AccessPoint
@@ -17,8 +19,14 @@ class Building:
     A building owns a set of :class:`Room` objects and a set of
     :class:`AccessPoint` objects; each AP induces exactly one
     :class:`Region` (paper Section 2: ``|G| = |WAP|``).  All lookups used in
-    the inner loops of the localizers (room -> regions, AP -> region,
-    region -> candidate rooms) are precomputed here.
+    the inner loops of the localizers are precomputed here: room ->
+    regions, AP -> region, region -> candidate-room tuple, the region ×
+    region overlap table (do R(gx) and R(gy) share a room?) and, per
+    overlapping pair, the shared rooms R(gx) ∩ R(gy).  The topology
+    never changes, so neighbor discovery picks a query's neighbors with
+    one row of the overlap table instead of intersecting room sets.
+    Every accessor validates its region id first (a negative index would
+    wrap silently in a tuple or array).
 
     Instances are cheap to share between threads: all state is built in the
     constructor and never mutated afterwards.
@@ -60,6 +68,18 @@ class Building:
             for room_id in self._rooms
         }
         self._room_index = RoomIndex(self._rooms)
+        self._room_ids: tuple[tuple[str, ...], ...] = tuple(
+            tuple(sorted(region.rooms)) for region in self._regions)
+        self._shared_rooms: tuple[dict[int, frozenset[str]], ...] = tuple(
+            {other.region_id: shared for other in self._regions
+             if (shared := region.shared_rooms(other))}
+            for region in self._regions)
+        overlap = np.zeros((len(self._regions), len(self._regions)),
+                           dtype=np.bool_)
+        for region_id, shared_with in enumerate(self._shared_rooms):
+            overlap[region_id, list(shared_with)] = True
+        overlap.flags.writeable = False
+        self._overlap = overlap
 
     # ------------------------------------------------------------------
     # Rooms
@@ -125,9 +145,27 @@ class Building:
                 f"room {room_id!r} not in building {self.name!r}")
         return self._regions_of_room[room_id]
 
-    def candidate_rooms(self, region_id: int) -> list[Room]:
-        """The fine-localization candidate set R(gx) for a region."""
-        return [self._rooms[rid] for rid in sorted(self.region(region_id).rooms)]
+    def candidate_room_ids(self, region_id: int) -> tuple[str, ...]:
+        """The fine-localization candidate set R(gx), as sorted room ids."""
+        self.region(region_id)
+        return self._room_ids[region_id]
+
+    def region_overlap(self, region_id: int) -> np.ndarray:
+        """Row ``region_id`` of the overlap table (read-only).
+
+        Entry ``j`` is True when region ``j`` shares a room with region
+        ``region_id`` (R(gx) ∩ R(gy) ≠ ∅, the neighbor test of §4.2).
+        """
+        self.region(region_id)
+        return self._overlap[region_id]
+
+    def shared_rooms_of(self, region_id: int) -> Mapping[int, frozenset[str]]:
+        """R(gx) ∩ R(gy) for every region gy overlapping gx = ``region_id``.
+
+        Keyed by gy's region id; regions sharing no room are absent.
+        """
+        self.region(region_id)
+        return self._shared_rooms[region_id]
 
     @property
     def room_index(self) -> RoomIndex:
@@ -157,3 +195,46 @@ class Building:
     def __str__(self) -> str:
         return (f"Building {self.name!r}: {len(self._rooms)} rooms, "
                 f"{len(self._aps)} APs")
+
+
+class RegionCodeResolver:
+    """Memoized AP-vocabulary-code → region-id resolution for one building.
+
+    The single implementation behind every code-indexed region lookup
+    (bootstrap visit counts, the modal-region count, neighbor
+    snapshots): a lookup array the size of an AP vocabulary, grown
+    lazily as the (append-only, table-wide) vocabulary grows, with each
+    distinct code resolved through ``building.region_of_ap`` exactly
+    once on first sight — so unknown APs never referenced by any event
+    stay unresolved, and a lookup raises
+    :class:`~repro.errors.UnknownRegionError` exactly when one of the
+    codes it is given names an AP outside the building.
+    """
+
+    def __init__(self, building: Building) -> None:
+        self._building = building
+        self._vocab: "Sequence[str] | None" = None
+        self._lookup: "np.ndarray | None" = None
+
+    def regions_of(self, vocab: Sequence[str],
+                   codes: np.ndarray) -> np.ndarray:
+        """Region id per entry of ``codes`` (indices into ``vocab``)."""
+        lookup = self._lookup
+        if self._vocab is not vocab or lookup is None:
+            lookup = np.full(len(vocab), -1, dtype=np.int64)
+        elif lookup.size < len(vocab):  # vocabulary grew since caching
+            lookup = np.concatenate(
+                [lookup, np.full(len(vocab) - lookup.size, -1,
+                                 dtype=np.int64)])
+        regions = lookup[codes]
+        unresolved = regions < 0
+        if unresolved.any():
+            for code in np.unique(codes[unresolved]):
+                lookup[int(code)] = self._building.region_of_ap(
+                    vocab[int(code)]).region_id
+            regions = lookup[codes]
+        # Cache vocab and lookup together only once fully resolved, so a
+        # failed resolution can never pair a new vocab with stale codes.
+        self._vocab = vocab
+        self._lookup = lookup
+        return regions

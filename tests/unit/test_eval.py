@@ -13,7 +13,7 @@ from repro.eval.predictability import (
 )
 from repro.eval.queries import generated_query_set, labeled_query_set
 from repro.eval.reporting import format_series, format_table
-from repro.eval.runner import evaluate, pooled_counts
+from repro.eval.runner import evaluate, evaluate_batch, pooled_counts
 
 
 class TestPrecisionCounts:
@@ -157,6 +157,24 @@ class TestRunner:
                           queries, record_latency=True)
         assert len(result.per_query_seconds) == len(queries)
         assert result.mean_query_ms >= 0.0
+
+    class PerfectBatchSystem(PerfectSystem):
+        def locate_batch(self, queries):
+            return [self.locate(q.mac, q.timestamp) for q in queries]
+
+    def test_mean_query_ms_without_recorded_latencies(self, small_dataset):
+        # Neither a batch nor an unrecorded per-query run keeps
+        # latencies; the mean still divides the elapsed time by the
+        # queries scored.
+        queries = labeled_query_set(small_dataset, per_device=2, seed=5)
+        system = self.PerfectBatchSystem(small_dataset)
+        for result in (evaluate_batch(system, small_dataset, queries),
+                       evaluate(system, small_dataset, queries)):
+            assert not result.per_query_seconds
+            assert result.elapsed_seconds > 0
+            assert result.mean_query_ms == \
+                1000.0 * result.elapsed_seconds / len(queries)
+            assert result.mean_query_ms > 0
 
 
 class TestReporting:

@@ -20,6 +20,7 @@ from repro.errors import (
     ConfigurationError,
     GatewayClosedError,
     GatewayOverloadedError,
+    UnknownDeviceError,
 )
 from repro.serve import AsyncGateway, GatewayStats, WindowRecord
 from repro.system.config import LocaterConfig
@@ -230,6 +231,48 @@ class TestStats:
                              windows=0, ingests=0, pending=0,
                              pending_peak=0, coalesced_max=0)
         assert stats.coalescing == 0.0
+
+
+class TestUnknownDevice:
+    """A never-seen MAC fails its own caller, not its window."""
+
+    @pytest.fixture(params=["lone", "two_shards"])
+    def backend(self, request, lone, fig1_building, fig1_metadata,
+                fig1_table):
+        if request.param == "lone":
+            yield lone
+            return
+        with ShardedLocater(fig1_building, fig1_metadata, fig1_table,
+                            shard_count=2,
+                            config=LocaterConfig(use_caching=False)) \
+                as cluster:
+            yield cluster
+
+    def test_unknown_mac_fails_alone(self, backend, fig1_building,
+                                     fig1_metadata, fig1_table, queries):
+        valid = queries[4]
+        unknown = LocationQuery(mac="never-seen", timestamp=valid.timestamp)
+        expected = Locater(
+            fig1_building, fig1_metadata, fig1_table,
+            config=LocaterConfig(use_caching=False)).locate_batch([valid])
+        # Both wait in one open window (max_wait) if both are admitted.
+        gateway = AsyncGateway(backend, max_wait=0.05, journal=True)
+
+        async def main():
+            async with gateway:
+                return await asyncio.gather(
+                    gateway.locate_query(valid),
+                    gateway.locate_query(unknown), return_exceptions=True)
+
+        answer, error = asyncio.run(main())
+        assert isinstance(error, UnknownDeviceError)
+        assert [answer] == expected
+        windows = [record for record in gateway.journal
+                   if isinstance(record, WindowRecord)]
+        assert [q for window in windows for q in window.queries] == [valid]
+        stats = gateway.stats()
+        assert stats.failed == 0
+        assert stats.submitted == stats.completed == 1
 
 
 class TestLocateSlice:

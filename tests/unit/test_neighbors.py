@@ -6,12 +6,24 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
+from repro.errors import UnknownRegionError
 from repro.events.event import ConnectivityEvent
-from repro.events.validity import DeltaEstimator
+from repro.events.validity import DeltaEstimator, valid_event_at
 from repro.fine.neighbors import NeighborIndex, find_neighbors
 from repro.system.memory import MemoryManager
 from repro.util.timeutil import minutes
+
+
+def scalar_snapshot(building, table, timestamp) -> list[tuple[str, int]]:
+    """(mac, region id) of each online device, one device at a time."""
+    online = []
+    for mac in sorted(table.macs()):
+        hit = valid_event_at(table.log(mac), timestamp)
+        if hit is not None:
+            online.append((mac, building.region_of_ap(hit.ap_id).region_id))
+    return online
 
 
 class TestFindNeighbors:
@@ -87,6 +99,16 @@ class TestNeighborIndex:
                             max_neighbors=cap)
                         assert got == expected
 
+    def test_unvalidated_region_ids_raise(self, fig1_building, fig1_table):
+        # A negative id must not wrap into the building's region tables.
+        index = NeighborIndex(fig1_building, fig1_table)
+        for region_id in (-1, len(fig1_building.regions)):
+            with pytest.raises(UnknownRegionError):
+                index.neighbors_for("d1", 8.5 * 3600, region_id)
+            with pytest.raises(UnknownRegionError):
+                find_neighbors(fig1_building, fig1_table, "d1", 8.5 * 3600,
+                               region_id)
+
     def test_snapshot_cached_per_timestamp(self, fig1_building,
                                            fig1_table):
         index = NeighborIndex(fig1_building, fig1_table)
@@ -98,7 +120,7 @@ class TestNeighborIndex:
                                                   fig1_table):
         index = NeighborIndex(fig1_building, fig1_table)
         snap = index.snapshot(8.5 * 3600)
-        macs = [mac for mac, _ in snap]
+        macs = [mac for mac, _ in snap.online()]
         assert macs == sorted(macs)
         assert "d1" in macs and "d2" in macs
 
@@ -110,10 +132,10 @@ class TestSnapshotFreshness:
                                                       fig1_table):
         index = NeighborIndex(fig1_building, fig1_table)
         late = 20 * 3600.0
-        assert index.snapshot(late - 3600.0) == ()
+        assert index.snapshot(late - 3600.0).online() == []
         fig1_table.append(ConnectivityEvent(late, "d3", "wap1"))
         snap = index.snapshot(late)
-        assert [mac for mac, _ in snap] == ["d3"]
+        assert [mac for mac, _ in snap.online()] == ["d3"]
         wap1 = fig1_building.region_of_ap("wap1").region_id
         assert index.neighbors_for("d1", late, wap1) == find_neighbors(
             fig1_building, fig1_table, "d1", late, wap1)
@@ -124,14 +146,15 @@ class TestSnapshotFreshness:
         # its last event only once its δ is refit to 20 min.
         index = NeighborIndex(fig1_building, fig1_table)
         last = float(fig1_table.log("d3").times[-1])
-        assert "d3" not in [mac for mac, _ in index.snapshot(last + 900)]
+        assert "d3" not in [
+            mac for mac, _ in index.snapshot(last + 900).online()]
         generation = fig1_table.generation
         DeltaEstimator(minimum=minutes(2), maximum=minutes(30)).fit_devices(
             fig1_table, ["d3"])
         assert fig1_table.registry.get("d3").delta == minutes(20)
         assert fig1_table.generation == generation
         later = index.snapshot(last + 901)  # an uncached timestamp
-        assert "d3" in [mac for mac, _ in later]
+        assert "d3" in [mac for mac, _ in later.online()]
 
     def test_view_shared_per_generation(self, fig1_building, fig1_table):
         first = NeighborIndex(fig1_building, fig1_table)
@@ -145,6 +168,35 @@ class TestSnapshotFreshness:
         assert fig1_table.flat_logs().generation == view.generation + 1
 
 
+    def test_memoized_snapshot_survives_a_row_shifting_generation(
+            self, fig1_building, fig1_table):
+        # "a0" sorts before every other MAC, so the new view shifts every
+        # row by one; the memo outside δ of the append is kept, and its
+        # rows must still decode through the view it was computed from.
+        index = NeighborIndex(fig1_building, fig1_table)
+        at = 8.5 * 3600.0
+        memo = index.snapshot(at)
+        fig1_table.append(ConnectivityEvent(20 * 3600.0, "a0", "wap3"))
+        fig1_table.freeze()
+        assert fig1_table.flat_logs().macs[0] == "a0"
+        assert index.snapshot(at) is memo
+        for mac in fig1_table.macs():
+            for region in fig1_building.regions:
+                assert index.neighbors_for(mac, at, region.region_id) == \
+                    find_neighbors(fig1_building, fig1_table, mac, at,
+                                   region.region_id)
+
+    def test_unknown_ap_raises_only_where_its_device_is_online(
+            self, fig1_building, fig1_table):
+        fig1_table.append(ConnectivityEvent(20 * 3600.0, "d0",
+                                            "no-such-ap"))
+        index = NeighborIndex(fig1_building, fig1_table)
+        with pytest.raises(UnknownRegionError):
+            index.snapshot(20 * 3600.0)
+        assert index.snapshot(9 * 3600.0).online() == \
+            scalar_snapshot(fig1_building, fig1_table, 9 * 3600.0)
+
+
 class TestFlatLogsMemory:
     """Under a budget the view is one evictable entry of the manager."""
 
@@ -153,7 +205,7 @@ class TestFlatLogsMemory:
         manager = MemoryManager(budget_bytes=0)
         assert fig1_table.enable_eviction(manager)
         index = NeighborIndex(fig1_building, fig1_table)
-        before = index.snapshot(9 * 3600.0)
+        before = index.snapshot(9 * 3600.0).online()
         view = fig1_table.flat_logs()
         devices = len(view.macs)
         assert view.nbytes == 20 * len(fig1_table) + 8 * (devices + 1)
@@ -161,7 +213,7 @@ class TestFlatLogsMemory:
         manager.enforce()
         assert manager.stats()["by_category"]["flat-logs"] == 0
         index.invalidate_all()
-        assert index.snapshot(9 * 3600.0) == before
+        assert index.snapshot(9 * 3600.0).online() == before
         rebuilt = fig1_table.flat_logs()
         assert rebuilt is not view
         np.testing.assert_array_equal(rebuilt.keys, view.keys)
@@ -173,14 +225,14 @@ def test_concurrent_first_reads_share_one_generation(fig1_building,
     # In-process shards read one table from several lane threads; the
     # first reads after a new generation may race to build the view.
     times = [8 * 3600.0 + 97.0 * i for i in range(120)]
-    expected = [NeighborIndex(fig1_building, fig1_table).snapshot(t)
+    expected = [NeighborIndex(fig1_building, fig1_table).snapshot(t).online()
                 for t in times]
     fig1_table.append(ConnectivityEvent(23 * 3600.0, "d2", "wap2"))
     results: dict[int, list] = {}
 
     def read(worker: int) -> None:
         index = NeighborIndex(fig1_building, fig1_table)
-        results[worker] = [index.snapshot(t) for t in times]
+        results[worker] = [index.snapshot(t).online() for t in times]
 
     # Ingest, and so freeze, runs between windows, never during them.
     fig1_table.freeze()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -85,9 +87,8 @@ class TestBuilding:
 
     def test_candidate_rooms_sorted(self, fig1_building: Building):
         region = fig1_building.region_of_ap("wap3")
-        rooms = fig1_building.candidate_rooms(region.region_id)
-        ids = [room.room_id for room in rooms]
-        assert ids == sorted(ids)
+        ids = fig1_building.candidate_room_ids(region.region_id)
+        assert list(ids) == sorted(region.rooms)
 
     def test_unknown_lookups_raise(self, fig1_building: Building):
         with pytest.raises(UnknownRoomError):
@@ -98,6 +99,41 @@ class TestBuilding:
             fig1_building.region_of_ap("wap99")
         with pytest.raises(UnknownRoomError):
             fig1_building.regions_of_room("nope")
+
+    def test_overlap_tables_match_shared_rooms(self,
+                                               fig1_building: Building):
+        # The precomputed tables equal Region.shared_rooms pair by pair.
+        regions = fig1_building.regions
+        for gx in regions:
+            overlap = fig1_building.region_overlap(gx.region_id)
+            shared = fig1_building.shared_rooms_of(gx.region_id)
+            for gy in regions:
+                rooms = gx.shared_rooms(gy)
+                assert bool(overlap[gy.region_id]) == bool(rooms)
+                assert shared.get(gy.region_id, frozenset()) == rooms
+        assert not fig1_building.region_overlap(0).flags.writeable
+
+    def test_overlap_tables_reject_unvalidated_ids(self,
+                                                   fig1_building: Building):
+        # A negative id would wrap silently in a tuple or array index.
+        for region_id in (-1, -4, 4):
+            for lookup in (fig1_building.region_overlap,
+                           fig1_building.shared_rooms_of,
+                           fig1_building.candidate_room_ids):
+                with pytest.raises(UnknownRegionError):
+                    lookup(region_id)
+
+    def test_pickle_round_trip_keeps_tables(self, fig1_building: Building):
+        # Spawn workers receive the building inside the shard factory.
+        copy = pickle.loads(pickle.dumps(fig1_building))
+        for region in fig1_building.regions:
+            region_id = region.region_id
+            assert (copy.region_overlap(region_id) ==
+                    fig1_building.region_overlap(region_id)).all()
+            assert copy.shared_rooms_of(region_id) == \
+                fig1_building.shared_rooms_of(region_id)
+            assert copy.candidate_room_ids(region_id) == \
+                fig1_building.candidate_room_ids(region_id)
 
     def test_public_private_partition(self, fig1_building: Building):
         publics = {r.room_id for r in fig1_building.public_rooms()}
