@@ -9,8 +9,8 @@ from the wireless controllers while location queries keep arriving.
 This example replays a simulated day as interleaved ingest ticks and
 query bursts through a :class:`repro.StreamingSession` — each tick
 merges the new events into the running table in O(new), and the next
-burst's locater sees the table's generation moved and surgically
-invalidates exactly the trained models and memos those events staled,
+burst's locater sees the table's generation moved, resets its warm
+memos and invalidates exactly the trained models those events staled,
 so every burst is answered fresh without ever rebuilding the system.
 """
 

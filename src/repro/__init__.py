@@ -53,10 +53,12 @@ re-sort) and publishes a generation-keyed change feed
 ids, merges and re-estimates δ only for the devices that changed.
 Freshness is *pulled*: every ``Locater`` serve first compares the
 table's generation with the last one it saw, and when it moved,
-``Locater.on_ingest`` invalidates *surgically* — only the changed
-devices' coarse models, affinity memos, stale neighbor snapshots and
-(when they fed it) the population aggregate are dropped, escalating to
-a full drop only when the training window itself moved.  No hook wires
+``Locater.on_ingest`` resets the warm batch state (neighbor snapshots
+and affinity/feature memos) whole, and invalidates what costs to
+rebuild *surgically* — only the changed devices' coarse models and
+device affinities and (when they fed it) the population aggregate are
+dropped, escalating to a full drop of every model only when the
+training window itself moved.  No hook wires
 an ingest path to the locater, so every path — an engine, a bare
 ``append``, a cluster's sync — stays fresh by construction.  Stored
 answers are the one eager exception: an engine that persists rows
@@ -90,7 +92,7 @@ candidate rooms in one pass, and ``RoomPosterior`` folds whole affinity
 vectors with one ``np.log`` per neighbor.  String-keyed dicts survive
 only at the public boundary (``FineResult.posterior``, the CLI, the
 eval harness) as thin adapters — see :mod:`repro.fine` for the
-contract and :mod:`repro.fine.reference` for the retained scalar
+contract and ``tests/oracles/fine.py`` for the retained scalar
 oracle that ``tests/property/test_prop_fine_core.py`` checks the array
 core against.
 
@@ -231,23 +233,18 @@ Contracts
 ---------
 
 Every equivalence suite above asserts *bitwise* identical answers, and
-that property rests on coding conventions the tests cannot see directly.
-``repro-lint`` (:mod:`repro.tools.lint`; run with ``python -m
-repro.tools.lint src/repro``) enforces them mechanically — each rule is
-checked by the named module and exercised by seeded-mutation fixtures
-in ``tests/lint/``:
+that property rests on invariants the tests cannot see directly.  Two
+hold by construction.  No memo outlives the events it was computed
+from: every ``Locater`` resets its warm batch state whole whenever the
+table's generation moves, while trained coarse models and device
+affinities are still invalidated per changed device.  And the reference
+oracles the property suites judge the array cores by live in
+``tests/oracles/``, where nothing in ``src/`` can import them.  The
+rest are coding conventions that ``repro-lint``
+(:mod:`repro.tools.lint`; run with ``python -m repro.tools.lint
+src/repro``) enforces mechanically — each rule is checked by the named
+module and exercised by seeded-mutation fixtures in ``tests/lint/``:
 
-* **RL001 invalidation-completeness**
-  (:mod:`repro.tools.lint.checkers.invalidation`) — every memo/cache
-  attribute of the shared-state classes (``CoarseSharedState``,
-  ``FineSharedState``, ``BatchState``, ``NeighborIndex``,
-  ``CachingEngine``) is reachable from a ``drop_*``/``invalidate_*``
-  method, ``MEMO_ATTRS`` lists exactly the memo dicts, and the
-  invalidation surface is invoked from the ingest path
-  (``Locater.on_ingest``, which every serve pulls when the table's
-  generation moved) — so no cache can silently outlive the events it
-  was computed from.  The pull makes a *forgotten* ingest path
-  impossible; the rule still guards the surgical drops themselves.
 * **RL002 determinism**
   (:mod:`repro.tools.lint.checkers.determinism`) — answer-path modules
   (``repro/{fine,coarse,cache,system,cluster,events}``) never iterate
@@ -264,10 +261,6 @@ in ``tests/lint/``:
   column-store and posterior modules always pin an explicit ``dtype=``
   (the byte-layout contracts ``TIMES_DTYPE``/``APS_DTYPE`` depend on
   declared widths, not numpy defaults).
-* **RL005 reference-isolation**
-  (:mod:`repro.tools.lint.checkers.isolation`) — nothing outside
-  tests/benchmarks imports ``repro.{fine,coarse}.reference``; the
-  oracles stay independent of the code they judge.
 * **RL006 typed-pipe-failures**
   (:mod:`repro.tools.lint.checkers.supervision`) — cluster pipe
   send/recv always maps transport failures to the typed shard errors

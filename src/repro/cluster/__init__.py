@@ -86,7 +86,7 @@ caching is on (re-keyed ones migrate), and process shards apply a
 :class:`~repro.events.table.TableSync` — the merge's new segment names,
 no event data — to their attached views.  ``cluster.ingest`` also
 persists each shard's slice of the dirty stream under its storage
-namespace.  Shards invalidate surgically on their own: each shard's
+namespace.  Shards invalidate on their own: each shard's
 ``Locater`` sees the generation moved at its next serve and runs
 :meth:`Locater.on_ingest` itself, exactly as a lone system would.
 

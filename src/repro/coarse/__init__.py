@@ -29,7 +29,7 @@ Training is array-native end to end, mirroring the fine core's layout:
   the historical per-promotion ``vstack``/``list.remove`` O(U²).
 
 The pre-vectorization dict/loop implementations live in
-:mod:`repro.coarse.reference` as the property-suite oracle
+``tests/oracles/coarse.py`` as the property-suite oracle
 (``tests/property/test_prop_coarse_core.py``); nothing in the production
 pipeline imports them.
 

@@ -12,7 +12,7 @@ The density of every gap is computed in one shot: a (gaps × days) grid of
 absolute window bounds fed to :meth:`~repro.events.table.DeviceLog
 .count_in_windows`, two vectorized binary searches total instead of
 gaps × days ``count_in`` calls.  The historical one-dict-per-gap path is
-retained in :mod:`repro.coarse.reference` as the property-suite oracle.
+retained in ``tests/oracles/coarse.py`` as the property-suite oracle.
 """
 
 from __future__ import annotations

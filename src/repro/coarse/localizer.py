@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
-from typing import ClassVar
 
 import numpy as np
 
@@ -70,13 +69,9 @@ class CoarseSharedState:
     extraction and predictions are shared per (mac, gap).  The aggregate
     fallbacks stay unmemoized (they depend on the query time, not the
     gap).  Values are exactly what the sequential path computes, so
-    sharing never changes an answer.
+    sharing never changes an answer.  Every field is a memo dict (the
+    warm state's trim and reset enumerate them by field).
     """
-
-    #: The memo-dict attributes of this state — the single list the
-    #: trim/reset/fanout plumbing iterates (add new memos here too).
-    MEMO_ATTRS: ClassVar[tuple[str, ...]] = (
-        "features", "building_labels", "region_ids")
 
     features: "dict[tuple[str, float, float], np.ndarray]" = field(
         default_factory=dict)
@@ -84,28 +79,6 @@ class CoarseSharedState:
         default_factory=dict)
     region_ids: "dict[tuple[str, float, float], int]" = field(
         default_factory=dict)
-
-    def drop_device(self, mac: str) -> None:
-        """Forget every memo of one device (its gaps/models changed)."""
-        self.drop_devices({mac})
-
-    def drop_devices(self, macs: "set[str]") -> None:
-        """Forget the memos of many devices.
-
-        Each memo is partitioned in a single pass — the survivors are
-        rebuilt into a fresh dict — instead of collecting a doomed-key
-        list and deleting entry by entry.
-        """
-        if not macs:
-            return
-        self.features = {key: value for key, value in self.features.items()
-                         if key[0] not in macs}
-        self.building_labels = {key: value for key, value
-                                in self.building_labels.items()
-                                if key[0] not in macs}
-        self.region_ids = {key: value for key, value
-                           in self.region_ids.items()
-                           if key[0] not in macs}
 
 
 @dataclass(slots=True)

@@ -17,7 +17,7 @@ once, a boolean remaining mask over the unlabeled pool, integer label
 codes, and warm-start retrains reading growing *views* of that matrix —
 no per-promotion ``np.vstack`` (O(U²·f) copying) and no ``list.remove``
 (O(U²) shifts).  Everything observable is bit-identical to the historical
-loop retained in :mod:`repro.coarse.reference`, which the property suite
+loop retained in ``tests/oracles/coarse.py``, which the property suite
 ``tests/property/test_prop_coarse_core.py`` enforces.
 """
 

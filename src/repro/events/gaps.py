@@ -127,7 +127,7 @@ def extract_gaps(log: DeviceLog, delta: "float | None" = None,
 
     Built on :func:`extract_gap_arrays`; answers are identical to the
     historical per-pair loop (retained as the oracle in
-    :mod:`repro.coarse.reference`).
+    ``tests/oracles/coarse.py``).
     """
     return extract_gap_arrays(log, delta=delta, window=window).to_gaps(log)
 

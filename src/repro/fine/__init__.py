@@ -42,11 +42,12 @@ generation-keyed :meth:`~repro.events.table.EventTable.flat_logs`
 instead of a loop over devices.  A snapshot holds two int32 arrays,
 each online device's row and region id, plus the view's ``macs``
 tuple.  Rows decode through that tuple, never through the current
-view: a memoized snapshot outlives later generations (invalidation is
-surgical, within δ of new rows), and a new device shifts every later
-row.  ``neighbors_for`` picks a query's neighbors with one row of the
-building's precomputed region × region overlap table and builds
-``NeighborDevice`` objects only for the first ``max_neighbors`` hits.
+view: an index used on its own keeps memoized snapshots across
+generations (a ``Locater`` resets its index whenever the generation
+moves), and a new device shifts every later row.  ``neighbors_for``
+picks a query's neighbors with one row of the building's precomputed
+region × region overlap table and builds ``NeighborDevice`` objects
+only for the first ``max_neighbors`` hits.
 :func:`~repro.fine.neighbors.find_neighbors`,
 :func:`~repro.events.validity.valid_event_at` and
 :meth:`~repro.space.region.Region.shared_rooms` stay the scalar
@@ -60,7 +61,7 @@ adapters over the array core, so the CLI, eval harness, and storage
 layers are untouched by the representation.  Batch and sequential paths
 share the same core, keeping their answers bitwise identical.  The
 pre-vectorization scalar implementation is retained in
-:mod:`repro.fine.reference` as the property-suite oracle
+``tests/oracles/fine.py`` as the property-suite oracle
 (``tests/property/test_prop_fine_core.py``).
 """
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import ClassVar
 
 import numpy as np
 
@@ -86,14 +85,9 @@ class FineSharedState:
     All memo values are float64 vectors aligned to the key's
     candidate-room tuple (the array core's native representation); keys
     preserve member *order* so memoized vectors are bitwise identical
-    to what the sequential path multiplies out.
+    to what the sequential path multiplies out.  Every field is a memo
+    dict (the warm state's trim and reset enumerate them by field).
     """
-
-    #: The memo-dict attributes of this state — the single list the
-    #: trim/reset/fanout plumbing iterates (add new memos here too).
-    MEMO_ATTRS: ClassVar[tuple[str, ...]] = (
-        "priors", "pair_affinities", "cluster_affinities",
-        "room_affinities")
 
     priors: dict = field(default_factory=dict)
     pair_affinities: dict = field(default_factory=dict)
@@ -108,41 +102,6 @@ class FineSharedState:
             "clusters": len(self.cluster_affinities),
             "rooms": len(self.room_affinities),
         }
-
-    def drop_device(self, mac: str) -> None:
-        """Forget every memo that mentions one device (see drop_devices)."""
-        self.drop_devices({mac})
-
-    def drop_devices(self, macs: "set[str]") -> None:
-        """Forget every memo mentioning any of the given devices.
-
-        After an ingest changes some logs, any memoized affinity a
-        changed device participates in — as the queried device or as a
-        neighbor/cluster member — may be stale; memos among unchanged
-        devices survive.  One pass per memo dict regardless of how many
-        devices changed.  (Priors and room affinities are
-        metadata-pure, but they are dropped too: the cost is a cheap
-        recompute, and "no memo mentioning a changed device survives"
-        is the easier invariant to audit.)
-
-        Each memo is partitioned in one pass — survivors rebuilt into a
-        fresh dict — rather than collecting doomed keys and deleting one
-        by one.
-        """
-        if not macs:
-            return
-        self.priors = {key: value for key, value in self.priors.items()
-                       if key[0] not in macs}
-        self.room_affinities = {key: value for key, value
-                                in self.room_affinities.items()
-                                if key[0] not in macs}
-        self.pair_affinities = {key: value for key, value
-                                in self.pair_affinities.items()
-                                if key[0] not in macs and key[2] not in macs}
-        self.cluster_affinities = {
-            key: value for key, value in self.cluster_affinities.items()
-            if key[0] not in macs
-            and not any(mac in macs for mac, _ in key[2])}
 
 
 @dataclass(slots=True)

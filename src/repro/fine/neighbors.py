@@ -16,7 +16,6 @@ import numpy as np
 from repro.events.table import EventTable
 from repro.events.validity import valid_event_at, valid_events_at
 from repro.space.building import Building, RegionCodeResolver
-from repro.util.timeutil import TimeInterval
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +44,8 @@ class NeighborSnapshot:
     Attributes:
         macs: The :class:`~repro.events.table.FlatLogs` view's MAC tuple
             at the generation the snapshot was computed from.  Rows
-            decode through it, never through the current view: a
-            snapshot outside δ of later appends stays memoized across
+            decode through it, never through the current view: an index
+            used on its own keeps its memoized snapshots across
             generations, and a new device shifts every later row.  Only
             the tuple is kept, not the view, whose event arrays would pin
             a whole generation.
@@ -102,15 +101,16 @@ class NeighborIndex:
     shard) over the table, so a snapshot computed after an append sees
     the new rows without any ingest hook.  δ is read from the registry
     on each snapshot, so a refit δ applies to the next uncached
-    timestamp.  Snapshots already memoized are another matter; see
-    below.
+    timestamp.  Snapshots already memoized are another matter: the
+    index never drops one by itself, so an index used on its own keeps
+    them across generations (each decodes through its own ``macs``).
 
     Each ``Locater`` owns one in its warm state and keeps it across
     calls: ``max_snapshots`` bounds memory (snapshots are memos:
     evicting the oldest-inserted only costs a recompute), and the
-    locater's pull calls :meth:`invalidate_interval` /
-    :meth:`invalidate_all` once the table merged new rows, so snapshots
-    never outlive the validity windows they were computed from.
+    locater's pull calls :meth:`invalidate_all` whenever the table's
+    generation moved, so no snapshot it serves outlives the validity
+    windows it was computed from.
     """
 
     def __init__(self, building: Building, table: EventTable,
@@ -131,25 +131,6 @@ class NeighborIndex:
         dropped = len(self._snapshots)
         self._snapshots.clear()
         return dropped
-
-    def invalidate_interval(self, interval: TimeInterval,
-                            slack: float = 0.0) -> int:
-        """Drop snapshots with timestamp in ``[start − slack, end + slack]``.
-
-        After events are merged into ``interval``, a device's validity —
-        hence its online status — can only change within δ of the new
-        rows (a new row truncates at most its immediate predecessor's
-        window, which also lies within δ of it), so callers pass the
-        changed device's δ as ``slack``.  If the device's *δ itself*
-        changed, validity shifts everywhere and
-        :meth:`invalidate_all` must be used instead.  Returns how many
-        snapshots were dropped.
-        """
-        lo, hi = interval.start - slack, interval.end + slack
-        stale = [t for t in self._snapshots if lo <= t <= hi]
-        for t in stale:
-            del self._snapshots[t]
-        return len(stale)
 
     def snapshot(self, timestamp: float) -> NeighborSnapshot:
         """Online devices at ``timestamp``, memoized per timestamp."""

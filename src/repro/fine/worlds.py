@@ -48,7 +48,7 @@ renormalization as a single vectorized pass.  The dict-facing methods
 adapters kept for the public API; hot-path callers (the fine localizer)
 stay on the array forms throughout.  The pre-vectorization scalar
 implementation survives as
-:class:`repro.fine.reference.DictRoomPosterior`, the oracle of the
+``DictRoomPosterior`` in ``tests/oracles/fine.py``, the oracle of the
 property suite.
 """
 

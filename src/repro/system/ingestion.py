@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
-from repro.events.device import DEFAULT_DELTA_SECONDS
 from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
@@ -32,13 +31,16 @@ from repro.system.storage import StorageEngine
 from repro.util.timeutil import TimeInterval
 
 
+#: Rows per storage write.
+STORAGE_BATCH_ROWS = 1000
+
+
 @dataclass(frozen=True, slots=True)
 class IngestReport:
     """What one :meth:`IngestionEngine.ingest` call changed.
 
-    Both the engine and a ``Locater``'s pull build it with :meth:`of`;
-    a pulled report spans every merge since the ``Locater``'s last
-    serve.
+    The engine returns one per call; a ``Locater``'s pull builds one
+    spanning every merge since its last serve.
 
     Attributes:
         count: Events ingested by this call (0 in a pulled report: the
@@ -48,40 +50,11 @@ class IngestReport:
         changed: Per changed MAC, the interval spanning the timestamps of
             the rows merged by this call (``end`` is the latest merged
             timestamp itself).
-        delta_changes: MAC → (old δ, new δ) for devices whose validity
-            period estimate actually moved; consumers holding
-            validity-derived snapshots must treat these devices as
-            changed at *all* times, not just inside ``changed``.
     """
 
     count: int
     generation: int
     changed: Mapping[str, TimeInterval] = field(default_factory=dict)
-    delta_changes: Mapping[str, tuple[float, float]] = field(
-        default_factory=dict)
-
-    @classmethod
-    def of(cls, table: EventTable, changed: Mapping[str, TimeInterval],
-           prior_deltas: Mapping[str, float],
-           count: int = 0) -> "IngestReport":
-        """The report for the ``changed`` devices of ``table``.
-
-        ``changed`` is the table's change feed
-        (``EventTable.changed_since``) over the merges reported; a
-        changed device's δ moved when it differs from ``prior_deltas``,
-        where a device missing there had
-        :data:`~repro.events.device.DEFAULT_DELTA_SECONDS` (the δ the
-        registry gives a device it has just met).
-        """
-        registry = table.registry
-        delta_changes: dict[str, tuple[float, float]] = {}
-        for mac in changed:
-            old = prior_deltas.get(mac, DEFAULT_DELTA_SECONDS)
-            new = registry.get(mac).delta
-            if new != old:
-                delta_changes[mac] = (old, new)
-        return cls(count=count, generation=table.generation,
-                   changed=changed, delta_changes=delta_changes)
 
     @property
     def macs(self) -> frozenset[str]:
@@ -96,8 +69,8 @@ class IngestionEngine:
         table: Event table the cleaning engine queries.
         storage: Optional storage engine receiving the raw (dirty) rows;
             an ingest that changes the table also purges its cleaned
-            answers.
-        batch_size: Rows per storage write.
+            answers.  Rows reach it in writes of
+            :data:`STORAGE_BATCH_ROWS`.
 
     After each ingest batch the engine re-estimates δ for the devices
     whose logs changed (cheap, and keeps validity windows calibrated as
@@ -109,13 +82,9 @@ class IngestionEngine:
     """
 
     def __init__(self, table: EventTable,
-                 storage: "StorageEngine | None" = None,
-                 batch_size: int = 1000) -> None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+                 storage: "StorageEngine | None" = None) -> None:
         self._table = table
         self._storage = storage
-        self._batch_size = batch_size
         self._estimator = DeltaEstimator()
         seed = table.max_event_id
         if storage is not None:
@@ -148,9 +117,9 @@ class IngestionEngine:
         """Consume a stream of events; returns what changed.
 
         The report's ``count`` says how many events were ingested; its
-        ``changed``/``delta_changes`` maps say which devices changed over
-        which interval, and whose δ moved.  When anything changed, the
-        storage's cleaned answers are purged before this returns.
+        ``changed`` map says which devices changed over which interval.
+        When anything changed, the storage's cleaned answers are purged
+        before this returns.
         """
         # Another engine over the same table (a cluster's and a
         # streaming session's, say) may have stamped ids since this one
@@ -167,15 +136,13 @@ class IngestionEngine:
             self._table.append(stamped)
             batch.append(stamped)
             count += 1
-            if len(batch) >= self._batch_size:
+            if len(batch) >= STORAGE_BATCH_ROWS:
                 self._flush(batch)
                 batch = []
         if batch:
             self._flush(batch)
         self._table.freeze()
         changed = self._table.changed_since(generation_before)
-        prior = {mac: self._table.registry.get(mac).delta
-                 for mac in changed}
         if changed:
             self._estimator.fit_devices(self._table, sorted(changed))
         if self._storage is not None and changed:
@@ -183,7 +150,8 @@ class IngestionEngine:
             # against; purge them in the same call, so a system rebuilt
             # over the store (after a restart, say) never reads one.
             self._storage.clear_answers()
-        return IngestReport.of(self._table, changed, prior, count=count)
+        return IngestReport(count=count, generation=self._table.generation,
+                            changed=changed)
 
     def _flush(self, batch: list[ConnectivityEvent]) -> None:
         if self._storage is not None:

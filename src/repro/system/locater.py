@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from collections.abc import Iterable
 
 from repro.coarse.bootstrap import BootstrapLabeler
@@ -77,38 +77,33 @@ class BatchState:
     Every :class:`Locater` owns one and keeps it warm across calls
     (every memo is a pure function of table state, so reuse never
     changes answers).  The pull at the top of each call keeps it fresh:
-    :meth:`drop_devices` and the neighbor index's invalidation hooks
-    after a surgical invalidation, :meth:`reset` after a full one.
+    whenever the table's generation moved, :meth:`reset` empties it
+    whole.
     """
 
     neighbors: NeighborIndex
     coarse: CoarseSharedState = field(default_factory=CoarseSharedState)
     fine: FineSharedState = field(default_factory=FineSharedState)
 
-    def drop_devices(self, macs: "set[str]") -> None:
-        """Forget memos involving any given device, one pass per memo."""
-        self.coarse.drop_devices(macs)
-        self.fine.drop_devices(macs)
-
     def reset(self) -> None:
-        """Forget every memo and snapshot: the state of a fresh one."""
-        for name in CoarseSharedState.MEMO_ATTRS:
-            setattr(self.coarse, name, {})
-        for name in FineSharedState.MEMO_ATTRS:
-            setattr(self.fine, name, {})
+        """Forget every memo and snapshot: the state of a fresh one.
+
+        Binds fresh shared states on this same object, so a holder of
+        it (the memory manager's entry) stays valid.
+        """
+        self.coarse = CoarseSharedState()
+        self.fine = FineSharedState()
         self.neighbors.invalidate_all()
 
     def memo_dicts(self) -> list[dict]:
-        """Every memo dict of this state, freshly resolved.
+        """Every memo dict of this state: each field of its shared states.
 
-        The single enumeration the trim/size plumbing iterates (the
-        shared states declare their own ``MEMO_ATTRS``); resolved on
-        each call because the drop paths rebind the dicts.
+        The single enumeration the trim/size plumbing iterates; resolved
+        on each call because :meth:`reset` rebinds the shared states.
         """
-        return [getattr(self.coarse, name)
-                for name in CoarseSharedState.MEMO_ATTRS] + \
-               [getattr(self.fine, name)
-                for name in FineSharedState.MEMO_ATTRS]
+        return [getattr(shared, memo.name)
+                for shared in (self.coarse, self.fine)
+                for memo in fields(shared)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,10 +115,8 @@ class InvalidationSummary:
             window itself moved — sliding ``history_days`` window, or
             the table span's day range changed, which shifts the density
             feature of *every* device).
-        macs: The devices invalidated surgically (empty when ``full``).
-        delta_changed: Devices whose δ estimate moved — their validity
-            windows shifted at all times, so time-keyed snapshots
-            involving them are stale everywhere.
+        macs: The devices whose trained models and affinities were
+            invalidated surgically (empty when ``full``).
         answers_dropped: Cleaned answers purged from storage (0 when
             the engine that merged the rows into that same store
             purged them first).
@@ -131,7 +124,6 @@ class InvalidationSummary:
 
     full: bool
     macs: frozenset[str]
-    delta_changed: frozenset[str]
     answers_dropped: int
 
 
@@ -204,16 +196,13 @@ class Locater:
             table.enable_eviction(self.memory)
             self.coarse.set_memory_manager(self.memory)
         # The one warm state, and what the pull compares against: the
-        # table generation and per-device δ last caught up with (see
-        # _catch_up).
+        # table generation last caught up with (see _catch_up).
         self._state = BatchState(neighbors=NeighborIndex(
             building, table, max_snapshots=MAX_SNAPSHOTS))
         self._memo_entry = self._charge_memos() \
             if self.memory is not None else None
         self.full_invalidations = 0
         self._seen_generation = table.generation
-        self._seen_deltas = {device.mac: device.delta
-                             for device in table.registry}
 
     def _resolve_history(self) -> "TimeInterval | None":
         if self.config.history_days is None:
@@ -430,23 +419,18 @@ class Locater:
         Runs first in every serve.  Reading the table's generation
         freezes pending appends first, as every table read does; when
         the generation is where it was, nothing happened and this is one
-        integer compare.  Otherwise :meth:`IngestReport.of
-        <repro.system.ingestion.IngestReport.of>` builds the report
-        :meth:`on_ingest` acts on from the table's change feed and the
-        δ seen at the last catch-up.  The seen state advances only after
-        that succeeded, so a failed catch-up is retried by the next
-        call.
+        integer compare.  Otherwise the table's change feed since the
+        last catch-up becomes the report :meth:`on_ingest` acts on.  The
+        seen generation advances only after that succeeded, so a failed
+        catch-up is retried by the next call.
         """
         table = self._table
         generation = table.generation
         if generation == self._seen_generation:
             return
-        report = IngestReport.of(
-            table, table.changed_since(self._seen_generation),
-            self._seen_deltas)
-        self.on_ingest(report)
-        self._seen_deltas.update(
-            (mac, new) for mac, (_, new) in report.delta_changes.items())
+        self.on_ingest(IngestReport(
+            count=0, generation=generation,
+            changed=table.changed_since(self._seen_generation)))
         self._seen_generation = generation
 
     def on_ingest(self, report: IngestReport) -> InvalidationSummary:
@@ -459,23 +443,25 @@ class Locater:
         is redundant but harmless: the next serve pulls the same change
         again, and every step below is idempotent.
 
-        Invalidation is *surgical* when provably safe: only the changed
-        devices' coarse models, affinity memos, the neighbor snapshots
-        within δ of the new rows (all of them when a δ moved) and (when
-        they fed it) the population aggregate are dropped, and
-        everything else keeps serving from cache — a rebuilt system
-        would reproduce the surviving state bit for bit, because each
-        cached value is a pure function of inputs the ingest did not
-        touch.  When the training window itself moved (``history_days``
-        sliding window, or the span's day range grew, which changes
-        every device's density feature), invalidation escalates to a
-        full drop of every model and memo, counted in
-        ``full_invalidations``.  Cleaned answers in storage are always
-        purged: co-location couples devices, so no stored answer is
-        provably unaffected.  (An engine that persists the rows into
-        that store has purged it already, inside its ``ingest``, so a
-        system built over the store before this serve finds no stale
-        answer either.)
+        The warm batch state — neighbor snapshots and every coarse and
+        fine memo — is reset whole on every change
+        (:func:`~repro.system.streaming.prune_batch_state`): each is a
+        cheap pure function of the table that the next burst recomputes
+        on demand.  Trained coarse models and device affinities are what
+        cost, so those are invalidated *surgically* when provably safe:
+        only the changed devices' models and affinities and (when they
+        fed it) the population aggregate are dropped — a rebuilt system
+        would reproduce the survivors bit for bit, because each is a
+        pure function of inputs the ingest did not touch.  When the
+        training window itself moved (``history_days`` sliding window,
+        or the span's day range grew, which changes every device's
+        density feature), invalidation escalates to a full drop of every
+        model, counted in ``full_invalidations``.  Cleaned answers in
+        storage are always purged: co-location couples devices, so no
+        stored answer is provably unaffected.  (An engine that persists
+        the rows into that store has purged it already, inside its
+        ``ingest``, so a system built over the store before this serve
+        finds no stale answer either.)
 
         Invalidated devices are *not* retrained here: a device may change
         on many consecutive ingest ticks before it is queried again, so
@@ -490,23 +476,17 @@ class Locater:
             # Nothing merged (e.g. an empty poll tick): every cached
             # model, memo and stored answer is still exact.
             return InvalidationSummary(full=False, macs=frozenset(),
-                                       delta_changed=frozenset(),
                                        answers_dropped=0)
         answers_dropped = self._storage.clear_answers() \
             if self._storage is not None else 0
         fingerprint = self._span_fingerprint()
         full = self.config.history_days is not None or \
             fingerprint != self._history_fingerprint
-        delta_changed = frozenset(report.delta_changes)
         if full:
             history = self._resolve_history()
             self.coarse.set_history(history)
             self._device_index.set_history(history)
-            self._state.reset()
             self.full_invalidations += 1
-            summary = InvalidationSummary(full=True, macs=frozenset(),
-                                          delta_changed=delta_changed,
-                                          answers_dropped=answers_dropped)
         else:
             # The span may have grown inside the same day range; models
             # survive (see _span_fingerprint), but the lazily-cached
@@ -514,13 +494,9 @@ class Locater:
             self.coarse.advance_history(self._table.span())
             self.coarse.invalidate_devices(report.macs)
             self._device_index.invalidate_devices(report.macs)
-            summary = InvalidationSummary(full=False, macs=report.macs,
-                                          delta_changed=delta_changed,
-                                          answers_dropped=answers_dropped)
-            # Through the module attribute, so a wrapped policy sees
-            # the call.
-            streaming.prune_batch_state(self._state, report, summary,
-                                        self._table.registry)
+        # Through the module attribute, so a wrapped policy sees the
+        # call.
+        streaming.prune_batch_state(self._state)
         # Only now: a failure above leaves the old fingerprint, so a
         # retry escalates exactly as this attempt did.
         self._history_fingerprint = fingerprint
@@ -528,7 +504,9 @@ class Locater:
             # The merged rows just grew some logs; spill back under
             # budget before the next serve.
             self.memory.enforce()
-        return summary
+        return InvalidationSummary(
+            full=full, macs=frozenset() if full else report.macs,
+            answers_dropped=answers_dropped)
 
     # ------------------------------------------------------------------
     def _persist(self, answer: LocationAnswer) -> None:

@@ -18,9 +18,9 @@ memory instead of latency).
 * **coarse models** — evicting pops the trained classifiers; the next
   query for that device retrains from the unchanged log (training is
   deterministic, so the model — and every answer — is reproduced).
-* **batch memos** — evicting rebinds the memo dicts of a live
-  :class:`~repro.system.locater.BatchState` to empty ones; memoized
-  values are recomputed on demand.
+* **batch memos** — evicting resets a live
+  :class:`~repro.system.locater.BatchState` (fresh, empty memos, no
+  neighbor snapshots); memoized values are recomputed on demand.
 
 Entries self-report their size through a ``size_fn`` — sizes change as
 memos grow or columns spill, so nothing is cached; ``enforce()`` walks

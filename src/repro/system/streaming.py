@@ -14,14 +14,14 @@ wiring, and a deployment loop is three lines::
 
 The locater owns one persistent
 :class:`~repro.system.locater.BatchState`, so query bursts keep reusing
-neighbor snapshots and affinity memos *across* bursts, and the pull
-prunes exactly the entries an ingest staled with
-:func:`prune_batch_state`: memos mentioning a changed device, and
-online-device snapshots within validity reach of the new rows (all
-snapshots, when a device's δ estimate moved).  Because every cached
-value is a pure function of table state, the answers are bitwise
-identical to what a system rebuilt from scratch over the merged log
-would produce — the equivalence suite in
+neighbor snapshots and affinity memos *across* bursts while the table
+stands still, and the pull resets that state whole with
+:func:`prune_batch_state` whenever the generation moved.  Trained
+coarse models and device affinities, which cost far more to rebuild,
+are still invalidated per changed device.  Because every cached value
+is a pure function of table state, the answers are bitwise identical to
+what a system rebuilt from scratch over the merged log would produce —
+the equivalence suite in
 ``tests/integration/test_streaming_equivalence.py`` enforces this.
 """
 
@@ -36,38 +36,23 @@ from repro.system.ingestion import IngestionEngine, IngestReport
 from repro.system.query import LocationQuery
 
 if TYPE_CHECKING:
-    from repro.system.locater import Locater, LocationAnswer
+    from repro.system.locater import BatchState, Locater, LocationAnswer
 
 
-def prune_batch_state(state, report: IngestReport, summary,
-                      registry) -> None:
-    """Drop from a warm batch state everything one ingest staled.
+def prune_batch_state(state: BatchState) -> None:
+    """Reset a warm batch state after the table's generation moved.
 
-    THE surgical-invalidation policy for warm states, run by
-    ``Locater.on_ingest``: memos mentioning a changed device are
-    dropped, and online-device snapshots within validity reach of the
-    new rows are invalidated (all snapshots, when any device's δ
-    estimate moved — a moved δ shifts that device's validity windows
-    everywhere).
-
-    Full invalidations reset the state instead; this handles the
-    surgical case only.
+    THE invalidation policy for warm states, run by
+    ``Locater.on_ingest`` on every change, full or surgical: every memo
+    and neighbor snapshot is dropped.  Each is a cheap pure function of
+    the table, so the next burst recomputes exactly what it reads.  It
+    stays a function of its own because perfbench times it (the
+    ``streaming.prune`` span).
 
     Args:
         state: A :class:`~repro.system.locater.BatchState`.
-        report: The change that triggered the invalidation.
-        summary: The :class:`~repro.system.locater.InvalidationSummary`
-            the locater derived from it.
-        registry: The table's device registry (for per-device δ slack).
     """
-    if summary.macs:
-        state.drop_devices(set(summary.macs))
-    if summary.delta_changed:
-        state.neighbors.invalidate_all()
-    else:
-        for mac, interval in report.changed.items():
-            state.neighbors.invalidate_interval(
-                interval, slack=registry.get(mac).delta)
+    state.reset()
 
 
 class StreamingSession:

@@ -18,7 +18,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.tools.lint",
         description=(
             "repro-lint: enforce the repository's bitwise-equivalence "
-            "contracts (RL001-RL005) by static analysis."))
+            "contracts by static analysis."))
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],
         help="files/directories to lint (default: src/repro)")

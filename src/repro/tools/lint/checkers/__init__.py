@@ -13,8 +13,6 @@ from repro.tools.lint.checkers import (  # noqa: F401  (registration imports)
     determinism,
     dtypes,
     eventloop,
-    invalidation,
-    isolation,
     lifecycle,
     supervision,
 )

@@ -40,14 +40,6 @@ def enclosing_class(node: ast.AST, parents: dict[ast.AST, ast.AST]
     return None
 
 
-def self_attribute_name(node: ast.AST) -> "str | None":
-    """``self.<name>`` → ``name``; anything else → None."""
-    if isinstance(node, ast.Attribute) and \
-            isinstance(node.value, ast.Name) and node.value.id == "self":
-        return node.attr
-    return None
-
-
 def called_name(call: ast.Call) -> "str | None":
     """The final name of a call target: ``f(...)`` / ``x.f(...)`` → ``f``."""
     if isinstance(call.func, ast.Name):

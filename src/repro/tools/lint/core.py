@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 
-#: ``# repro-lint: disable=RL001`` / ``disable-file=RL001,RL003 why...``
+#: ``# repro-lint: disable=RL002`` / ``disable-file=RL002,RL003 why...``
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable(?:-file)?)\s*=\s*([A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)")
 
@@ -112,10 +112,7 @@ class Checker:
 
     Subclasses set :attr:`code` / :attr:`name` / :attr:`description`,
     implement :meth:`check_file`, and register themselves with
-    :func:`register`.  A rule needing whole-tree context additionally
-    implements :meth:`check_project`, which runs once after every file
-    was visited (RL001 uses this to cross-check class definitions in one
-    module against the ingest call surface in another).
+    :func:`register`.
 
     ``applies_to`` scopes a rule to parts of the tree (answer-path
     modules, dtype-critical modules).  The driver bypasses it when
@@ -131,10 +128,6 @@ class Checker:
         return True
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
-        return iter(())
-
-    def check_project(self, files: Sequence[FileContext]
-                      ) -> Iterator[Violation]:
         return iter(())
 
 
@@ -215,11 +208,9 @@ def run_lint(paths: Sequence["pathlib.Path | str"],
 
     raw: list[Violation] = []
     for checker in checkers:
-        scoped = [ctx for ctx in contexts
-                  if all_paths or checker.applies_to(ctx.path)]
-        for ctx in scoped:
-            raw.extend(checker.check_file(ctx))
-        raw.extend(checker.check_project(scoped))
+        for ctx in contexts:
+            if all_paths or checker.applies_to(ctx.path):
+                raw.extend(checker.check_file(ctx))
 
     by_path = {ctx.posix_path: ctx.suppressions for ctx in contexts}
     survivors = [violation for violation in raw

@@ -2,9 +2,10 @@
 
 The correctness contract of the online-ingestion subsystem: a
 long-running :class:`~repro.system.streaming.StreamingSession` that
-merges event batches incrementally and invalidates surgically must
-serve, at every burst, answers **bitwise identical** to a system built
-from scratch over the same stream.  The systems run without the caching
+merges event batches incrementally, resets its warm state whole and
+retrains only the changed devices must serve, at every burst, answers
+**bitwise identical** to a system built from scratch over the same
+stream.  The systems run without the caching
 engine and storage — their warm state is deliberate cross-query memory,
 not a cache of table-derived values — so answers are pure functions of
 the table and the comparison is exact.

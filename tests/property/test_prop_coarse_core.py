@@ -2,7 +2,7 @@
 
 The production coarse trainer runs on dense arrays — vectorized gap
 extraction, one-shot :meth:`GapFeatureExtractor.matrix` design matrices,
-and a preallocated-pool self-training loop.  :mod:`repro.coarse.reference`
+and a preallocated-pool self-training loop.  :mod:`oracles.coarse`
 retains the pre-vectorization implementations.  On random logs and
 training sets the two must agree bit for bit: identical gaps, identical
 design matrices (asserted to 1e-9 *and* exactly), identical promotion
@@ -18,13 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.coarse.bootstrap import BootstrapLabeler
 from repro.coarse.features import GapFeatureExtractor
 from repro.coarse.localizer import CoarseLocalizer
-from repro.coarse.reference import (
-    ReferenceGapFeatureExtractor,
-    ReferenceSelfTrainingClassifier,
-    reference_extract_gaps,
-    reference_region_visit_counts,
-    train_device_reference,
-)
 from repro.coarse.semi_supervised import SelfTrainingClassifier
 from repro.events.event import ConnectivityEvent
 from repro.events.gaps import extract_gaps
@@ -34,6 +27,14 @@ from repro.space.access_point import AccessPoint
 from repro.space.building import Building
 from repro.space.room import Room, RoomType
 from repro.util.timeutil import SECONDS_PER_DAY, TimeInterval, minutes
+
+from oracles.coarse import (
+    ReferenceGapFeatureExtractor,
+    ReferenceSelfTrainingClassifier,
+    reference_extract_gaps,
+    reference_region_visit_counts,
+    train_device_reference,
+)
 
 AP_IDS = ("wapA", "wapB", "wapC")
 

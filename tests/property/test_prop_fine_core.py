@@ -2,7 +2,7 @@
 
 The production :class:`~repro.fine.worlds.RoomPosterior` and
 :meth:`~repro.fine.affinity.GroupAffinityModel.group_affinities` run on
-dense numpy arrays; :mod:`repro.fine.reference` retains the
+dense numpy arrays; :mod:`oracles.fine` retains the
 pre-vectorization scalar implementations.  On random priors and affinity
 maps the two must agree: posterior argmax identical, probabilities
 within 1e-9, bounds ordering ``min <= exp <= max`` preserved, and the
@@ -20,12 +20,13 @@ from repro.fine.affinity import (
     GroupAffinityModel,
     RoomAffinityModel,
 )
-from repro.fine.reference import DictGroupAffinity, DictRoomPosterior
 from repro.fine.worlds import RoomPosterior
 from repro.space.access_point import AccessPoint
 from repro.space.building import Building
 from repro.space.metadata import SpaceMetadata
 from repro.space.room import Room, RoomType
+
+from oracles.fine import DictGroupAffinity, DictRoomPosterior
 
 
 ROOM_POOL = tuple(f"r{i}" for i in range(8))

@@ -6,7 +6,12 @@ import pytest
 
 from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
-from repro.system.ingestion import IngestionEngine, IngestReport
+from repro.events.validity import DeltaEstimator
+from repro.system.ingestion import (
+    STORAGE_BATCH_ROWS,
+    IngestionEngine,
+    IngestReport,
+)
 from repro.system.storage import InMemoryStorage, SqliteStorage
 
 
@@ -63,11 +68,13 @@ class TestIngestionEngine:
         assert report.generation == engine.table.generation
 
     def test_storage_receives_rows(self):
+        # More rows than one storage write holds: full writes, then the
+        # partial tail.
         storage = InMemoryStorage()
-        engine = IngestionEngine(EventTable(), storage=storage,
-                                 batch_size=4)
-        engine.ingest(_events(10))
-        assert storage.event_count() == 10
+        engine = IngestionEngine(EventTable(), storage=storage)
+        rows = 2 * STORAGE_BATCH_ROWS + 500
+        engine.ingest(_events(rows))
+        assert storage.event_count() == rows
 
     def test_delta_estimated_after_ingest(self):
         table = EventTable()
@@ -88,20 +95,27 @@ class TestIngestionEngine:
         assert table.registry.get("m1").delta == 123.0  # untouched
         assert table.registry.get("m2").delta != DEFAULT_DELTA_SECONDS
 
-    def test_delta_changes_reported(self):
+    def test_refitting_changed_devices_matches_a_full_refit(self):
+        # δ is fitted from a device's own log, so refitting only the
+        # devices an ingest changed leaves every δ where a refit of the
+        # whole merged log puts it: a δ moves only with its own log.
+        def cadence(mac, n, start, step):
+            return [ConnectivityEvent(start + i * step, mac, "wap1")
+                    for i in range(n)]
+
+        first = cadence("m1", 40, 0.0, 300.0) + cadence("m2", 30, 50.0, 420.0)
+        second = cadence("m2", 90, 20000.0, 180.0) + \
+            cadence("m3", 25, 100.0, 240.0)
         table = EventTable()
         engine = IngestionEngine(table)
-        first = engine.ingest(_events(50))
-        assert "m1" in first.delta_changes
-        old, new = first.delta_changes["m1"]
-        assert new == table.registry.get("m1").delta
-        # Re-ingesting an identical cadence leaves δ in place: no entry.
-        second = engine.ingest(_events(50, start=50 * 300.0))
-        assert "m1" not in second.delta_changes
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            IngestionEngine(EventTable(), batch_size=0)
+        engine.ingest(first)
+        moved = table.registry.get("m2").delta
+        assert engine.ingest(second).macs == {"m2", "m3"}
+        assert table.registry.get("m2").delta != moved
+        cold = EventTable.from_events(first + second)
+        DeltaEstimator().fit_table(cold)
+        assert {mac: table.registry.get(mac).delta for mac in table.macs()} == \
+            {mac: cold.registry.get(mac).delta for mac in cold.macs()}
 
     def test_empty_stream(self):
         engine = IngestionEngine(EventTable())

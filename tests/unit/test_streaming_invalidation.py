@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.coarse.localizer import CoarseLocalizer, CoarseSharedState
+from repro.cluster.sharded import ShardedLocater
+from repro.coarse.localizer import CoarseLocalizer
 from repro.coarse.aggregate import PopulationAggregate
 from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.fine.affinity import DeviceAffinityIndex
-from repro.fine.localizer import FineSharedState
 from repro.fine.neighbors import NeighborIndex
 from repro.system.ingestion import IngestionEngine
 from repro.system.config import LocaterConfig
 from repro.system import locater as locater_module
+from repro.system import streaming
 from repro.system.locater import Locater
+from repro.system.memory import MEMO_ENTRY_NBYTES
 from repro.system.query import LocationQuery
 from repro.system.storage import InMemoryStorage
 from repro.util.timeutil import TimeInterval, hours, minutes
@@ -24,6 +25,30 @@ from repro.util.timeutil import TimeInterval, hours, minutes
 def _evts(mac, pairs):
     return [ConnectivityEvent(timestamp=t, mac=mac, ap_id=ap)
             for t, ap in pairs]
+
+
+#: A burst over the fig1 morning that fills snapshots and every memo kind.
+BURST = tuple(LocationQuery(mac=mac, timestamp=hours(t))
+              for mac in ("d1", "d2", "d3") for t in (9, 11, 13))
+
+
+def _is_cold(state) -> bool:
+    """No neighbor snapshot and no memo entry: a fresh warm state."""
+    return state.neighbors.snapshot_count == 0 and \
+        not any(state.memo_dicts())
+
+
+def _pulled_reports(locater) -> list:
+    """Record every report the locater's ``on_ingest`` receives."""
+    pulled = []
+    on_ingest = locater.on_ingest
+
+    def capture(report):
+        pulled.append(report)
+        return on_ingest(report)
+
+    locater.on_ingest = capture  # type: ignore[method-assign]
+    return pulled
 
 
 class TestEventTableChangeFeed:
@@ -131,16 +156,6 @@ class TestNeighborIndexInvalidation:
     def _index(self, fig1_building, fig1_table):
         return NeighborIndex(fig1_building, fig1_table)
 
-    def test_invalidate_interval_scopes_by_slack(self, fig1_building,
-                                                 fig1_table):
-        index = self._index(fig1_building, fig1_table)
-        for t in (hours(8), hours(9), hours(13)):
-            index.snapshot(t)
-        dropped = index.invalidate_interval(
-            TimeInterval(hours(9) - 60, hours(9) + 60), slack=120.0)
-        assert dropped == 1
-        assert set(index._snapshots) == {hours(8), hours(13)}
-
     def test_invalidate_all(self, fig1_building, fig1_table):
         index = self._index(fig1_building, fig1_table)
         index.snapshot(hours(8))
@@ -152,69 +167,6 @@ class TestNeighborIndexInvalidation:
         for t in (hours(8), hours(9), hours(10)):
             index.snapshot(t)
         assert set(index._snapshots) == {hours(9), hours(10)}
-
-
-class TestSharedStateDrops:
-    def test_coarse_shared_state_drop_device(self):
-        state = CoarseSharedState()
-        state.features[("d1", 0.0, 1.0)] = np.zeros(2)
-        state.features[("d2", 0.0, 1.0)] = np.zeros(2)
-        state.building_labels[("d1", 0.0, 1.0)] = "inside"
-        state.region_ids[("d1", 0.0, 1.0)] = 3
-        state.drop_device("d1")
-        assert set(state.features) == {("d2", 0.0, 1.0)}
-        assert not state.building_labels and not state.region_ids
-
-    def test_coarse_shared_state_multi_device_drop(self):
-        # One partition pass must drop every listed device and only them.
-        state = CoarseSharedState()
-        for mac in ("d1", "d2", "d3"):
-            state.features[(mac, 0.0, 1.0)] = np.zeros(2)
-            state.building_labels[(mac, 0.0, 1.0)] = "inside"
-            state.region_ids[(mac, 0.0, 1.0)] = 1
-        state.drop_devices({"d1", "d3"})
-        for memo in (state.features, state.building_labels,
-                     state.region_ids):
-            assert set(memo) == {("d2", 0.0, 1.0)}
-        state.drop_devices(set())  # no-op, keeps survivors
-        assert set(state.features) == {("d2", 0.0, 1.0)}
-
-    def test_fine_shared_state_multi_device_drop(self):
-        state = FineSharedState()
-        rooms = ("r1",)
-        state.priors[("d1", rooms, 5.0)] = np.zeros(1)
-        state.priors[("d4", rooms, 5.0)] = np.zeros(1)
-        state.room_affinities[("d2", rooms)] = np.zeros(1)
-        state.pair_affinities[("d4", rooms, "d2", rooms)] = np.zeros(1)
-        state.pair_affinities[("d4", rooms, "d5", rooms)] = np.zeros(1)
-        state.cluster_affinities[
-            ("d4", rooms, (("d2", rooms), ("d5", rooms)))] = np.zeros(1)
-        state.cluster_affinities[
-            ("d4", rooms, (("d5", rooms),))] = np.zeros(1)
-        state.drop_devices({"d1", "d2"})
-        assert set(state.priors) == {("d4", rooms, 5.0)}
-        assert not state.room_affinities
-        assert set(state.pair_affinities) == {("d4", rooms, "d5", rooms)}
-        assert set(state.cluster_affinities) == \
-            {("d4", rooms, (("d5", rooms),))}
-
-    def test_fine_shared_state_drop_device_any_position(self):
-        state = FineSharedState()
-        rooms = ("r1", "r2")
-        state.priors[("d1", rooms, 5.0)] = np.zeros(2)
-        state.room_affinities[("d2", rooms)] = np.zeros(2)
-        state.pair_affinities[("d2", rooms, "d1", rooms)] = np.zeros(2)
-        state.pair_affinities[("d2", rooms, "d3", rooms)] = np.zeros(2)
-        state.cluster_affinities[
-            ("d2", rooms, (("d1", rooms), ("d3", rooms)))] = np.zeros(2)
-        state.cluster_affinities[
-            ("d2", rooms, (("d3", rooms),))] = np.zeros(2)
-        state.drop_device("d1")
-        assert not state.priors
-        assert set(state.room_affinities) == {("d2", rooms)}
-        assert set(state.pair_affinities) == {("d2", rooms, "d3", rooms)}
-        assert set(state.cluster_affinities) == \
-            {("d2", rooms, (("d3", rooms),))}
 
 
 class TestLocaterOnIngest:
@@ -289,32 +241,92 @@ class TestLocaterOnIngest:
             engine.ingest(_evts("d1", [(hours(15), "wap3")])))
         assert summary.full
 
+    @pytest.mark.parametrize("at", [hours(1), hours(30)],
+                             ids=["same-day", "next-day"])
+    @pytest.mark.parametrize("how", ["append", "append-freeze", "engine",
+                                     "on-ingest"])
+    def test_a_generation_move_resets_the_warm_state_whole(
+            self, fig1_building, fig1_metadata, fig1_table, how, at):
+        # One row for d3 at 01:00 — same day, hours before every warm
+        # query, so far outside δ — or on the next day.  Same-day rows
+        # invalidate models surgically, next-day ones fully; either way
+        # nothing of the warm state survives.  A bare append refits no
+        # δ; an engine ingest moves d3's.
+        locater = Locater(fig1_building, fig1_metadata, fig1_table,
+                          config=LocaterConfig(use_caching=False))
+        locater.locate_batch(BURST)
+        state = locater._state
+        assert not _is_cold(state)
+        row = ConnectivityEvent(at, "d3", "wap1")
+        if how == "on-ingest":
+            locater.on_ingest(IngestionEngine(fig1_table).ingest([row]))
+        else:
+            if how == "engine":
+                IngestionEngine(fig1_table).ingest([row])
+            else:
+                fig1_table.append(row)
+                if how == "append-freeze":
+                    fig1_table.freeze()
+            locater.locate_batch([])
+        assert locater._state is state and _is_cold(state)
+        assert locater.full_invalidations == (at == hours(30))
+
+    @pytest.mark.parametrize("at", [hours(1), hours(30)],
+                             ids=["same-day", "next-day"])
+    def test_every_reset_runs_through_prune_batch_state(
+            self, fig1_building, fig1_metadata, fig1_table, monkeypatch,
+            at):
+        # Once per generation move, full or surgical: perfbench times
+        # the reset by wrapping this module function.
+        locater = Locater(fig1_building, fig1_metadata, fig1_table)
+        calls = []
+        prune = streaming.prune_batch_state
+
+        def counted(*args):
+            calls.append(args)
+            prune(*args)
+
+        monkeypatch.setattr(streaming, "prune_batch_state", counted)
+        IngestionEngine(fig1_table).ingest(_evts("d3", [(at, "wap1")]))
+        locater.locate_batch([])
+        locater.locate_batch([])
+        assert [args[0] for args in calls] == [locater._state]
+
     def test_pulled_report_matches_the_engines(
             self, fig1_building, fig1_metadata, fig1_table):
         # The pull rebuilds the report the engine returned: the same
-        # changed intervals, and a device first seen after construction
-        # counts as having had the default δ — the engine's old δ.  (The
-        # pulled report counts no rows: nothing downstream reads it.)
+        # generation and changed intervals.  (The pulled report counts
+        # no rows: nothing downstream reads it.)
         locater = Locater(fig1_building, fig1_metadata, fig1_table)
         engine = IngestionEngine(fig1_table)
-        pulled = []
-        on_ingest = locater.on_ingest
-
-        def capture(report):
-            pulled.append(report)
-            return on_ingest(report)
-
-        locater.on_ingest = capture  # type: ignore[method-assign]
+        pulled = _pulled_reports(locater)
         report = engine.ingest(
             _evts("d1", [(hours(15), "wap3")]) +
             _evts("new", [(hours(9) + i * 300.0, "wap1")
                           for i in range(20)]))
-        assert "new" in report.delta_changes
         locater.locate_batch([])
         locater.locate_batch([])  # unmoved generation: no second pull
         [seen] = pulled
-        assert (seen.generation, seen.changed, seen.delta_changes) == \
-            (report.generation, report.changed, report.delta_changes)
+        assert (seen.generation, seen.changed) == \
+            (report.generation, report.changed)
+
+    def test_one_pull_spans_every_merge_since_the_last_serve(
+            self, fig1_building, fig1_metadata, fig1_table):
+        # Merges by a bare append, an engine and a pending append, with
+        # no serve between them, reach the locater as one report.
+        locater = Locater(fig1_building, fig1_metadata, fig1_table)
+        pulled = _pulled_reports(locater)
+        fig1_table.append(ConnectivityEvent(hours(1), "d1", "wap3"))
+        fig1_table.freeze()
+        IngestionEngine(fig1_table).ingest(_evts("d2", [(hours(2), "wap3")]))
+        fig1_table.append(ConnectivityEvent(hours(3), "d3", "wap1"))
+        locater.locate_batch([])
+        [seen] = pulled
+        assert seen.generation == fig1_table.generation
+        assert seen.changed == {
+            "d1": TimeInterval(hours(1), hours(1)),
+            "d2": TimeInterval(hours(2), hours(2)),
+            "d3": TimeInterval(hours(3), hours(3))}
 
     def test_failed_catch_up_retries_on_the_next_call(
             self, fig1_building, fig1_metadata, fig1_table):
@@ -335,12 +347,31 @@ class TestLocaterOnIngest:
         locater.locate_batch([])  # the generation is still unseen
         assert "d1" not in locater.coarse._models
 
+    def test_a_failed_reset_retries_on_the_next_call(
+            self, fig1_building, fig1_metadata, fig1_table, monkeypatch):
+        locater = Locater(fig1_building, fig1_metadata, fig1_table,
+                          config=LocaterConfig(use_caching=False))
+        locater.locate_batch(BURST)
+        fig1_table.append(ConnectivityEvent(hours(1), "d3", "wap1"))
+        prune = streaming.prune_batch_state
+
+        def interrupted(state):
+            monkeypatch.setattr(streaming, "prune_batch_state", prune)
+            raise RuntimeError("reset interrupted")
+
+        monkeypatch.setattr(streaming, "prune_batch_state", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            locater.locate_batch([])
+        assert not _is_cold(locater._state)
+        locater.locate_batch([])  # the generation is still unseen
+        assert _is_cold(locater._state)
+
     def test_explicit_on_ingest_then_pull_stays_fresh(
             self, fig1_building, fig1_metadata, fig1_table):
         # Calling on_ingest with an engine's report is redundant — the
         # next serve pulls the same change — but harmless, also when the
         # explicit call escalated to a full drop and the pull, finding
-        # the day range already seen, runs surgically.
+        # the day range already seen, invalidates models surgically.
         config = LocaterConfig(use_caching=False)
         locater = Locater(fig1_building, fig1_metadata, fig1_table,
                           config=config)
@@ -351,8 +382,8 @@ class TestLocaterOnIngest:
         summary = locater.on_ingest(
             engine.ingest(_evts("d1", [(hours(30), "wap3")])))
         assert summary.full
-        # The full drop resets the warm state itself: the pull that
-        # follows prunes surgically and would leave stale memos behind.
+        # The explicit call reset the warm state already; the pull that
+        # follows resets it again.
         assert not any(locater._state.memo_dicts())
         assert locater._state.neighbors.snapshot_count == 0
         cold = Locater(fig1_building, fig1_metadata, fig1_table,
@@ -379,3 +410,41 @@ class TestLocaterOnIngest:
             # Clearing is wholesale and never changes an answer.
             assert locater.locate_batch(queries) == expected
             assert max(map(len, locater._state.memo_dicts())) <= 1
+
+    def test_reset_keeps_the_memory_entry_on_the_live_state(
+            self, fig1_building, fig1_metadata, fig1_table):
+        # The budget's one batch-memo entry sizes and evicts the state
+        # the locater serves from, also after a reset refilled it.
+        locater = Locater(fig1_building, fig1_metadata, fig1_table,
+                          config=LocaterConfig(use_caching=False,
+                                               memory_budget_bytes=2**40))
+        locater.locate_batch(BURST)
+        fig1_table.append(ConnectivityEvent(hours(1), "d3", "wap1"))
+        locater.locate_batch(BURST)
+        state = locater._state
+        entries = sum(map(len, state.memo_dicts())) + \
+            state.neighbors.snapshot_count
+        assert entries > 0
+        assert locater.memory.stats()["by_category"]["batch-memos"] == \
+            entries * MEMO_ENTRY_NBYTES
+        locater.memory.budget_bytes = 0
+        locater.memory.enforce()
+        assert _is_cold(state)
+
+    def test_every_shard_resets_at_its_next_serve(
+            self, fig1_building, fig1_metadata, fig1_table):
+        # A cluster serve calls every shard, an empty slice included,
+        # so every shard's locater pulls the ingest and resets.
+        cluster = ShardedLocater(fig1_building, fig1_metadata, fig1_table,
+                                 shard_count=2,
+                                 config=LocaterConfig(use_caching=False))
+        try:
+            cluster.locate_batch(BURST)
+            states = [shard.locater._state
+                      for shard in cluster.executor.shards]
+            assert not all(map(_is_cold, states))
+            cluster.ingest([ConnectivityEvent(hours(1), "d3", "wap1")])
+            cluster.locate_batch([])
+            assert all(map(_is_cold, states))
+        finally:
+            cluster.close()
