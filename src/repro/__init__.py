@@ -152,8 +152,7 @@ Memory architecture
 The event table's hot numeric columns (per-device timestamps and AP
 codes) live behind a pluggable :class:`~repro.events.ColumnStore`
 rather than bare attributes.  The default
-:class:`~repro.events.HeapColumnStore` keeps ordinary heap arrays and
-can *spill* cold device logs to compressed temp files;
+:class:`~repro.events.HeapColumnStore` keeps ordinary heap arrays;
 :class:`~repro.events.SharedMemoryColumnStore` places them in named
 ``multiprocessing.shared_memory`` segments, so a process-shard
 ``ShardedLocater`` holds **one physical copy** of the table regardless
@@ -167,25 +166,13 @@ store at construction and back to the heap on ``close``, so it unlinks
 every segment it created and the caller's table outlives it; a table
 that arrives on a shared store stays the caller's to close.
 
-Above the stores sits an opt-in eviction tier.  Setting
-``LocaterConfig(memory_budget_bytes=...)`` gives the ``Locater`` a
-:class:`~repro.system.MemoryManager`: one LRU across per-device coarse
-models, fine/coarse memo tables and cold device logs, with byte-level
-accounting.  When the budget is exceeded, least-recently-used entries
-are dropped (models, memos) or spilled (device logs) — and because
-every evictable is a pure function of the event table, *any* eviction
-schedule yields bitwise-identical answers, batch and streaming alike
-(``tests/integration/test_memory_equivalence.py``,
-``tests/property/test_prop_memory.py`` prove this; the one-copy claim
-is asserted exactly, per shard and after every ingest, in
-``tests/integration/test_shared_memory_cluster.py``)::
-
-    from repro import Locater, LocaterConfig
-
-    budgeted = Locater(building, metadata, table,
-                       config=LocaterConfig(memory_budget_bytes=64 << 20))
-    answer = budgeted.locate(mac, t)      # identical to the unbudgeted answer
-    print(budgeted.memory.stats())        # residency, evictions, by category
+Everything else a ``Locater`` caches is a pure function of the event
+table, recomputed on demand: trained coarse models (one set per
+device), the warm batch state's memos and neighbor snapshots (bounded
+by ``MAX_MEMO_ENTRIES`` and ``MAX_SNAPSHOTS``) and the table's flat view
+(one per generation).  The one-copy claim is asserted exactly, per
+shard and after every ingest, in
+``tests/integration/test_shared_memory_cluster.py``.
 
 Serving architecture
 --------------------
@@ -365,7 +352,6 @@ from repro.system import (
     InMemoryStorage,
     Locater,
     LocaterConfig,
-    MemoryManager,
     LocationAnswer,
     LocationQuery,
     QueryGroup,
@@ -425,7 +411,6 @@ __all__ = [
     "LocaterConfig",
     "LocationAnswer",
     "LocationQuery",
-    "MemoryManager",
     "PersonProfile",
     "ProcessShardExecutor",
     "QueryGroup",

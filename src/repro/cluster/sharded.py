@@ -234,10 +234,8 @@ class ShardedLocater:
 
         # Process shards attach the table's shared-memory segments by
         # name.  A heap table moves there for the cluster's lifetime,
-        # and back (to the caller's spill directory, if any) on close.
+        # and back to the heap on close.
         self._owns_store = not in_process and not table.store.is_shared
-        self._spill_dir = table.store.spill_dir \
-            if isinstance(table.store, HeapColumnStore) else None
         if self._owns_store:
             table.migrate_store(SharedMemoryColumnStore())
         try:
@@ -274,8 +272,7 @@ class ShardedLocater:
         """Move a table this cluster lifted into shared memory back to
         the heap; closing the shared store unlinks every segment."""
         if self._owns_store:
-            self._table.migrate_store(HeapColumnStore(
-                spill_dir=self._spill_dir))
+            self._table.migrate_store(HeapColumnStore())
 
     # ------------------------------------------------------------------
     @property
@@ -413,12 +410,14 @@ class ShardedLocater:
         """Answer a batch: partition by owner, execute shards, merge.
 
         Same contract as :meth:`Locater.locate_batch` — answers return
-        in input order.  Every shard is called, an empty slice included,
-        so every shard's ``Locater`` catches up with the table.
+        in input order, and an unknown MAC raises before any shard is
+        called.  Every shard is called, an empty slice included, so
+        every shard's ``Locater`` catches up with the table.
         """
         self._check_open()
         self._catch_up()
         queries = list(queries)
+        self._check_known(queries)
         indexed = list(enumerate(queries))
         parts = self._router.partition(
             indexed, [q.mac for q in queries], self._shard_count)
@@ -477,6 +476,7 @@ class ShardedLocater:
         queries = list(queries)
         if not queries:
             return []
+        self._check_known(queries)
         try:
             if self._supervisor is not None and \
                     shard_id in self._supervisor.quarantined:
@@ -487,6 +487,13 @@ class ShardedLocater:
             return self._degraded_answer(shard_id, queries)
         self._checkpoint([shard_id])
         return answers
+
+    def _check_known(self, queries: "Sequence[LocationQuery]") -> None:
+        """Raise :class:`UnknownDeviceError` for a MAC the table has never
+        seen, before any shard answers (and persists) a query."""
+        registry = self._table.registry
+        for query in queries:
+            registry.get(query.mac)
 
     # ------------------------------------------------------------------
     # Ingest

@@ -16,6 +16,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.events.gaps import Gap
 from repro.events.table import DeviceLog
 from repro.space.building import Building, RegionCodeResolver
@@ -71,12 +72,13 @@ class BootstrapLabeler:
         check_positive("tau_low", tau_low)
         check_positive("tau_high", tau_high)
         if tau_high <= tau_low:
-            raise ValueError(
+            raise ConfigurationError(
                 f"tau_high ({tau_high}) must exceed tau_low ({tau_low})")
         check_positive("tau_region_low", tau_region_low)
         check_positive("tau_region_high", tau_region_high)
         if tau_region_high < tau_region_low:
-            raise ValueError("tau_region_high must be >= tau_region_low")
+            raise ConfigurationError(
+                "tau_region_high must be >= tau_region_low")
         self._building = building
         self.tau_low = tau_low
         self.tau_high = tau_high

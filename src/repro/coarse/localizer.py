@@ -126,12 +126,6 @@ class CoarseLocalizer:
         self._aggregate = PopulationAggregate(building, table,
                                               bootstrap=self._bootstrap,
                                               history=history)
-        # Optional memory-budget hookup (repro.system.memory): trained
-        # models become one-shot LRU entries — evicting one pops it from
-        # the cache, and the deterministic retrain on next use
-        # reproduces it (and every answer) bit for bit.
-        self._memory = None
-        self._memory_entries: dict = {}
 
     # ------------------------------------------------------------------
     @property
@@ -165,39 +159,8 @@ class CoarseLocalizer:
         """
         self._history = history
 
-    def set_memory_manager(self, manager) -> None:
-        """Let ``manager`` evict trained models under memory pressure."""
-        self._memory = manager
-        for mac, models in self._models.items():
-            self._charge_models(mac, models)
-
-    def _charge_models(self, mac: str, models: _DeviceModels) -> None:
-        from repro.system.memory import approx_nbytes
-        old = self._memory_entries.pop(mac, None)
-        if old is not None:
-            self._memory.release(old)
-        size = approx_nbytes(models)
-        self._memory_entries[mac] = self._memory.charge(
-            "coarse-model", ("coarse-model", mac),
-            size_fn=lambda: size,
-            evictor=lambda m=mac: self._evict_models(m))
-
-    def _evict_models(self, mac: str) -> None:
-        """LRU evictor: drop one device's trained models (retrain on
-        next use reproduces them — training is deterministic)."""
-        self._models.pop(mac, None)
-        self._memory_entries.pop(mac, None)
-
-    def _release_entry(self, mac: str) -> None:
-        entry = self._memory_entries.pop(mac, None)
-        if entry is not None:
-            self._memory.release(entry)
-
     def invalidate(self) -> None:
         """Forget all trained per-device models and the aggregate."""
-        if self._memory is not None:
-            for mac in list(self._memory_entries):
-                self._release_entry(mac)
         self._models.clear()
         self._aggregate.invalidate()
 
@@ -218,9 +181,7 @@ class CoarseLocalizer:
         """
         macs = list(macs)
         for mac in macs:
-            if self._models.pop(mac, None) is not None and \
-                    self._memory is not None:
-                self._release_entry(mac)
+            self._models.pop(mac, None)
         self._aggregate.invalidate_if_affected(macs)
 
     # ------------------------------------------------------------------
@@ -309,12 +270,6 @@ class CoarseLocalizer:
         if models is None:
             models = self._train_device(mac)
             self._models[mac] = models
-            if self._memory is not None:
-                self._charge_models(mac, models)
-        elif self._memory is not None:
-            entry = self._memory_entries.get(mac)
-            if entry is not None:
-                self._memory.touch(entry)
         return models
 
     def needs_model(self, mac: str, timestamp: float) -> bool:
@@ -344,9 +299,8 @@ class CoarseLocalizer:
         shared extractor state and spawning per-device pipelines from one
         template (fixed vocabularies and encoders are built once, not per
         device).  Already-trained devices are returned from cache, and
-        MACs the table has never observed are skipped — a batch plan may
-        legitimately mention them, and the per-query path raises for them
-        at their own turn.  Training is a pure function of the table and
+        MACs the table has never observed are skipped — the per-query
+        path raises for them.  Training is a pure function of the table and
         the history window, so eager bulk training never changes an
         answer; it only moves the cost out of the first query per device.
         """

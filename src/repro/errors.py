@@ -11,12 +11,25 @@ class ReproError(Exception):
     """Base class for every exception raised by this library."""
 
 
-class ConfigurationError(ReproError):
-    """A configuration value is missing, inconsistent, or out of range."""
+class ConfigurationError(ReproError, ValueError):
+    """A configuration value is missing, inconsistent, or out of range.
+
+    Also a :class:`ValueError`, the type some of these checks raised
+    before they were typed.
+    """
 
 
 class SpaceModelError(ReproError):
     """The space model (building / region / room graph) is malformed."""
+
+
+class InvalidSpaceModelError(SpaceModelError, ValueError):
+    """A room, access point or region was built with an invalid value:
+    an empty id, a non-positive capacity, no rooms, or duplicate rooms.
+
+    Also a :class:`ValueError`, the type these checks raised before they
+    were typed.
+    """
 
 
 class UnknownRoomError(SpaceModelError):

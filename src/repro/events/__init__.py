@@ -18,11 +18,7 @@ ColumnStore`, not in plain attributes.  The store contract
   store did with the bytes in between.  Handles are the only owners of
   column memory — ``DeviceLog`` holds a handle, never a bare array.
 * :class:`~repro.events.columns.HeapColumnStore` (the default) keeps
-  ordinary heap arrays and supports *spilling*: ``handle.spill()``
-  writes the columns to a compressed temp file and drops the resident
-  arrays; the next ``arrays()`` reloads them transparently (and fires
-  the handle's ``on_reload`` hook so accounting can re-charge them).
-  This is the eviction tier's backing mechanism.
+  ordinary heap arrays.
 * :class:`~repro.events.columns.SharedMemoryColumnStore` places columns
   in named ``multiprocessing.shared_memory`` segments so other
   processes *attach* by name instead of copying.  Lifecycle rule: the
@@ -32,20 +28,12 @@ ColumnStore`, not in plain attributes.  The store contract
   only close their maps and never unlink — views they handed out stay
   readable until the last reference dies, and attached arrays are
   mapped read-only (``writeable=False``) so a shard can never mutate
-  the table behind the owner's back.  Shared handles do not spill (the
-  segment *is* the single copy).
+  the table behind the owner's back.
 
 ``EventTable.describe()`` / ``EventTable.attach()`` ride on this:
 workers reconstruct a read-only table from segment names (O(1) bytes
 shipped), and ingest publishes new generations via ``sync_payload`` /
 ``apply_sync`` so attached tables catch up without re-copying history.
-
-Eviction invariant: everything a store may spill (and everything the
-:class:`~repro.system.memory.MemoryManager` may evict above it —
-coarse models, affinity memos) is a *pure function of the table*, so
-any eviction schedule reloads/recomputes to bitwise-identical answers
-(``tests/integration/test_memory_equivalence.py``,
-``tests/property/test_prop_memory.py``).
 
 Flat view
 ---------
@@ -65,11 +53,10 @@ at once over it, reading δ from the registry at call time.
   ``apply_sync``) builds a new one, and nothing patches it, so no ingest
   path has to notify it.  Every reader of one table object shares it.
 * **Memory.** 20 bytes per event (16 search key, 4 AP code) plus 8 per
-  device, a copy next to the column store.  Under a memory budget it is
-  one evictable ``flat-logs`` entry; evicting it costs a rebuild.  A
-  process shard attached to shared-memory columns builds its own copy
-  in its own heap, which the column-byte accounting
-  (``EventTable.memory_stats``) does not count.
+  device, a copy next to the column store.  A process shard attached
+  to shared-memory columns builds its own copy in its own heap, which
+  the column-byte accounting (``EventTable.memory_stats``) does not
+  count.
 """
 
 from repro.events.columns import (

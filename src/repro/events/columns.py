@@ -6,9 +6,7 @@ This module owns *where those bytes live*, behind one small contract:
 
 * :class:`HeapColumnStore` (the default) keeps each device's columns as
   ordinary process-heap numpy arrays, exactly as before the abstraction
-  existed — plus an optional *spill* tier: a cold log's bytes can be
-  written to disk and dropped from memory, to be reloaded bitwise-equal
-  on the next access (the hook the memory-budget eviction tier uses).
+  existed.
 * :class:`SharedMemoryColumnStore` packs both columns of a device into
   one ``multiprocessing.shared_memory`` segment.  The owning process
   creates and unlinks segments; any other process *attaches by segment
@@ -22,9 +20,9 @@ Contract (what :class:`~repro.events.table.EventTable` relies on):
   ``arrays()`` resolves to arrays bitwise-equal to the ones put in.
   Column data behind a handle is **immutable** — a merge produces new
   arrays and a new handle; the old handle is passed to ``release``.
-* Handles resolve lazily.  A spilled (heap) or not-yet-attached
-  (shared) handle materializes its arrays on first ``arrays()`` call;
-  resolution never changes values, only where they are read from.
+* Handles resolve lazily.  A not-yet-attached (shared) handle maps its
+  arrays on the first ``arrays()`` call; resolution never changes
+  values, only where they are read from.
 * Lifecycle: ``release(handle)`` frees one handle's storage (the owner
   unlinks its segment; an attached store merely unmaps).  ``close()``
   tears the whole store down — after it, resolving any handle of the
@@ -40,13 +38,9 @@ Contract (what :class:`~repro.events.table.EventTable` relies on):
 from __future__ import annotations
 
 import os
-import pathlib
 import re
-import shutil
-import tempfile
 import uuid
 from multiprocessing import resource_tracker, shared_memory
-from collections.abc import Callable
 
 import numpy as np
 
@@ -117,17 +111,13 @@ class ColumnHandle:
     returns them; data is immutable for the handle's lifetime.
     """
 
-    __slots__ = ("key", "length", "_times", "_aps", "on_reload")
+    __slots__ = ("key", "length", "_times", "_aps")
 
     def __init__(self, key: str, length: int) -> None:
         self.key = key
         self.length = length
         self._times: "np.ndarray | None" = None
         self._aps: "np.ndarray | None" = None
-        #: Optional hook invoked after a cold resolve (spilled heap data
-        #: reloaded, shared segment attached) — the eviction tier uses
-        #: it to re-touch the log's LRU entry.
-        self.on_reload: "Callable[[ColumnHandle], None] | None" = None
 
     @property
     def nbytes(self) -> int:
@@ -139,11 +129,6 @@ class ColumnHandle:
         """Whether the arrays are currently materialized in this process."""
         return self._times is not None
 
-    @property
-    def resident_nbytes(self) -> int:
-        """Bytes currently held in this process's memory (0 if spilled)."""
-        return self.nbytes if self.resident else 0
-
     def arrays(self) -> "tuple[np.ndarray, np.ndarray]":
         """The ``(times, ap_indices)`` pair, materializing if needed."""
         times = self._times
@@ -154,16 +139,13 @@ class ColumnHandle:
     def _load(self) -> "tuple[np.ndarray, np.ndarray]":
         raise NotImplementedError
 
-    def _notify_reload(self) -> None:
-        if self.on_reload is not None:
-            self.on_reload(self)
-
 
 class _ResidentColumns(ColumnHandle):
-    """Plain in-memory columns with no store behind them.
+    """Plain in-memory columns.
 
-    What a :class:`DeviceLog` built directly from arrays (table slices,
-    empty logs, tests) wraps; never spillable, nothing to release.
+    What a :class:`HeapColumnStore` registers (its ``release`` drops the
+    arrays), and what a :class:`DeviceLog` built directly from arrays
+    (table slices, empty logs, tests) wraps with no store behind it.
     """
 
     __slots__ = ()
@@ -179,73 +161,17 @@ class _ResidentColumns(ColumnHandle):
             f"resident columns of {self.key!r} lost their arrays")
 
 
-class HeapColumnHandle(ColumnHandle):
-    """Heap-backed columns with an optional on-disk spill copy."""
-
-    __slots__ = ("_store", "_spill_path")
-
-    def __init__(self, key: str, times: np.ndarray, aps: np.ndarray,
-                 store: "HeapColumnStore") -> None:
-        super().__init__(key, int(times.size))
-        self._times = times
-        self._aps = aps
-        self._store = store
-        self._spill_path: "pathlib.Path | None" = None
-
-    def spill(self) -> int:
-        """Write the columns to disk and drop the in-memory arrays.
-
-        Returns the bytes freed (0 when already spilled).  The spill
-        file is written once per handle — the data is immutable, so a
-        later re-spill only drops the resident arrays again.
-        """
-        if not self.resident:
-            return 0
-        if self._spill_path is None:
-            self._spill_path = self._store._spill_file(self)
-            np.savez(self._spill_path, times=self._times, aps=self._aps)
-        freed = self.nbytes
-        self._times = None
-        self._aps = None
-        self._store._spilled += 1
-        return freed
-
-    def _load(self) -> "tuple[np.ndarray, np.ndarray]":
-        if self._spill_path is None:
-            raise EventTableError(
-                f"columns of {self.key!r} were never spilled yet are "
-                "not resident (store closed?)")
-        with np.load(self._spill_path) as archive:
-            self._times = archive["times"]
-            self._aps = archive["aps"]
-        self._store._reloaded += 1
-        self._notify_reload()
-        return self._times, self._aps
-
-    def _discard(self) -> None:
-        self._times = None
-        self._aps = None
-        if self._spill_path is not None:
-            try:
-                self._spill_path.unlink()
-            except OSError:
-                pass
-            self._spill_path = None
-
-
 class SharedColumnHandle(ColumnHandle):
     """Columns inside one shared-memory segment, resolved by name."""
 
-    __slots__ = ("segment_name", "_segment", "_store")
+    __slots__ = ("segment_name", "_segment")
 
     def __init__(self, key: str, segment_name: str, length: int,
-                 store: "SharedMemoryColumnStore",
                  segment: "shared_memory.SharedMemory | None" = None
                  ) -> None:
         super().__init__(key, length)
         self.segment_name = segment_name
         self._segment = segment
-        self._store = store
         if segment is not None:
             self._map_views()
 
@@ -263,9 +189,7 @@ class SharedColumnHandle(ColumnHandle):
     def _load(self) -> "tuple[np.ndarray, np.ndarray]":
         if self._segment is None:
             self._segment = _attach_segment(self.segment_name)
-            self._store._attached += 1
         self._map_views()
-        self._notify_reload()
         return self._times, self._aps  # type: ignore[return-value]
 
     def _discard(self, unlink: bool) -> None:
@@ -299,15 +223,10 @@ class ColumnStore:
     #: Whether this store resolves handles created elsewhere (a reader
     #: view); attached stores never unlink on release/close.
     is_attached: bool = False
-    #: Whether handles support ``spill()`` (the eviction tier's hook).
-    supports_spill: bool = False
 
     def __init__(self) -> None:
         self._handles: "set[ColumnHandle]" = set()
         self._closed = False
-        self._spilled = 0
-        self._reloaded = 0
-        self._attached = 0
 
     def put(self, key: str, times: np.ndarray,
             ap_indices: np.ndarray) -> ColumnHandle:
@@ -317,9 +236,9 @@ class ColumnStore:
     def release(self, handle: ColumnHandle) -> None:
         """Free one handle's storage (a merge replaced it).
 
-        Foreign handles — :class:`_ResidentColumns` wrapping plain
-        arrays, or handles of another store — are ignored, so callers
-        can release whatever a log happens to carry.
+        Foreign handles — columns a log wraps with no store behind them,
+        or handles of another store — are ignored, so callers can
+        release whatever a log happens to carry.
         """
         if handle in self._handles:
             self._handles.discard(handle)
@@ -336,10 +255,6 @@ class ColumnStore:
         for handle in sorted(self._handles, key=lambda h: h.key):
             self._release(handle)
         self._handles.clear()
-        self._close()
-
-    def _close(self) -> None:
-        pass
 
     @property
     def closed(self) -> bool:
@@ -347,16 +262,10 @@ class ColumnStore:
 
     def stats(self) -> dict:
         """Accounting snapshot (bytes are exact, from handle lengths)."""
-        resident = sum(h.resident_nbytes for h in self._handles)  # repro-lint: disable=RL002  integer sum, order-independent
-        total = sum(h.nbytes for h in self._handles)  # repro-lint: disable=RL002  integer sum, order-independent
         return {
             "kind": self.kind,
             "segments": len(self._handles),
-            "column_bytes": total,
-            "resident_bytes": resident,
-            "spilled_bytes": total - resident,
-            "spill_count": self._spilled,
-            "reload_count": self._reloaded,
+            "column_bytes": sum(h.nbytes for h in self._handles),  # repro-lint: disable=RL002  integer sum, order-independent
         }
 
     def __enter__(self) -> "ColumnStore":
@@ -367,46 +276,21 @@ class ColumnStore:
 
 
 class HeapColumnStore(ColumnStore):
-    """Process-heap columns (the default), with disk spill support."""
+    """Process-heap columns (the default)."""
 
     kind = "heap"
-    supports_spill = True
-
-    def __init__(self, spill_dir: "str | os.PathLike | None" = None) -> None:
-        super().__init__()
-        self._spill_dir: "pathlib.Path | None" = \
-            pathlib.Path(spill_dir) if spill_dir is not None else None
-        self._owns_spill_dir = False
-        self._sequence = 0
-
-    @property
-    def spill_dir(self) -> "pathlib.Path | None":
-        """The caller's spill directory; None when spills go to a temp
-        directory the store mints itself (and removes on close)."""
-        return None if self._owns_spill_dir else self._spill_dir
 
     def put(self, key: str, times: np.ndarray,
-            ap_indices: np.ndarray) -> HeapColumnHandle:
+            ap_indices: np.ndarray) -> ColumnHandle:
         if times.shape != ap_indices.shape:
             raise EventTableError("times and ap_indices must align")
-        handle = HeapColumnHandle(key, times, ap_indices, self)
+        handle = _ResidentColumns(key, times, ap_indices)
         self._handles.add(handle)
         return handle
 
-    def _spill_file(self, handle: HeapColumnHandle) -> pathlib.Path:
-        if self._spill_dir is None:
-            self._spill_dir = pathlib.Path(
-                tempfile.mkdtemp(prefix="locater-spill-"))
-            self._owns_spill_dir = True
-        self._sequence += 1
-        return self._spill_dir / f"col-{self._sequence:06d}.npz"
-
-    def _release(self, handle: HeapColumnHandle) -> None:
-        handle._discard()
-
-    def _close(self) -> None:
-        if self._owns_spill_dir and self._spill_dir is not None:
-            shutil.rmtree(self._spill_dir, ignore_errors=True)
+    def _release(self, handle: ColumnHandle) -> None:
+        handle._times = None
+        handle._aps = None
 
 
 class SharedMemoryColumnStore(ColumnStore):
@@ -421,10 +305,6 @@ class SharedMemoryColumnStore(ColumnStore):
     * **attached** (``SharedMemoryColumnStore.attached()``): resolves
       handles adopted by name (``adopt``) against segments some owner
       created; ``release``/``close`` merely unmap, never unlink.
-
-    Spill is unsupported: an owner evicting a segment would tear the
-    bytes out from under attached readers.  Cold-data eviction applies
-    to heap-backed tables (see :class:`HeapColumnStore`).
     """
 
     kind = "shared"
@@ -465,7 +345,7 @@ class SharedMemoryColumnStore(ColumnStore):
             np.ascontiguousarray(times, dtype=TIMES_DTYPE)
         np.frombuffer(buf, dtype=APS_DTYPE, count=n, offset=8 * n)[:] = \
             np.ascontiguousarray(ap_indices, dtype=APS_DTYPE)
-        handle = SharedColumnHandle(key, name, n, self, segment=segment)
+        handle = SharedColumnHandle(key, name, n, segment=segment)
         self._handles.add(handle)
         return handle
 
@@ -477,7 +357,7 @@ class SharedMemoryColumnStore(ColumnStore):
         ``arrays()`` call, so adopting a descriptor's worth of names is
         free and a reader maps only the logs it actually touches.
         """
-        handle = SharedColumnHandle(key, segment_name, length, self)
+        handle = SharedColumnHandle(key, segment_name, length)
         self._handles.add(handle)
         return handle
 

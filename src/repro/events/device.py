@@ -10,7 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
-from repro.errors import UnknownDeviceError
+from repro.errors import (
+    ConfigurationError,
+    InvalidEventError,
+    UnknownDeviceError,
+)
 from repro.util.timeutil import minutes
 
 
@@ -36,9 +40,9 @@ class Device:
 
     def __post_init__(self) -> None:
         if not self.mac:
-            raise ValueError("mac must be non-empty")
+            raise InvalidEventError("mac must be non-empty")
         if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+            raise ConfigurationError(f"delta must be > 0, got {self.delta}")
 
     def __str__(self) -> str:
         return f"Device {self.mac} (δ={self.delta:.0f}s)"

@@ -30,15 +30,10 @@ the first read after a freeze (or sync) moves it.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # layering: events must not import system at runtime
-    from repro.system.memory import MemoryManager, _Entry
 
 from repro.errors import EmptyHistoryError, EventTableError, UnknownDeviceError
 from repro.events.columns import (
@@ -59,8 +54,8 @@ class DeviceLog:
     Internally two parallel numpy arrays: ``times`` (float64 seconds) and
     ``ap_indices`` (int32 indices into the table's AP vocabulary),
     resolved through a :class:`~repro.events.columns.ColumnHandle` — so
-    the same log object serves heap arrays, attached shared-memory
-    segments, and spilled-to-disk cold data transparently.
+    the same log object serves heap arrays and attached shared-memory
+    segments transparently.
     """
 
     def __init__(self, device: Device, times: "np.ndarray | None" = None,
@@ -208,11 +203,6 @@ class FlatLogs:
         """Event timestamps aligned with :attr:`keys` (a view, no copy)."""
         return self.keys.imag
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the view's arrays (memory accounting)."""
-        return self.offsets.nbytes + self.keys.nbytes + self.ap_codes.nbytes
-
 
 @dataclass(frozen=True, slots=True)
 class DeviceState:
@@ -304,14 +294,8 @@ class EventTable:
         # interval, newest merged generation) — changed_since may then
         # over-approximate for very old generations, never under.
         self._changes: dict[str, list[tuple[int, float, float]]] = {}
-        # Cold-data eviction plumbing (see enable_eviction): the memory
-        # manager charged per log, and its LRU entries keyed by mac.
-        self._memory: "MemoryManager | None" = None
-        self._memory_entries: "dict[str, _Entry]" = {}
-        # The concatenated logs of the current generation (flat_logs)
-        # and, under a memory budget, its LRU entry.
+        # The concatenated logs of the current generation (flat_logs).
         self._flat: "FlatLogs | None" = None
-        self._flat_entry: "_Entry | None" = None
 
     #: Entries kept per device before the journal's oldest half is
     #: coalesced; bounds memory and changed_since cost on long-running
@@ -410,8 +394,6 @@ class EventTable:
                                     columns=handle)
         if replaced is not None:
             self._store.release(replaced.columns)
-        if self._memory is not None:
-            self._register_log(mac, handle)
 
     # ------------------------------------------------------------------
     # Column storage / memory
@@ -429,9 +411,7 @@ class EventTable:
         cluster lifts a heap table into shared memory this way for its
         attached workers, and moves it back to the heap when it closes.
         Columns leaving a shared store are copied, so no heap log pins
-        a segment the old store unlinks.  Under a memory budget the
-        ``log`` eviction entries move with the columns: released here,
-        and re-registered only where the new store can spill.
+        a segment the old store unlinks.
         """
         self._ensure_frozen()
         copy = self._store.is_shared and not store.is_shared
@@ -448,16 +428,9 @@ class EventTable:
         old = self._store
         self._store = store
         old.close()
-        if self._memory is not None:
-            for entry in self._memory_entries.values():
-                self._memory.release(entry)
-            self._memory_entries.clear()
-            for mac, log in self._logs.items():
-                if not log.is_empty:
-                    self._register_log(mac, log.columns)
 
     def close(self) -> None:
-        """Release the column store (segments, spill files).  Terminal:
+        """Release the column store (arrays, shared segments).  Terminal:
         log reads after close are undefined.  Idempotent."""
         self._store.close()
 
@@ -473,65 +446,6 @@ class EventTable:
         out["devices"] = len(self.registry)
         out["events"] = self._event_count
         return out
-
-    def enable_eviction(self, manager) -> bool:
-        """Let ``manager`` spill cold logs to disk under memory pressure.
-
-        Registers every current (and future) non-empty log with the
-        :class:`~repro.system.memory.MemoryManager`: access through
-        :meth:`log` touches the LRU entry, eviction spills the columns
-        (bitwise-restored on the next read).  The :meth:`flat_logs` copy
-        is charged as one more entry; evicting it drops it, and the next
-        read rebuilds it.  Returns False — and does
-        nothing — when the store cannot spill (shared-memory segments
-        serve attached readers and are never torn down under them) or
-        when a different manager already owns the table.  Idempotent
-        for the same manager.
-        """
-        if not self._store.supports_spill:
-            return False
-        if self._memory is manager:
-            return True
-        if self._memory is not None:
-            return False
-        self._ensure_frozen()
-        self._memory = manager
-        for mac, log in self._logs.items():
-            if not log.is_empty:
-                self._register_log(mac, log.columns)
-        # Through a weakref, so the manager never keeps the table alive.
-        ref = weakref.ref(self)
-
-        def flat_bytes() -> int:
-            table = ref()
-            flat = table._flat if table is not None else None
-            return flat.nbytes if flat is not None else 0
-
-        def drop_flat() -> None:
-            table = ref()
-            if table is not None:
-                table._flat = None
-
-        self._flat_entry = manager.charge(
-            "flat-logs", ("flat-logs", id(self)), size_fn=flat_bytes,
-            evictor=drop_flat, persistent=True)
-        return True
-
-    def _register_log(self, mac: str, handle: ColumnHandle) -> None:
-        manager = self._memory
-        spill = getattr(handle, "spill", None)  # heap handles only
-        if manager is None or spill is None:
-            return
-        old = self._memory_entries.pop(mac, None)
-        if old is not None:
-            manager.release(old)
-        entry = manager.charge(
-            "log", ("log", mac),
-            size_fn=lambda h=handle: h.resident_nbytes,
-            evictor=spill, persistent=True)
-        handle.on_reload = \
-            lambda h, e=entry, m=manager: m.touch(e)
-        self._memory_entries[mac] = entry
 
     # ------------------------------------------------------------------
     # Cross-process views (shared-memory stores)
@@ -750,10 +664,6 @@ class EventTable:
                                    np.empty(0, dtype=np.int32),
                                    self._ap_vocab)
             self._logs[mac] = device_log
-        elif self._memory is not None:
-            entry = self._memory_entries.get(mac)
-            if entry is not None:
-                self._memory.touch(entry)
         return device_log
 
     def flat_logs(self) -> FlatLogs:
@@ -767,8 +677,6 @@ class EventTable:
         flat = self._flat
         if flat is None or flat.generation != self._generation:
             flat = self._flat = self._build_flat()
-        if self._memory is not None and self._flat_entry is not None:
-            self._memory.touch(self._flat_entry)
         return flat
 
     def _build_flat(self) -> FlatLogs:

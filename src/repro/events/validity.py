@@ -23,6 +23,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.events.device import DEFAULT_DELTA_SECONDS
 from repro.events.table import DeviceLog, EventTable, FlatLogs
 from repro.util.timeutil import TimeInterval, minutes
@@ -183,7 +184,7 @@ class DeltaEstimator:
         check_positive("minimum", minimum)
         check_positive("maximum", maximum)
         if maximum < minimum:
-            raise ValueError("maximum delta must be >= minimum delta")
+            raise ConfigurationError("maximum delta must be >= minimum delta")
         self.session_break = session_break
         self.percentile = percentile
         self.minimum = minimum

@@ -123,7 +123,7 @@ class NeighborIndex:
 
     @property
     def snapshot_count(self) -> int:
-        """Cached snapshots currently held (memory accounting)."""
+        """Cached snapshots currently held."""
         return len(self._snapshots)
 
     def invalidate_all(self) -> int:

@@ -12,6 +12,7 @@ import hashlib
 import hmac
 from collections.abc import Iterable, Iterator
 
+from repro.errors import ConfigurationError
 from repro.events.event import ConnectivityEvent
 
 
@@ -33,9 +34,9 @@ class MacAnonymizer:
     def __init__(self, salt: str, prefix: str = "anon-",
                  digest_chars: int = 12) -> None:
         if not salt:
-            raise ValueError("salt must be non-empty")
+            raise ConfigurationError("salt must be non-empty")
         if digest_chars < 8:
-            raise ValueError("digest_chars must be >= 8")
+            raise ConfigurationError("digest_chars must be >= 8")
         self._key = salt.encode("utf-8")
         self.prefix = prefix
         self.digest_chars = digest_chars

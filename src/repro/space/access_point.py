@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import InvalidSpaceModelError
+
 
 @dataclass(frozen=True, slots=True)
 class AccessPoint:
@@ -27,9 +29,10 @@ class AccessPoint:
 
     def __post_init__(self) -> None:
         if not self.ap_id:
-            raise ValueError("ap_id must be a non-empty string")
+            raise InvalidSpaceModelError("ap_id must be a non-empty string")
         if not self.covered_rooms:
-            raise ValueError(f"AP {self.ap_id} must cover at least one room")
+            raise InvalidSpaceModelError(
+                f"AP {self.ap_id} must cover at least one room")
 
     @staticmethod
     def create(ap_id: str, covered_rooms: "list[str] | set[str] | frozenset[str]",
@@ -38,7 +41,8 @@ class AccessPoint:
         rooms = list(covered_rooms)
         unique = frozenset(rooms)
         if len(unique) != len(rooms):
-            raise ValueError(f"AP {ap_id} has duplicate rooms in coverage")
+            raise InvalidSpaceModelError(
+                f"AP {ap_id} has duplicate rooms in coverage")
         return AccessPoint(ap_id=ap_id, covered_rooms=unique, position=position)
 
     def covers(self, room_id: str) -> bool:

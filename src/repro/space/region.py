@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import InvalidSpaceModelError
+
 
 @dataclass(frozen=True, slots=True)
 class Region:
@@ -29,9 +31,11 @@ class Region:
 
     def __post_init__(self) -> None:
         if self.region_id < 0:
-            raise ValueError(f"region_id must be >= 0, got {self.region_id}")
+            raise InvalidSpaceModelError(
+                f"region_id must be >= 0, got {self.region_id}")
         if not self.rooms:
-            raise ValueError(f"region {self.region_id} has no rooms")
+            raise InvalidSpaceModelError(
+                f"region {self.region_id} has no rooms")
 
     def contains(self, room_id: str) -> bool:
         """Whether ``room_id`` belongs to this region."""

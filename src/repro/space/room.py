@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.errors import InvalidSpaceModelError
+
 
 class RoomType(enum.Enum):
     """Whether a room is a shared facility or restricted to its owners."""
@@ -41,9 +43,10 @@ class Room:
 
     def __post_init__(self) -> None:
         if not self.room_id:
-            raise ValueError("room_id must be a non-empty string")
+            raise InvalidSpaceModelError("room_id must be a non-empty string")
         if self.capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {self.capacity}")
+            raise InvalidSpaceModelError(
+                f"capacity must be positive, got {self.capacity}")
 
     @property
     def is_public(self) -> bool:

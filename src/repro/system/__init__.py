@@ -16,7 +16,6 @@ from repro.system.locater import (
     Locater,
     LocationAnswer,
 )
-from repro.system.memory import MemoryManager, approx_nbytes
 from repro.system.planner import (
     BUCKET_SECONDS,
     PlannedQuery,
@@ -47,7 +46,6 @@ __all__ = [
     "LocaterConfig",
     "LocationAnswer",
     "LocationQuery",
-    "MemoryManager",
     "NamespacedStorage",
     "PlannedQuery",
     "QueryGroup",
@@ -55,6 +53,5 @@ __all__ = [
     "SqliteStorage",
     "StorageEngine",
     "StreamingSession",
-    "approx_nbytes",
     "plan_queries",
 ]

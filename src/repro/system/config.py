@@ -48,11 +48,6 @@ class LocaterConfig:
             paper-literal; higher is faster, near-identical labels).
         history_days: Days of history used to train models and mine
             affinities (None = everything available).
-        memory_budget_bytes: Resident-byte budget for recomputable state
-            (trained coarse models, batch memos, cold log columns).
-            ``None`` (default) disables eviction entirely; any budget —
-            including 0 — only trades recompute time for memory, never
-            answers (see :mod:`repro.system.memory`).
     """
 
     tau_low: float = minutes(20)
@@ -71,13 +66,19 @@ class LocaterConfig:
     reuse_affinity_cache: bool = True
     self_training_batch: int = 4
     history_days: "int | None" = None
-    memory_budget_bytes: "int | None" = None
 
     def __post_init__(self) -> None:
-        if self.tau_low <= 0 or self.tau_high <= self.tau_low:
+        if not 0 < self.tau_low < self.tau_high:
             raise ConfigurationError(
                 f"need 0 < tau_low < tau_high, got "
                 f"({self.tau_low}, {self.tau_high})")
+        if not self.tau_region_low <= self.tau_region_high:
+            raise ConfigurationError(
+                f"need tau_region_low <= tau_region_high, got "
+                f"({self.tau_region_low}, {self.tau_region_high})")
+        if not 0 < self.affinity_cap < 1:
+            raise ConfigurationError(
+                f"affinity_cap must be in (0, 1), got {self.affinity_cap}")
         if self.max_neighbors < 1:
             raise ConfigurationError(
                 f"max_neighbors must be >= 1, got {self.max_neighbors}")
@@ -88,11 +89,6 @@ class LocaterConfig:
         if self.history_days is not None and self.history_days < 0:
             raise ConfigurationError(
                 f"history_days must be >= 0 or None, got {self.history_days}")
-        if self.memory_budget_bytes is not None and \
-                self.memory_budget_bytes < 0:
-            raise ConfigurationError(
-                f"memory_budget_bytes must be >= 0 or None, got "
-                f"{self.memory_budget_bytes}")
 
     def with_(self, **changes) -> "LocaterConfig":
         """Return a copy with the given fields replaced."""

@@ -19,7 +19,6 @@ from repro.system.planner import plan_queries
 from repro.errors import EmptyHistoryError
 from repro.system import streaming
 from repro.system.ingestion import IngestReport
-from repro.system.memory import MEMO_ENTRY_NBYTES, MemoryManager
 from repro.system.query import LocationQuery
 from repro.system.storage import StorageEngine
 from repro.util.timeutil import SECONDS_PER_DAY, TimeInterval, day_span
@@ -88,8 +87,8 @@ class BatchState:
     def reset(self) -> None:
         """Forget every memo and snapshot: the state of a fresh one.
 
-        Binds fresh shared states on this same object, so a holder of
-        it (the memory manager's entry) stays valid.
+        Binds fresh shared states on this same object, so every holder
+        of it sees the reset.
         """
         self.coarse = CoarseSharedState()
         self.fine = FineSharedState()
@@ -98,8 +97,9 @@ class BatchState:
     def memo_dicts(self) -> list[dict]:
         """Every memo dict of this state: each field of its shared states.
 
-        The single enumeration the trim/size plumbing iterates; resolved
-        on each call because :meth:`reset` rebinds the shared states.
+        The single enumeration the :data:`MAX_MEMO_ENTRIES` trim
+        iterates; resolved on each call because :meth:`reset` rebinds
+        the shared states.
         """
         return [getattr(shared, memo.name)
                 for shared in (self.coarse, self.fine)
@@ -115,15 +115,12 @@ class InvalidationSummary:
             window itself moved — sliding ``history_days`` window, or
             the table span's day range changed, which shifts the density
             feature of *every* device).
-        macs: The devices whose trained models and affinities were
-            invalidated surgically (empty when ``full``).
         answers_dropped: Cleaned answers purged from storage (0 when
             the engine that merged the rows into that same store
             purged them first).
     """
 
     full: bool
-    macs: frozenset[str]
     answers_dropped: int
 
 
@@ -186,21 +183,10 @@ class Locater:
         self.cache = CachingEngine(sigma=self.config.cache_sigma) \
             if self.config.use_caching else None
         self._history_fingerprint = self._span_fingerprint()
-        # Memory-budgeted eviction (repro.system.memory): one LRU over
-        # trained coarse models, batch memos and cold log columns.
-        # Everything it evicts recomputes deterministically, so any
-        # budget — including 0 — leaves answers bitwise unchanged.
-        self.memory: "MemoryManager | None" = None
-        if self.config.memory_budget_bytes is not None:
-            self.memory = MemoryManager(self.config.memory_budget_bytes)
-            table.enable_eviction(self.memory)
-            self.coarse.set_memory_manager(self.memory)
         # The one warm state, and what the pull compares against: the
         # table generation last caught up with (see _catch_up).
         self._state = BatchState(neighbors=NeighborIndex(
             building, table, max_snapshots=MAX_SNAPSHOTS))
-        self._memo_entry = self._charge_memos() \
-            if self.memory is not None else None
         self.full_invalidations = 0
         self._seen_generation = table.generation
 
@@ -255,29 +241,7 @@ class Locater:
         the memo-free reference path.
         """
         self._catch_up()
-        answer = self._locate_one(query, state)
-        if self.memory is not None:
-            self.memory.enforce()
-        return answer
-
-    def _charge_memos(self):
-        """Put the warm state's memos under the memory budget.
-
-        One persistent LRU entry: its size tracks the memo dicts and
-        neighbor snapshots (nominal bytes per entry — O(1) to report),
-        and evicting resets the state (memos are pure functions of the
-        table; they recompute on demand).
-        """
-        state = self._state
-
-        def memo_size() -> int:
-            entries = sum(len(d) for d in state.memo_dicts())
-            return (entries + state.neighbors.snapshot_count) \
-                * MEMO_ENTRY_NBYTES
-
-        return self.memory.charge("batch-memos", ("batch-memos", id(state)),
-                                  size_fn=memo_size, evictor=state.reset,
-                                  persistent=True)
+        return self._locate_one(query, state)
 
     def locate_batch(self, queries: Iterable[LocationQuery]
                      ) -> list[LocationAnswer]:
@@ -307,6 +271,11 @@ class Locater:
                 plan order — lazy training, no memos — and that is what
                 the Fig. 10/12 drivers time.
 
+        Raises:
+            UnknownDeviceError: A query names a MAC the table has never
+                seen.  Raised before any query is answered, so nothing
+                is persisted and no cache edge is recorded.
+
         Example:
             >>> answers = locater.locate_batch(
             ...     [LocationQuery("7fbh", t) for t in grid])
@@ -314,6 +283,9 @@ class Locater:
         """
         self._catch_up()
         queries = list(queries)
+        registry = self._table.registry
+        for query in queries:
+            registry.get(query.mac)  # raises UnknownDeviceError
         plan = plan_queries(queries)
         # Bulk-train before executing: one vectorized sweep over the
         # devices whose queries will actually consult models (a gap
@@ -322,16 +294,12 @@ class Locater:
         # unchanged.
         self.coarse.train_devices(self._devices_needing_models(plan))
         state = self._state
-        if self._memo_entry is not None:
-            self.memory.touch(self._memo_entry)
         answers: "list[LocationAnswer | None]" = [None] * len(queries)
         for planned in plan.ordered():
             answers[planned.index] = self.locate_query(planned.query, state)
         for memo in state.memo_dicts():
             if len(memo) > MAX_MEMO_ENTRIES:
                 memo.clear()
-        if self.memory is not None:
-            self.memory.enforce()
         return answers  # type: ignore[return-value]  # every slot filled
 
     def _devices_needing_models(self, plan) -> list[str]:
@@ -475,8 +443,7 @@ class Locater:
         if not report.changed:
             # Nothing merged (e.g. an empty poll tick): every cached
             # model, memo and stored answer is still exact.
-            return InvalidationSummary(full=False, macs=frozenset(),
-                                       answers_dropped=0)
+            return InvalidationSummary(full=False, answers_dropped=0)
         answers_dropped = self._storage.clear_answers() \
             if self._storage is not None else 0
         fingerprint = self._span_fingerprint()
@@ -500,13 +467,8 @@ class Locater:
         # Only now: a failure above leaves the old fingerprint, so a
         # retry escalates exactly as this attempt did.
         self._history_fingerprint = fingerprint
-        if self.memory is not None:
-            # The merged rows just grew some logs; spill back under
-            # budget before the next serve.
-            self.memory.enforce()
-        return InvalidationSummary(
-            full=full, macs=frozenset() if full else report.macs,
-            answers_dropped=answers_dropped)
+        return InvalidationSummary(full=full,
+                                   answers_dropped=answers_dropped)
 
     # ------------------------------------------------------------------
     def _persist(self, answer: LocationAnswer) -> None:

@@ -1,7 +1,7 @@
 """repro-lint — AST contract checker for the reproduction's invariants.
 
 The equivalence guarantees of this codebase (batch ≡ sequential,
-cluster ≡ lone Locater, eviction-schedule invariance — all *bitwise*)
+cluster ≡ lone Locater, streaming ≡ cold rebuild — all *bitwise*)
 rest on hand-maintained conventions: sorted iteration on answer paths,
 pinned dtypes, shared-memory ownership discipline, typed pipe failures
 and a non-blocking event loop.  ``repro-lint`` turns those conventions

@@ -1,7 +1,7 @@
 """RL002 — determinism of the answer-path modules.
 
 Every equivalence suite in this repository (batch≡sequential,
-cluster≡lone-Locater, eviction-schedule invariance) asserts *bitwise*
+cluster≡lone-Locater, streaming≡cold-rebuild) asserts *bitwise*
 identical answers.  Two classes of code break that silently:
 
 * **unordered iteration** — walking a ``set``/``frozenset`` (or a

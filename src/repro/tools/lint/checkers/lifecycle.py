@@ -216,7 +216,7 @@ class SharedMemoryLifecycle(Checker):
     @staticmethod
     def _is_segment_unlink(node: ast.Call, ctx: FileContext) -> bool:
         """Heuristic: unlink on something segment-ish, not a filesystem
-        path (``Path.unlink`` shows up in spill-file cleanup)."""
+        path (a ``Path.unlink`` removes a file, not a segment)."""
         func = node.func
         if not isinstance(func, ast.Attribute):
             return False

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterator
 
+from repro.errors import ConfigurationError
+
 SECONDS_PER_MINUTE = 60.0
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
@@ -93,7 +95,7 @@ class TimeInterval:
 
     def __post_init__(self) -> None:
         if self.end < self.start:
-            raise ValueError(
+            raise ConfigurationError(
                 f"interval end ({self.end}) precedes start ({self.start})"
             )
 

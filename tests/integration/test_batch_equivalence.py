@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ShardedLocater
+from repro.errors import UnknownDeviceError
 from repro.eval.queries import generated_query_set, labeled_query_set
 from repro.fine.localizer import FineMode
 from repro.sim.scenarios import ScenarioSpec
@@ -20,7 +22,9 @@ from repro.sim.simulator import Simulator
 from repro.system.config import LocaterConfig
 from repro.system.locater import Locater
 from repro.system.planner import plan_queries
+from repro.system.query import LocationQuery
 from repro.system.storage import InMemoryStorage
+from repro.system.streaming import StreamingSession
 
 
 def _dataset(name: str):
@@ -109,3 +113,69 @@ def test_batch_matches_sequential_small_dataset(small_dataset):
     # The shared session fixture: a fourth world, I-FINE off-path sizes.
     queries = labeled_query_set(small_dataset, per_device=3, seed=2)
     _assert_equivalent(small_dataset, queries)
+
+
+class TestUnknownDevice:
+    """A batch naming a never-seen MAC fails before it changes anything.
+
+    No answer is persisted and no cache edge recorded, on every batch
+    entry point, so the next clean batch answers exactly as a fresh
+    lone system does.
+    """
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        dataset = Simulator(ScenarioSpec.dbh_like(seed=13, population=12)
+                            ).run(days=3)
+        queries = labeled_query_set(dataset, per_device=3, seed=5)
+        # Planned last, so any query answered before the check would
+        # already be persisted when the unknown MAC raised.
+        unknown = LocationQuery(
+            mac="zz-never-seen",
+            timestamp=max(query.timestamp for query in queries))
+        return dataset, queries, unknown
+
+    @staticmethod
+    def _counters(system):
+        if isinstance(system, ShardedLocater):
+            return system.cache_stats().total
+        return system.cache.stats() if system.cache is not None else None
+
+    @pytest.mark.parametrize("caching", [True, False],
+                             ids=["caching", "no-caching"])
+    @pytest.mark.parametrize("entry,shards", [
+        ("lone", 0), ("session", 0), ("batch", 2), ("batch", 3),
+        ("slice", 2)],
+        ids=["lone", "session", "2-shards", "3-shards", "slice"])
+    def test_nothing_changes_before_the_error(self, world, entry, shards,
+                                              caching):
+        dataset, queries, unknown = world
+        config = LocaterConfig(use_caching=caching)
+        storage = InMemoryStorage()
+        args = (dataset.building, dataset.metadata, dataset.table)
+        if shards:
+            system = ShardedLocater(*args, shard_count=shards,
+                                    config=config, storage=storage)
+        else:
+            system = Locater(*args, config=config, storage=storage)
+        try:
+            with pytest.raises(UnknownDeviceError, match=unknown.mac):
+                if entry == "session":
+                    StreamingSession(system).query([*queries, unknown])
+                elif entry == "slice":
+                    # With caching on one component may own every
+                    # device: dispatch to the shard that owns queries.
+                    shard = system.shard_of(queries[0].mac)
+                    mine = [query for query in queries
+                            if system.shard_of(query.mac) == shard]
+                    system.locate_slice(shard, [*mine, unknown])
+                else:
+                    system.locate_batch([*queries, unknown])
+            assert storage.clear_answers() == 0
+            fresh = Locater(*args, config=config, storage=InMemoryStorage())
+            assert system.locate_batch(queries) == \
+                fresh.locate_batch(queries)
+            assert self._counters(system) == self._counters(fresh)
+        finally:
+            if isinstance(system, ShardedLocater):
+                system.close()

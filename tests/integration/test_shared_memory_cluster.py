@@ -210,53 +210,26 @@ class TestSegmentOwnership:
         finally:
             table.close()
 
-    def test_eviction_entries_follow_the_store(self, world, lone_answers):
-        # A budgeted Locater owns the table's eviction entries; the
-        # cluster's two store moves carry them along instead of
-        # refusing, and the lone system serves on afterwards.
+    def test_two_store_moves_keep_a_lone_locater_exact(self, world,
+                                                       lone_answers):
+        # A lone system over the table answers bitwise the same before,
+        # during and after a process cluster moves the table into shared
+        # memory and back.
         dataset, queries = world
         table = dataset.table.restrict(dataset.table.span())
-        budgeted = Locater(dataset.building, dataset.metadata, table,
-                           config=CONFIG.with_(memory_budget_bytes=0))
-        assert budgeted.locate_batch(queries) == lone_answers
-        manager = budgeted.memory
+        lone = Locater(dataset.building, dataset.metadata, table,
+                       config=CONFIG)
         try:
+            assert lone.locate_batch(queries) == lone_answers
             with ShardedLocater(dataset.building, dataset.metadata,
                                 table, shard_count=2,
                                 executor=ProcessShardExecutor(),
                                 config=CONFIG) as cluster:
-                # Segments never spill: no log entry while shared.
-                assert "log" not in manager.stats()["by_category"]
+                assert table.store.is_shared
+                assert lone.locate_batch(queries) == lone_answers
                 assert cluster.locate_batch(queries) == lone_answers
             assert isinstance(table.store, HeapColumnStore)
-            # Every non-empty log is registered again, fully resident.
-            assert manager.stats()["by_category"]["log"] == \
-                table.column_bytes() > 0
-            assert budgeted.locate_batch(queries) == lone_answers
-        finally:
-            table.close()
-
-    @pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
-    def test_heap_table_keeps_the_callers_spill_dir(self, world, tmp_path,
-                                                    lone_answers):
-        # The store the cluster moves the table back to spills where
-        # the caller's did, not into a fresh temp directory.
-        dataset, queries = world
-        table = dataset.table.restrict(dataset.table.span())
-        table.migrate_store(HeapColumnStore(spill_dir=tmp_path))
-        try:
-            with ShardedLocater(dataset.building, dataset.metadata,
-                                table, shard_count=2,
-                                executor=ProcessShardExecutor(),
-                                config=CONFIG) as cluster:
-                assert cluster.locate_batch(queries[:4]) == \
-                    lone_answers[:4]
-            assert isinstance(table.store, HeapColumnStore)
-            budgeted = Locater(dataset.building, dataset.metadata, table,
-                               config=CONFIG.with_(memory_budget_bytes=0))
-            assert budgeted.locate_batch(queries) == lone_answers
-            assert list(tmp_path.iterdir())
-            assert table.store.spill_dir == tmp_path
+            assert lone.locate_batch(queries) == lone_answers
         finally:
             table.close()
 

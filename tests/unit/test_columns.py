@@ -1,11 +1,11 @@
-"""Column storage backends: heap (spillable) and shared-memory stores.
+"""Column storage backends: heap and shared-memory stores.
 
 The contract under test is the one :class:`~repro.events.table.EventTable`
 leans on (see :mod:`repro.events.columns`): ``put`` returns a handle whose
 ``arrays()`` resolves bitwise-equal no matter where the bytes currently
-live — heap, an on-disk spill file, or a shared-memory segment mapped in
-this or another store — and release/close semantics differ by role (the
-owner unlinks, an attached view only unmaps).
+live — heap, or a shared-memory segment mapped in this or another
+store — and release/close semantics differ by role (the owner unlinks,
+an attached view only unmaps).
 """
 
 from __future__ import annotations
@@ -54,68 +54,19 @@ class TestHeapStore:
             with pytest.raises(EventTableError):
                 store.put("d1", np.zeros(3), np.zeros(4, dtype=APS_DTYPE))
 
-    def test_spill_and_reload_bitwise(self):
-        times, aps = _columns(n=200, seed=3)
+    def test_stats_count_every_column_byte_and_release_drops_arrays(self):
         with HeapColumnStore() as store:
-            handle = store.put("d1", times, aps)
-            freed = handle.spill()
-            assert freed == handle.nbytes
-            assert not handle.resident
-            assert handle.resident_nbytes == 0
-            got_t, got_a = handle.arrays()
-            # np.savez/np.load round-trips float64/int32 exactly.
-            assert got_t.tobytes() == times.tobytes()
-            assert got_a.tobytes() == aps.tobytes()
-            assert got_t.dtype == TIMES_DTYPE and got_a.dtype == APS_DTYPE
-            assert handle.resident
-
-    def test_spill_idempotent_and_file_written_once(self):
-        times, aps = _columns(n=32)
-        with HeapColumnStore() as store:
-            handle = store.put("d1", times, aps)
-            assert handle.spill() == handle.nbytes
-            assert handle.spill() == 0  # already spilled
-            path_first = handle._spill_path
-            handle.arrays()  # reload
-            assert handle.spill() == handle.nbytes  # drop again, no rewrite
-            assert handle._spill_path == path_first
-            assert store.stats()["spill_count"] == 2
-            assert store.stats()["reload_count"] == 1
-
-    def test_on_reload_hook_fires_after_cold_resolve(self):
-        times, aps = _columns(n=8)
-        seen = []
-        with HeapColumnStore() as store:
-            handle = store.put("d1", times, aps)
-            handle.on_reload = seen.append
-            handle.arrays()  # warm: no reload
-            assert seen == []
-            handle.spill()
-            handle.arrays()
-            assert seen == [handle]
-
-    def test_stats_account_resident_vs_spilled(self):
-        with HeapColumnStore() as store:
-            hot = store.put("hot", *_columns(n=10, seed=1))
-            cold = store.put("cold", *_columns(n=30, seed=2))
-            cold.spill()
+            short = store.put("short", *_columns(n=10, seed=1))
+            long = store.put("long", *_columns(n=30, seed=2))
             stats = store.stats()
             assert stats["kind"] == "heap"
             assert stats["segments"] == 2
-            assert stats["column_bytes"] == hot.nbytes + cold.nbytes
-            assert stats["resident_bytes"] == hot.nbytes
-            assert stats["spilled_bytes"] == cold.nbytes
-
-    def test_release_discards_spill_file(self, tmp_path):
-        times, aps = _columns(n=16)
-        with HeapColumnStore(spill_dir=tmp_path) as store:
-            handle = store.put("d1", times, aps)
-            handle.spill()
-            spill_path = handle._spill_path
-            assert spill_path.exists()
-            store.release(handle)
-            assert not spill_path.exists()
-            assert store.stats()["segments"] == 0
+            assert stats["column_bytes"] == 40 * BYTES_PER_EVENT
+            store.release(long)
+            assert not long.resident
+            assert short.resident
+            assert store.stats()["column_bytes"] == short.nbytes
+            assert store.stats()["segments"] == 1
 
     def test_release_ignores_foreign_handles(self):
         times, aps = _columns(n=4)
@@ -127,17 +78,6 @@ class TestHeapStore:
             store.release(handle)
             assert handle.resident  # untouched by the wrong store
             other.close()
-
-    def test_close_removes_owned_spill_dir(self):
-        times, aps = _columns(n=16)
-        store = HeapColumnStore()
-        handle = store.put("d1", times, aps)
-        handle.spill()
-        spill_dir = store._spill_dir
-        assert spill_dir is not None and spill_dir.exists()
-        store.close()
-        assert not spill_dir.exists()
-        store.close()  # idempotent
 
 
 class TestSharedMemoryStore:
@@ -211,12 +151,6 @@ class TestSharedMemoryStore:
             names = {store.put(f"d{i}", *_columns(n=4, seed=i)).segment_name
                      for i in range(5)}
             assert len(names) == 5
-
-    def test_no_spill_support(self):
-        with SharedMemoryColumnStore() as store:
-            assert not store.supports_spill
-            handle = store.put("d1", *_columns(n=4))
-            assert not hasattr(handle, "spill")
 
 
 class TestOrphanPurge:

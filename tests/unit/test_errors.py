@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import errors
+from repro.coarse.bootstrap import BootstrapLabeler
 from repro.errors import (
     ClusterCallError,
     ClusterError,
@@ -16,6 +17,7 @@ from repro.errors import (
     GatewayOverloadedError,
     InvalidEventError,
     InvalidQueryError,
+    InvalidSpaceModelError,
     LocalizationError,
     ReproError,
     ShardQuarantinedError,
@@ -29,10 +31,18 @@ from repro.errors import (
     UnknownRegionError,
     UnknownRoomError,
 )
+from repro.events.device import Device
+from repro.events.validity import DeltaEstimator
+from repro.io.anonymize import MacAnonymizer
+from repro.space.access_point import AccessPoint
+from repro.space.region import Region
+from repro.space.room import Room, RoomType
+from repro.util.timeutil import TimeInterval, minutes
 
 ALL_ERRORS = [
-    ConfigurationError, SpaceModelError, UnknownRoomError,
-    UnknownRegionError, UnknownDeviceError, EventTableError,
+    ConfigurationError, SpaceModelError, InvalidSpaceModelError,
+    UnknownRoomError, UnknownRegionError, UnknownDeviceError,
+    EventTableError,
     EmptyHistoryError, InvalidEventError, LocalizationError,
     InvalidQueryError, TrainingError,
     SimulationError, StorageError, ClusterError,
@@ -111,6 +121,46 @@ def test_refinement_subtrees(child, parent):
     assert issubclass(child, parent)
     with pytest.raises(parent):
         raise child("specific failure caught at the subtree root")
+
+
+# Every constructor check a caller can trip: each raises a typed
+# ReproError that is still the ValueError it raised before it was typed.
+_ROOMS = frozenset({"r1"})
+
+
+@pytest.mark.parametrize("expected,build", [
+    (InvalidSpaceModelError, lambda b: Room("", RoomType.PUBLIC)),
+    (InvalidSpaceModelError, lambda b: Room("r1", RoomType.PUBLIC,
+                                            capacity=0)),
+    (InvalidSpaceModelError, lambda b: AccessPoint("", _ROOMS)),
+    (InvalidSpaceModelError, lambda b: AccessPoint("w1", frozenset())),
+    (InvalidSpaceModelError, lambda b: AccessPoint.create("w1",
+                                                          ["r1", "r1"])),
+    (InvalidSpaceModelError, lambda b: Region(-1, "w1", _ROOMS)),
+    (InvalidSpaceModelError, lambda b: Region(0, "w1", frozenset())),
+    (InvalidEventError, lambda b: Device("", 0)),
+    (ConfigurationError, lambda b: Device("d1", 0, delta=0.0)),
+    (ConfigurationError, lambda b: DeltaEstimator(minimum=minutes(20),
+                                                  maximum=minutes(10))),
+    (ConfigurationError, lambda b: BootstrapLabeler(
+        b, tau_low=minutes(30), tau_high=minutes(20))),
+    (ConfigurationError, lambda b: BootstrapLabeler(
+        b, tau_region_low=minutes(40), tau_region_high=minutes(20))),
+    (ConfigurationError, lambda b: TimeInterval(10.0, 5.0)),
+    (ConfigurationError, lambda b: MacAnonymizer(salt="")),
+    (ConfigurationError, lambda b: MacAnonymizer(salt="s",
+                                                 digest_chars=4)),
+], ids=["room-id", "room-capacity", "ap-id", "ap-no-rooms",
+        "ap-duplicate-rooms", "region-id", "region-no-rooms", "device-mac",
+        "device-delta", "delta-estimator-clamps", "bootstrap-taus",
+        "bootstrap-region-taus", "time-interval", "anonymizer-salt",
+        "anonymizer-digest"])
+def test_constructor_checks_raise_typed_value_errors(expected, build,
+                                                      fig1_building):
+    with pytest.raises(expected) as caught:
+        build(fig1_building)
+    assert isinstance(caught.value, ReproError)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_siblings_stay_distinct():

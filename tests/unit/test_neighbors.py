@@ -5,14 +5,12 @@ from __future__ import annotations
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from repro.errors import UnknownRegionError
 from repro.events.event import ConnectivityEvent
 from repro.events.validity import DeltaEstimator, valid_event_at
 from repro.fine.neighbors import NeighborIndex, find_neighbors
-from repro.system.memory import MemoryManager
 from repro.util.timeutil import minutes
 
 
@@ -195,29 +193,6 @@ class TestSnapshotFreshness:
             index.snapshot(20 * 3600.0)
         assert index.snapshot(9 * 3600.0).online() == \
             scalar_snapshot(fig1_building, fig1_table, 9 * 3600.0)
-
-
-class TestFlatLogsMemory:
-    """Under a budget the view is one evictable entry of the manager."""
-
-    def test_charged_as_one_entry_and_rebuilt_after_eviction(
-            self, fig1_building, fig1_table):
-        manager = MemoryManager(budget_bytes=0)
-        assert fig1_table.enable_eviction(manager)
-        index = NeighborIndex(fig1_building, fig1_table)
-        before = index.snapshot(9 * 3600.0).online()
-        view = fig1_table.flat_logs()
-        devices = len(view.macs)
-        assert view.nbytes == 20 * len(fig1_table) + 8 * (devices + 1)
-        assert manager.stats()["by_category"]["flat-logs"] == view.nbytes
-        manager.enforce()
-        assert manager.stats()["by_category"]["flat-logs"] == 0
-        index.invalidate_all()
-        assert index.snapshot(9 * 3600.0).online() == before
-        rebuilt = fig1_table.flat_logs()
-        assert rebuilt is not view
-        np.testing.assert_array_equal(rebuilt.keys, view.keys)
-        np.testing.assert_array_equal(rebuilt.ap_codes, view.ap_codes)
 
 
 def test_concurrent_first_reads_share_one_generation(fig1_building,

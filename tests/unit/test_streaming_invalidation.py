@@ -16,7 +16,6 @@ from repro.system.config import LocaterConfig
 from repro.system import locater as locater_module
 from repro.system import streaming
 from repro.system.locater import Locater
-from repro.system.memory import MEMO_ENTRY_NBYTES
 from repro.system.query import LocationQuery
 from repro.system.storage import InMemoryStorage
 from repro.util.timeutil import TimeInterval, hours, minutes
@@ -410,26 +409,6 @@ class TestLocaterOnIngest:
             # Clearing is wholesale and never changes an answer.
             assert locater.locate_batch(queries) == expected
             assert max(map(len, locater._state.memo_dicts())) <= 1
-
-    def test_reset_keeps_the_memory_entry_on_the_live_state(
-            self, fig1_building, fig1_metadata, fig1_table):
-        # The budget's one batch-memo entry sizes and evicts the state
-        # the locater serves from, also after a reset refilled it.
-        locater = Locater(fig1_building, fig1_metadata, fig1_table,
-                          config=LocaterConfig(use_caching=False,
-                                               memory_budget_bytes=2**40))
-        locater.locate_batch(BURST)
-        fig1_table.append(ConnectivityEvent(hours(1), "d3", "wap1"))
-        locater.locate_batch(BURST)
-        state = locater._state
-        entries = sum(map(len, state.memo_dicts())) + \
-            state.neighbors.snapshot_count
-        assert entries > 0
-        assert locater.memory.stats()["by_category"]["batch-memos"] == \
-            entries * MEMO_ENTRY_NBYTES
-        locater.memory.budget_bytes = 0
-        locater.memory.enforce()
-        assert _is_cold(state)
 
     def test_every_shard_resets_at_its_next_serve(
             self, fig1_building, fig1_metadata, fig1_table):

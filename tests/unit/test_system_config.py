@@ -54,6 +54,23 @@ class TestLocaterConfig:
     def test_history_zero_allowed(self):
         assert LocaterConfig(history_days=0).history_days == 0
 
+    @pytest.mark.parametrize("changes", [
+        {"affinity_cap": 0.0},
+        {"affinity_cap": 1.0},
+        {"affinity_cap": 1.5},
+        {"affinity_cap": math.nan},
+        {"tau_region_low": minutes(50), "tau_region_high": minutes(40)},
+        {"tau_region_high": math.nan},
+        {"tau_low": math.nan},
+        {"tau_high": math.nan},
+    ])
+    def test_rejects_at_construction(self, changes):
+        # Each was accepted here and failed only later: at Locater()
+        # or at the first fine query.
+        with pytest.raises(ConfigurationError) as caught:
+            LocaterConfig(**changes)
+        assert isinstance(caught.value, ValueError)
+
 
 class TestLocationQuery:
     def test_fields(self):
