@@ -8,11 +8,13 @@ weighting observations with a normalized Gaussian kernel centred at t_q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable
 
 from repro.cache.components import AffinityComponents
 from repro.cache.local_graph import LocalAffinityGraph
+from repro.errors import ConfigurationError
 from repro.util.stats import gaussian_weights
 from repro.util.timeutil import SECONDS_PER_DAY
 from repro.util.validation import check_positive
@@ -66,7 +68,11 @@ class GlobalAffinityGraph:
                         timestamp: float) -> None:
         """Append one (weight, timestamp) pair to an edge vector."""
         if mac_a == mac_b:
-            raise ValueError("global graph edges must join distinct devices")
+            raise ConfigurationError(
+                "global graph edges must join distinct devices")
+        if not math.isfinite(weight):
+            raise ConfigurationError(
+                f"edge weight must be finite, got {weight!r}")
         key = _edge_key(mac_a, mac_b)
         vector = self._edges.setdefault(key, [])
         vector.append(EdgeObservation(weight=weight, timestamp=timestamp))

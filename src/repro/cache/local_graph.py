@@ -9,8 +9,11 @@ strongly each pair was co-located at t_q:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Mapping, Sequence
+
+from repro.errors import ConfigurationError
 
 
 @dataclass(slots=True)
@@ -31,9 +34,11 @@ class LocalAffinityGraph:
     def add_edge(self, other_mac: str, weight: float) -> None:
         """Record the affinity edge (center, other)."""
         if other_mac == self.center:
-            raise ValueError("local graph edges must join distinct devices")
-        if weight < 0:
-            raise ValueError(f"edge weight must be >= 0, got {weight}")
+            raise ConfigurationError(
+                "local graph edges must join distinct devices")
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ConfigurationError(
+                f"edge weight must be finite and >= 0, got {weight!r}")
         self.edges[other_mac] = weight
 
     def __len__(self) -> int:

@@ -9,8 +9,10 @@ classifier.
 Cost note: promoting one gap per round is the paper's literal algorithm and
 is O(U) retrains for U unlabeled gaps.  ``batch_size`` promotes the top-k
 per round instead, which cuts retrains ~k× with negligible quality impact;
-the default of 1 follows the paper, and warm starts keep each retrain
-cheap either way.
+the default of 1 follows the paper.  Each retrain starts its ascent from
+the previous round's weights.  That warm start is part of the model, not
+a saving: at the defaults every retrain still runs all ``max_iter``
+iterations, so Algorithm 1 costs retrains × ``max_iter`` gradient steps.
 
 The loop runs on preallocated pools: one (n+m) × f training matrix filled
 once, a boolean remaining mask over the unlabeled pool, integer label
@@ -28,7 +30,7 @@ from collections.abc import Hashable, Sequence
 import numpy as np
 
 from repro.errors import TrainingError
-from repro.ml.logistic import LogisticRegression
+from repro.ml.logistic import LogisticRegression, check_finite
 from repro.util.stats import prediction_confidence
 
 
@@ -82,6 +84,10 @@ class SelfTrainingClassifier:
         m = pool.shape[0] if pool.size else 0
         if work_x.size == 0:
             raise TrainingError("self-training needs at least one labeled gap")
+        # Checked up front: a non-finite pool row would otherwise fail the
+        # fit of whichever round promotes it.
+        check_finite("labeled matrix", work_x)
+        check_finite("unlabeled pool", pool)
 
         distinct = set(labels)
         if len(distinct) < 2:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.sim.profile import PersonProfile
 
 
@@ -29,9 +30,9 @@ class Person:
 
     def __post_init__(self) -> None:
         if not self.person_id or not self.mac:
-            raise ValueError("person_id and mac must be non-empty")
+            raise ConfigurationError("person_id and mac must be non-empty")
         if not 0.0 <= self.predictability <= 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"predictability must be in [0,1], got {self.predictability}")
 
     def __str__(self) -> str:

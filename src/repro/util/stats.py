@@ -7,6 +7,8 @@ from collections.abc import Mapping, Sequence
 
 import numpy as np
 
+from repro.util.validation import check_positive
+
 
 def safe_div(numerator: float, denominator: float, default: float = 0.0) -> float:
     """Divide, returning ``default`` when the denominator is zero."""
@@ -53,7 +55,6 @@ def gaussian_weights(center: float, points: Sequence[float],
     Used by the caching engine (Section 5) to weight cached affinity
     observations by their temporal distance from the query time.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    check_positive("sigma", sigma)
     raw = [math.exp(-((p - center) ** 2) / (2.0 * sigma * sigma)) for p in points]
     return normalize(raw)

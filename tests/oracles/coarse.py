@@ -7,7 +7,8 @@ one-shot design matrices (:meth:`repro.coarse.features
 (:class:`repro.coarse.semi_supervised.SelfTrainingClassifier`).  This
 module retains the pre-vectorization implementations — per-gap feature
 dicts, a per-day ``count_in`` density loop, and the literal
-vstack/``list.remove`` Algorithm 1 — as the **oracle** of the property
+vstack/``list.remove`` Algorithm 1 over the plain-expression solver of
+:mod:`oracles.logistic` — as the **oracle** of the property
 suite (``tests/property/test_prop_coarse_core.py``): on random logs and
 training sets the array path must reproduce these bit for bit —
 identical gaps, identical design matrices, identical promotion order and
@@ -27,7 +28,6 @@ from repro.coarse.bootstrap import BootstrapLabeler, LABEL_INSIDE, LABEL_OUTSIDE
 from repro.errors import TrainingError
 from repro.events.gaps import Gap
 from repro.events.table import DeviceLog, EventTable
-from repro.ml.logistic import LogisticRegression
 from repro.ml.pipeline import FeaturePipeline
 from repro.space.building import Building
 from repro.util.stats import prediction_confidence
@@ -38,6 +38,8 @@ from repro.util.timeutil import (
     day_of_week,
     seconds_of_day,
 )
+
+from oracles.logistic import ReferenceLogisticRegression
 
 #: Column names of the numeric gap features, in design-matrix order.
 NUMERIC_COLUMNS = ("start_time", "end_time", "duration", "density")
@@ -150,9 +152,11 @@ class ReferenceSelfTrainingClassifier:
     """Algorithm 1 with per-promotion ``np.vstack`` and ``list.remove``.
 
     O(U²) data movement for U unlabeled gaps — the cost the preallocated
-    production loop removes.  Everything observable (``promotions_``,
-    ``rounds_``, predictions, final coefficients) must match the
-    production :class:`~repro.coarse.semi_supervised
+    production loop removes.  It trains with the reference solver
+    (:class:`oracles.logistic.ReferenceLogisticRegression`), so the
+    production solver is checked too.  Everything observable
+    (``promotions_``, ``rounds_``, predictions, final coefficients) must
+    match the production :class:`~repro.coarse.semi_supervised
     .SelfTrainingClassifier` bit for bit.
     """
 
@@ -165,14 +169,14 @@ class ReferenceSelfTrainingClassifier:
             raise TrainingError(f"batch_size must be >= 1, got {batch_size}")
         self.classes = list(classes)
         self.batch_size = batch_size
-        self._model = LogisticRegression(l2=l2, learning_rate=learning_rate,
-                                         max_iter=max_iter,
-                                         classes=self.classes)
+        self._model = ReferenceLogisticRegression(
+            l2=l2, learning_rate=learning_rate, max_iter=max_iter,
+            classes=self.classes)
         self.rounds_: int = 0
         self.promotions_: list[tuple[int, Hashable, float]] = []
 
     @property
-    def model(self) -> LogisticRegression:
+    def model(self) -> ReferenceLogisticRegression:
         return self._model
 
     def fit(self, labeled: np.ndarray, labels: Sequence[Hashable],

@@ -8,6 +8,7 @@ import pytest
 from repro.cache.engine import CachingEngine
 from repro.cache.global_graph import GlobalAffinityGraph
 from repro.cache.local_graph import LocalAffinityGraph
+from repro.errors import ConfigurationError
 from repro.fine.neighbors import NeighborDevice
 from repro.util.timeutil import SECONDS_PER_DAY
 
@@ -107,6 +108,19 @@ class TestGlobalAffinityGraph:
         graph = GlobalAffinityGraph()
         with pytest.raises(ValueError):
             graph.add_observation("a", "a", 0.5, 0.0)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_record_changes_nothing(self, weight):
+        # Every edge of a record is checked before any is merged, so a
+        # bad weight leaves no edge behind to rank or count as a hit.
+        engine = CachingEngine()
+        with pytest.raises(ConfigurationError):
+            engine.record("a", 100.0, {"b": weight, "c": 0.3})
+        assert engine.graph.edge_count == 0
+        _, caps = engine.prepare_neighbors(
+            "a", [_neighbor("b"), _neighbor("c")], 100.0)
+        assert engine.hits == 0
+        assert np.isnan(caps).all()
 
     def test_counts_and_clear(self):
         graph = GlobalAffinityGraph()

@@ -31,12 +31,17 @@ from repro.errors import (
     UnknownRegionError,
     UnknownRoomError,
 )
+from repro.cache.global_graph import GlobalAffinityGraph
+from repro.cache.local_graph import LocalAffinityGraph
 from repro.events.device import Device
 from repro.events.validity import DeltaEstimator
 from repro.io.anonymize import MacAnonymizer
 from repro.space.access_point import AccessPoint
 from repro.space.region import Region
+from repro.sim.person import Person
+from repro.sim.profile import staff_profile
 from repro.space.room import Room, RoomType
+from repro.util.stats import gaussian_weights
 from repro.util.timeutil import TimeInterval, minutes
 
 ALL_ERRORS = [
@@ -150,16 +155,48 @@ _ROOMS = frozenset({"r1"})
     (ConfigurationError, lambda b: MacAnonymizer(salt="")),
     (ConfigurationError, lambda b: MacAnonymizer(salt="s",
                                                  digest_chars=4)),
+    (ConfigurationError, lambda b: _person(person_id="")),
+    (ConfigurationError, lambda b: _person(mac="")),
+    (ConfigurationError, lambda b: _person(predictability=1.5)),
 ], ids=["room-id", "room-capacity", "ap-id", "ap-no-rooms",
         "ap-duplicate-rooms", "region-id", "region-no-rooms", "device-mac",
         "device-delta", "delta-estimator-clamps", "bootstrap-taus",
         "bootstrap-region-taus", "time-interval", "anonymizer-salt",
-        "anonymizer-digest"])
+        "anonymizer-digest", "person-id", "person-mac",
+        "person-predictability"])
 def test_constructor_checks_raise_typed_value_errors(expected, build,
                                                       fig1_building):
     with pytest.raises(expected) as caught:
         build(fig1_building)
     assert isinstance(caught.value, ReproError)
+    assert isinstance(caught.value, ValueError)
+
+
+def _person(**fields) -> Person:
+    values = {"person_id": "p1", "mac": "m1", "profile": staff_profile(),
+              "preferred_room": None, "predictability": 0.5, **fields}
+    return Person(**values)
+
+
+# The same for the checks on a call's arguments.  A NaN or infinite
+# affinity weight would otherwise be stored and ranked like a real one.
+@pytest.mark.parametrize("call", [
+    lambda: gaussian_weights(0.0, [1.0], sigma=0.0),
+    lambda: LocalAffinityGraph("d1", 0.0).add_edge("d1", 0.5),
+    lambda: LocalAffinityGraph("d1", 0.0).add_edge("d2", -0.1),
+    lambda: LocalAffinityGraph("d1", 0.0).add_edge("d2", float("nan")),
+    lambda: LocalAffinityGraph("d1", 0.0).add_edge("d2", float("inf")),
+    lambda: GlobalAffinityGraph().add_observation("a", "a", 0.5, 0.0),
+    lambda: GlobalAffinityGraph().add_observation("a", "b", float("nan"),
+                                                  0.0),
+    lambda: GlobalAffinityGraph().add_observation("a", "b", float("-inf"),
+                                                  0.0),
+], ids=["gaussian-sigma", "local-self-edge", "local-negative-weight",
+        "local-nan-weight", "local-inf-weight", "global-self-edge",
+        "global-nan-weight", "global-inf-weight"])
+def test_call_checks_raise_typed_value_errors(call):
+    with pytest.raises(ConfigurationError) as caught:
+        call()
     assert isinstance(caught.value, ValueError)
 
 

@@ -99,3 +99,21 @@ class TestSelfTraining:
         probs, label = clf.predict_one(pos[0])
         assert probs.sum() == pytest.approx(1.0)
         assert label == "out"
+
+
+@pytest.mark.parametrize("where", ["labeled", "pool"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_training_data_rejected(where, bad):
+    neg, pos = _clusters()
+    labeled = np.vstack([neg[:5], pos[:5]])
+    pool = np.vstack([neg[5:10], pos[5:10]])
+    (labeled if where == "labeled" else pool)[3, 1] = bad
+    clf = SelfTrainingClassifier(classes=["in", "out"])
+    with pytest.raises(TrainingError, match=f"{where}.* row 3 "):
+        clf.fit(labeled, ["in"] * 5 + ["out"] * 5, pool)
+    # Rejected before the first fit: no round ran on the bad pool.
+    assert clf.rounds_ == 0 and not clf.model.is_fitted
+    # The solver rejects the same rows on its own.
+    row = 3 if where == "labeled" else 13
+    with pytest.raises(TrainingError, match=f"training matrix row {row} "):
+        clf.model.fit(np.vstack([labeled, pool]), ["in"] * 20)
