@@ -13,7 +13,8 @@ with :func:`repro.plan_queries`, answer it in one
 :meth:`~repro.Locater.locate_batch` call, compare wall-clock against the
 per-query loop (the answers are bitwise identical — enforced by
 ``tests/integration/test_batch_equivalence.py``), and warm-start a fresh
-caching engine with :meth:`~repro.CachingEngine.record_batch`.
+caching engine by replaying the run's local graphs through
+:meth:`~repro.CachingEngine.record`.
 """
 
 from __future__ import annotations
@@ -77,13 +78,17 @@ def main() -> None:
     assert all(answers[p.index] == a for p, a in zip(ordered, seq_answers))
     assert batch.cache.stats() == sequential.cache.stats()
 
-    # 5. record_batch: warm-start a fresh caching engine by replaying
-    #    the edge weights this run computed (e.g. from a persisted
-    #    answer journal) — new deployments start with a hot cache.
-    replay = [(a.query.mac, a.query.timestamp, a.fine.edge_weights)
-              for a in answers if a.fine is not None]
+    # 5. Warm-start a fresh caching engine by replaying the edge
+    #    weights this run computed (e.g. from a persisted answer
+    #    journal), in answer order — new deployments start with a hot
+    #    cache.
     warmed = CachingEngine()
-    merged = warmed.record_batch(replay)
+    merged = 0
+    for a in answers:
+        if a.fine is not None and a.fine.edge_weights:
+            warmed.record(a.query.mac, a.query.timestamp,
+                          a.fine.edge_weights)
+            merged += 1
     print(f"warmup   : replayed {merged} local graphs -> "
           f"{warmed.stats()['edges']} cached edges")
 

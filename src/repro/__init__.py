@@ -24,7 +24,7 @@ contact tracing) ask many queries at once.  ``Locater.locate_batch``
 answers a whole batch with shared computation: queries are grouped by
 (device, time bucket) by :func:`repro.system.planner.plan_queries` and
 executed front-to-back in timestamp order, so one online-device snapshot
-serves every query of a timestamp, gap features and affinities are
+serves every query of a timestamp, gap labels and affinities are
 memoized across the batch, and the caching engine warms chronologically.
 Answers are bitwise identical to the sequential path (see the equivalence
 suite under ``tests/integration/test_batch_equivalence.py``) and come
@@ -54,7 +54,7 @@ ids, merges and re-estimates δ only for the devices that changed.
 Freshness is *pulled*: every ``Locater`` serve first compares the
 table's generation with the last one it saw, and when it moved,
 ``Locater.on_ingest`` resets the warm batch state (neighbor snapshots
-and affinity/feature memos) whole, and invalidates what costs to
+and affinity and gap-label memos) whole, and invalidates what costs to
 rebuild *surgically* — only the changed devices' coarse models and
 device affinities and (when they fed it) the population aggregate are
 dropped, escalating to a full drop of every model only when the

@@ -6,10 +6,12 @@ engine merges every local graph into a *global affinity graph* whose edges
 carry vectors of (weight, timestamp) pairs.  Later queries read the global
 graph to process neighbors in descending affinity order (weighted by a
 Gaussian kernel around the query time), which makes Algorithm 2's early
-stop fire sooner.
+stop fire sooner: one read (``CachingEngine.prepare_neighbors``) and one
+write (``CachingEngine.record``) per query.
 
-The graph's *connected components* (:mod:`repro.cache.components`) are
-the unit of cache locality the cluster layer routes by — see
+*Connected components* of device coupling
+(:mod:`repro.cache.components`) are the unit of cache locality the
+cluster layer routes by — see
 :class:`~repro.cluster.router.ComponentAffinityRouter`.
 """
 

@@ -1,4 +1,4 @@
-"""Affinity components: connected components of the affinity graph.
+"""Affinity components: connected components of device coupling.
 
 The global affinity graph (paper §5) couples devices through its
 undirected edges — and a *connected component* of that coupling is the
@@ -6,12 +6,14 @@ unit of cache locality: every read or write the query path ever issues
 touches an edge between the queried device and one of its discovered
 neighbors, so a component's edges are closed under the serving access
 pattern.  This is what the cluster layer's
-:class:`~repro.cluster.router.ComponentAffinityRouter` exploits — if
-every device of a component serves from one shard, that shard's cache
-is *exact*: it sees the same edge reads and writes, in the same order,
-as a lone deployment would (BiG-SCAPE's connected-component → family
-decomposition is the same shape, applied to gene-cluster similarity
-networks).
+:class:`~repro.cluster.router.ComponentAffinityRouter` exploits — it
+keeps components of a superset of that graph (devices joined through
+the rooms of their observed APs, which every possible neighbor pair
+shares), and if every device of a component serves from one shard,
+that shard's cache is *exact*: it sees the same edge reads and writes,
+in the same order, as a lone deployment would (BiG-SCAPE's
+connected-component → family decomposition is the same shape, applied
+to gene-cluster similarity networks).
 
 :class:`AffinityComponents` maintains the decomposition incrementally —
 a disjoint-set forest with union by size and path compression, plus a
@@ -19,16 +21,8 @@ deterministic *minimum-member representative* per component.  The
 representative is what makes the structure usable for routing: it is a
 pure function of the component's member set (its lexicographic
 minimum), invariant to the order edges were inserted in, so any two
-processes that have seen the same edges agree on it.
-
-Edges only accumulate (components only merge, never split) — which
-mirrors the graph itself: observation vectors are appended per edge and
-an edge, once seen, never disappears.  The one exception, cross-shard
-edge *migration* (:meth:`GlobalAffinityGraph.extract_edges
-<repro.cache.global_graph.GlobalAffinityGraph.extract_edges>`), is
-deliberately not mirrored here: the source side's components stay
-conservative (a superset of true connectivity), which is safe for every
-consumer — routing only ever co-locates more, never less.
+processes that have seen the same edges agree on it.  Edges only
+accumulate, so components only merge, never split.
 """
 
 from __future__ import annotations
@@ -84,12 +78,6 @@ class AffinityComponents:
         if loser_min < self._minimum[root_a]:
             self._minimum[root_a] = loser_min
         return True
-
-    def clear(self) -> None:
-        """Forget every node and component."""
-        self._parent.clear()
-        self._members.clear()
-        self._minimum.clear()
 
     # ------------------------------------------------------------------
     # Reads

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -15,9 +15,10 @@ from repro.util.timeutil import SECONDS_PER_DAY
 class CachingEngine:
     """Maintains the global affinity graph across queries (paper §5).
 
-    Usage per query: call :meth:`order_neighbors` before running
-    Algorithm 2 (so high-affinity neighbors are processed first and the
-    early-stop fires sooner), then :meth:`record` with the per-neighbor
+    One read and one write per query: :meth:`prepare_neighbors` orders
+    the neighbors before Algorithm 2 runs (so high-affinity neighbors
+    are processed first and the early stop fires sooner) and derives
+    their affinity caps; :meth:`record` then merges the per-neighbor
     edge weights the run computed.
     """
 
@@ -34,38 +35,31 @@ class CachingEngine:
         return self._graph
 
     # ------------------------------------------------------------------
-    def order_neighbors(self, mac: str, neighbors: Sequence[NeighborDevice],
-                        timestamp: float) -> list[NeighborDevice]:
-        """Reorder neighbors by descending cached affinity to ``mac``.
-
-        Counts a *hit* when at least one neighbor has a cached edge (the
-        order is informed), a *miss* otherwise (cold cache, order
-        unchanged).
-
-        Input multiplicity is preserved: neighbor discovery yields unique
-        MACs, but callers supplying duplicates (e.g. merged candidate
-        lists) get every entry back, grouped per MAC in input order at
-        the MAC's ranked position.
-        """
-        ordered, _ = self.prepare_neighbors(mac, neighbors, timestamp)
-        return ordered
-
     def prepare_neighbors(self, mac: str,
                           neighbors: Sequence[NeighborDevice],
                           timestamp: float
                           ) -> "tuple[list[NeighborDevice], np.ndarray]":
-        """Order neighbors and derive caps with one affinity read per edge.
+        """Order neighbors by cached affinity and derive their caps.
 
-        The primitive behind :meth:`order_neighbors` and
-        :meth:`neighbor_caps` for the per-query hot path: same ordering,
-        same caps, same hit/miss accounting, but each cached edge weight
-        is read once instead of twice.
+        Reads each cached edge weight once.  The order is descending
+        affinity to ``mac`` at ``timestamp``; a neighbor with no cached
+        edge ranks last with affinity 0, strictly *below* cached
+        zero-weight edges (a recorded 0.0 is evidence — "these two are
+        not companions" — while a missing edge is no evidence at all);
+        ties break by MAC.  Input multiplicity is preserved: duplicate
+        MACs come back grouped in input order at the MAC's ranked
+        position, and share the cap of the MAC's last entry.
+
+        Counts a *hit* when at least one neighbor has a cached edge (the
+        order is informed), a *miss* otherwise (cold cache: the order is
+        the input's).
 
         Returns:
-            The reordered neighbor list and a float64 cap vector aligned
-            with it — the representation the fine localizer's bounds
-            machinery consumes directly.  Entries without a cached edge
-            are NaN (the localizer substitutes its configured default).
+            The reordered neighbor list and a float64 vector aligned with
+            it of each cached edge's cap (see :meth:`_cap`) — the
+            representation the fine localizer's bounds machinery
+            consumes directly.  Entries without a cached edge are NaN
+            (the localizer substitutes its configured default).
         """
         if not neighbors:
             return [], np.empty(0)
@@ -82,17 +76,11 @@ class CachingEngine:
         if all(weight is None for weight in cached.values()):
             # Cold cache: no edge to any of these neighbors was ever
             # recorded, so the order carries no information.  (A cached
-            # edge with weight 0.0 *is* information — "these two are not
-            # companions" — and counts as a hit, per order_neighbors'
-            # contract.)
+            # edge with weight 0.0 *is* information and counts as a hit.)
             self.misses += 1
             ordered = list(neighbors)
         else:
             self.hits += 1
-            # Same ranking contract as GlobalAffinityGraph.rank
-            # (descending affinity, cached zero-weight edges above
-            # unseen devices, ties by MAC), reusing the weights already
-            # read.
             ranked = sorted(
                 ((other, 0.0 if weight is None else weight,
                   weight is None)
@@ -103,32 +91,16 @@ class CachingEngine:
         caps = np.array([cap_by_mac.get(n.mac, np.nan) for n in ordered])
         return ordered, caps
 
-    def neighbor_caps(self, mac: str, neighbors: Sequence[NeighborDevice],
-                      timestamp: float) -> np.ndarray:
-        """Cached affinity upper bounds per neighbor (for world bounds).
+    @staticmethod
+    def _cap(weight: float, neighbor: NeighborDevice) -> float:
+        """The clamped co-location-mass bound for one cached weight.
 
         A cached weight is the *mean* group affinity over the candidate
         rooms, so the neighbor's total co-location mass is roughly the
-        weight times the candidate count; scale up with margin and clamp.
-        A device cached with near-zero weight gets a tiny cap, which is
-        what lets the early-stop conditions ignore it.
-
-        Returns:
-            A float64 vector aligned with ``neighbors``; NaN where no
-            cached edge exists.  Duplicate MACs share the cap of the
-            MAC's last entry (matching :meth:`prepare_neighbors`).
+        weight times the candidate count; scale up with margin and
+        clamp.  A device cached with near-zero weight gets a tiny cap,
+        which is what lets the early-stop conditions ignore it.
         """
-        cap_by_mac: dict[str, float] = {}
-        for neighbor in neighbors:
-            cached = self._graph.affinity_at(mac, neighbor.mac, timestamp)
-            if cached is not None:
-                cap_by_mac[neighbor.mac] = self._cap(cached, neighbor)
-        return np.array([cap_by_mac.get(n.mac, np.nan)
-                         for n in neighbors])
-
-    @staticmethod
-    def _cap(weight: float, neighbor: NeighborDevice) -> float:
-        """The clamped co-location-mass bound for one cached weight."""
         scaled = weight * 2.0 * max(len(neighbor.candidate_rooms), 1)
         return min(max(scaled, 0.02), 0.5)
 
@@ -140,26 +112,6 @@ class CachingEngine:
         for other, weight in edge_weights.items():
             local.add_edge(other, weight)
         self._graph.merge_local(local)
-
-    def record_batch(self, records: "Iterable[tuple[str, float, dict[str, float]]]"
-                     ) -> int:
-        """Bulk-merge many queries' local graphs in one call.
-
-        Accepts (mac, timestamp, edge_weights) triples — e.g. replayed
-        from a persisted answer journal or collected from a prior run's
-        :class:`~repro.fine.localizer.FineResult` values — and folds them
-        into the global graph in input order, warming a fresh engine
-        front to back.  Returns the number of records with at least one
-        edge (empty records are skipped, mirroring the per-query path's
-        ``if fine.edge_weights`` guard).
-        """
-        merged = 0
-        for mac, timestamp, edge_weights in records:
-            if not edge_weights:
-                continue
-            self.record(mac, timestamp, edge_weights)
-            merged += 1
-        return merged
 
     def stats(self) -> dict[str, int]:
         """Cache effectiveness counters."""

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from repro.cache.components import AffinityComponents
 from repro.cache.local_graph import LocalAffinityGraph
 from repro.errors import ConfigurationError
 from repro.util.stats import gaussian_weights
@@ -52,8 +51,6 @@ class GlobalAffinityGraph:
         self.sigma = sigma
         self.max_observations = int(max_observations_per_edge)
         self._edges: dict[tuple[str, str], list[EdgeObservation]] = {}
-        self._adjacency: dict[str, set[str]] = {}
-        self._components = AffinityComponents()
 
     # ------------------------------------------------------------------
     # Updates
@@ -78,9 +75,6 @@ class GlobalAffinityGraph:
         vector.append(EdgeObservation(weight=weight, timestamp=timestamp))
         if len(vector) > self.max_observations:
             del vector[: len(vector) - self.max_observations]
-        self._adjacency.setdefault(mac_a, set()).add(mac_b)
-        self._adjacency.setdefault(mac_b, set()).add(mac_a)
-        self._components.add_edge(mac_a, mac_b)
 
     # ------------------------------------------------------------------
     # Reads
@@ -104,30 +98,6 @@ class GlobalAffinityGraph:
                                    self.sigma)
         return sum(l * obs.weight for l, obs in zip(weights, vector))
 
-    def neighbors_of(self, mac: str) -> set[str]:
-        """Devices with at least one cached edge to ``mac``."""
-        return set(self._adjacency.get(mac, ()))
-
-    def rank(self, mac: str, candidates: Iterable[str],
-             timestamp: float) -> list[tuple[str, float]]:
-        """Candidates sorted by descending cached affinity to ``mac``.
-
-        Unseen candidates rank last with affinity 0 (a device that "just
-        appeared in the dataset" provides the least information) —
-        strictly *below* cached zero-weight edges: a recorded weight of
-        0.0 is evidence ("these two are not companions"), absence of an
-        edge is no evidence at all, and conflating the two would let
-        never-seen devices interleave arbitrarily (by MAC) with measured
-        non-companions.  Ties break by MAC for determinism.
-        """
-        scored: list[tuple[str, float, bool]] = []
-        for other in candidates:
-            affinity = self.affinity_at(mac, other, timestamp)
-            unseen = affinity is None
-            scored.append((other, 0.0 if unseen else affinity, unseen))
-        scored.sort(key=lambda entry: (-entry[1], entry[2], entry[0]))
-        return [(other, affinity) for other, affinity, _ in scored]
-
     # ------------------------------------------------------------------
     # Migration (cluster edge exchange)
     # ------------------------------------------------------------------
@@ -145,9 +115,6 @@ class GlobalAffinityGraph:
         endpoint order — plain tuples, so the payload crosses process
         executors' pickled pipes without importing this module's types.
 
-        The components index deliberately keeps the extracted edges'
-        connectivity (see :mod:`repro.cache.components` — components
-        never split; staying conservative on the source side is safe).
         Deterministic: edges are returned in graph insertion order.
         """
         targets = set(macs)
@@ -156,8 +123,6 @@ class GlobalAffinityGraph:
                     if key[0] in targets or key[1] in targets]:
             vector = self._edges.pop(key)
             mac_a, mac_b = key
-            self._drop_adjacency(mac_a, mac_b)
-            self._drop_adjacency(mac_b, mac_a)
             extracted.append((mac_a, mac_b,
                               [(obs.weight, obs.timestamp)
                                for obs in vector]))
@@ -193,23 +158,7 @@ class GlobalAffinityGraph:
                 inserted += 1
         return inserted
 
-    def _drop_adjacency(self, mac: str, other: str) -> None:
-        neighbors = self._adjacency.get(mac)
-        if neighbors is not None:
-            neighbors.discard(other)
-            if not neighbors:
-                del self._adjacency[mac]
-
     # ------------------------------------------------------------------
-    @property
-    def components(self) -> AffinityComponents:
-        """Connected components over every edge ever recorded.
-
-        Monotone: tracks recorded coupling, so components only merge
-        (``extract_edges`` does not split them — see module note there).
-        """
-        return self._components
-
     @property
     def edge_count(self) -> int:
         """Number of distinct device pairs cached."""
@@ -218,10 +167,8 @@ class GlobalAffinityGraph:
     @property
     def node_count(self) -> int:
         """Number of devices appearing in any cached edge."""
-        return len(self._adjacency)
+        return len({mac for key in self._edges for mac in key})
 
     def clear(self) -> None:
         """Drop every cached observation."""
         self._edges.clear()
-        self._adjacency.clear()
-        self._components.clear()

@@ -5,13 +5,17 @@ Algorithm 2 plus d_i form a small graph whose edge weights summarize how
 strongly each pair was co-located at t_q:
 
     w(e_ab, t_q) = Σ_{r ∈ R(gx)} α({d_a, d_b}, r, t_q) / |R(gx)|
+
+The fine localizer computes each weight as it folds a neighbor in
+(``FineResult.edge_weights``); this graph only carries them to the
+global graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator
 
 from repro.errors import ConfigurationError
 
@@ -46,13 +50,3 @@ class LocalAffinityGraph:
 
     def __iter__(self) -> Iterator[tuple[str, float]]:
         return iter(self.edges.items())
-
-    @staticmethod
-    def edge_weight(group_affinities: Mapping[str, float],
-                    candidate_rooms: Sequence[str]) -> float:
-        """w(e_ab, t_q): mean group affinity over the candidate rooms."""
-        if not candidate_rooms:
-            return 0.0
-        total = sum(group_affinities.get(room, 0.0)
-                    for room in candidate_rooms)
-        return total / len(candidate_rooms)

@@ -67,9 +67,9 @@ class Shard:
 
         The authoritative process merged and published new segments;
         ``payload`` (:class:`~repro.events.table.TableSync`) swaps them
-        into this shard's attached table, generation and change journal
-        included, so the locater's next serve invalidates exactly what a
-        local merge would have staled.
+        into this shard's attached table, each changed device's
+        last-change generation included, so the locater's next serve
+        invalidates exactly what a local merge would have staled.
         """
         self.locater.table.apply_sync(payload)
         self._syncs += 1

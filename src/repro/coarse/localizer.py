@@ -10,7 +10,7 @@ self-trained classifiers decide (1) inside vs outside the building and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -61,20 +61,20 @@ class CoarseResult:
 
 @dataclass(slots=True)
 class CoarseSharedState:
-    """Cross-query memo of per-gap work (batch engine).
+    """Cross-query memo of per-gap decisions (batch engine).
 
     Queries landing in the same gap of the same device (trajectory
-    sampling, dense occupancy grids) need identical feature rows, and the
-    classifiers' decisions are pure functions of those rows — so feature
-    extraction and predictions are shared per (mac, gap).  The aggregate
-    fallbacks stay unmemoized (they depend on the query time, not the
-    gap).  Values are exactly what the sequential path computes, so
-    sharing never changes an answer.  Every field is a memo dict (the
-    warm state's trim and reset enumerate them by field).
+    sampling, dense occupancy grids) get the same classifier decisions,
+    which are pure functions of the gap's feature row — so the building
+    label and region id are shared per (mac, gap).  A gap's row is built
+    at most once per batch: both decisions the row feeds are memoized as
+    soon as it exists.  The aggregate fallbacks stay unmemoized (they
+    depend on the query time, not the gap).  Values are exactly what the
+    sequential path computes, so sharing never changes an answer.  Every
+    field is a memo dict (the warm state's trim and reset enumerate them
+    by field).
     """
 
-    features: "dict[tuple[str, float, float], np.ndarray]" = field(
-        default_factory=dict)
     building_labels: "dict[tuple[str, float, float], str]" = field(
         default_factory=dict)
     region_ids: "dict[tuple[str, float, float], int]" = field(
@@ -103,7 +103,8 @@ class CoarseLocalizer:
         batch_size: Promotions per self-training round (1 = paper-literal).
 
     Models are trained lazily per device and cached; :meth:`invalidate`
-    drops the cache (e.g. after ingesting new events).
+    drops the cache, :meth:`invalidate_devices` the models of some
+    devices (e.g. after ingesting new events).
     """
 
     def __init__(self, building: Building, table: EventTable,
@@ -163,12 +164,6 @@ class CoarseLocalizer:
         """Forget all trained per-device models and the aggregate."""
         self._models.clear()
         self._aggregate.invalidate()
-
-    def invalidate_device(self, mac: str) -> None:
-        """Forget one device's trained models (e.g. after it ingested
-        new events), plus the population aggregate if that device —
-        or a shift in the sampled population — fed it."""
-        self.invalidate_devices((mac,))
 
     def invalidate_devices(self, macs: "Iterable[str]") -> None:
         """Surgically forget the trained models of the given devices.
@@ -325,8 +320,8 @@ class CoarseLocalizer:
 
         Args:
             shared: Optional batch memo; queries hitting the same gap
-                reuse its transformed feature row.  The answer is
-                identical with or without it.
+                reuse its classifier decisions.  The answer is identical
+                with or without it.
         """
         log = self._table.log(mac)
         if log.is_empty:
@@ -353,7 +348,7 @@ class CoarseLocalizer:
         def gap_features() -> np.ndarray:
             nonlocal features
             if features is None:
-                features = self._gap_features(mac, gap, log, models, shared)
+                features = self._transform_gap(gap, log, models)
             return features
 
         if models.building_clf is not None:
@@ -389,33 +384,6 @@ class CoarseLocalizer:
                          self._building.region_of_ap(gap.ap_before).region_id)
         return CoarseResult(mac=mac, timestamp=timestamp, inside=True,
                             region_id=region_id, from_event=False)
-
-    def locate_many(self, mac: str, timestamps: Sequence[float],
-                    shared: "CoarseSharedState | None" = None
-                    ) -> list[CoarseResult]:
-        """Answer many queries of one device, sharing gap feature rows.
-
-        Results are identical to calling :meth:`locate` per timestamp in
-        the same order; only the repeated feature extraction for
-        timestamps falling in the same gap is shared.
-        """
-        if shared is None:
-            shared = CoarseSharedState()
-        return [self.locate(mac, timestamp, shared=shared)
-                for timestamp in timestamps]
-
-    def _gap_features(self, mac: str, gap, log,
-                      models: _DeviceModels,
-                      shared: "CoarseSharedState | None") -> np.ndarray:
-        """The transformed feature row of one gap, memoized per batch."""
-        if shared is None:
-            return self._transform_gap(gap, log, models)
-        key = (mac, gap.interval.start, gap.interval.end)
-        features = shared.features.get(key)
-        if features is None:
-            features = self._transform_gap(gap, log, models)
-            shared.features[key] = features
-        return features
 
     def _transform_gap(self, gap, log, models: _DeviceModels) -> np.ndarray:
         """One gap's design row through the device's fitted pipeline."""

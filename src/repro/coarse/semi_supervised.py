@@ -143,18 +143,25 @@ class SelfTrainingClassifier:
 
     # ------------------------------------------------------------------
     def predict_one(self, features: np.ndarray) -> "tuple[np.ndarray, Hashable]":
-        """(probability array, best label) for one gap's features."""
+        """(probability array, best label) for one gap's features.
+
+        Raises :class:`TrainingError` for a NaN or ±inf feature, whether
+        or not the model is constant.
+        """
         if getattr(self, "_constant_label", None) is not None:
+            check_finite("feature matrix",
+                         np.asarray(features, dtype=float).reshape(1, -1))
             probs = np.array([1.0 if c == self._constant_label else 0.0
                               for c in self.classes])
             return probs, self._constant_label
         return self._model.predict_one(features)
 
     def predict(self, matrix: np.ndarray) -> list[Hashable]:
-        """Best label per row."""
+        """Best label per row (checked as :meth:`predict_one` is)."""
         data = np.asarray(matrix, dtype=float)
         if data.ndim == 1:
             data = data.reshape(1, -1)
         if getattr(self, "_constant_label", None) is not None:
+            check_finite("feature matrix", data)
             return [self._constant_label] * data.shape[0]
         return self._model.predict(data)

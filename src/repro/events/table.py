@@ -18,9 +18,9 @@ boundaries:
   read-only view in any process that can map the segments.
 * :meth:`EventTable.sync_payload` → :class:`TableSync`: the delta since
   a generation — :meth:`EventTable.apply_sync` advances an attached
-  view to the owner's exact state (logs, registry deltas, generation
-  counters and the change journal all replicated verbatim, so the
-  generation-keyed change feed behaves identically on every view).
+  view to the owner's exact state (logs, registry deltas and each
+  device's last-change generation replicated verbatim, so the
+  generation-keyed change feed answers identically on every view).
 
 For reads that touch every device at one time (neighbor snapshots),
 :meth:`EventTable.flat_logs` concatenates the non-empty logs into one
@@ -210,8 +210,9 @@ class DeviceState:
 
     ``segment``/``length`` name the shared-memory segment holding the
     log's columns (``None`` for a registered device with no merged
-    events); ``journal`` replicates the change-journal entries verbatim
-    so ``changed_since`` answers identically on every view.
+    events); ``generation`` is the generation at which the log last
+    changed — all that ``changed_since`` reads — so the change feed
+    answers identically on every view.
     """
 
     mac: str
@@ -220,7 +221,6 @@ class DeviceState:
     segment: "str | None"
     length: int
     generation: int
-    journal: "tuple[tuple[int, float, float], ...]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,7 +264,7 @@ class EventTable:
     full log) and advances a generation counter.  Consumers that cache
     work derived from the table — trained models, aggregates, snapshots —
     poll :meth:`changed_since` with the last generation they observed to
-    learn exactly which devices changed and over which time interval.
+    learn exactly which devices changed.
 
     Args:
         store: Column storage backend; defaults to a private
@@ -286,21 +286,11 @@ class EventTable:
         self._event_count = 0
         self._max_event_id = -1
         self._generation = 0
+        # Generation at which each device's log last changed: the
+        # change feed (changed_since).
         self._device_generation: dict[str, int] = {}
-        # Per-device change journal: (generation, min time, max time) of
-        # every merged pending batch, consumed by changed_since().
-        # Bounded: once a device's journal exceeds _CHANGE_JOURNAL_CAP
-        # entries, the oldest half is coalesced into one entry (union
-        # interval, newest merged generation) — changed_since may then
-        # over-approximate for very old generations, never under.
-        self._changes: dict[str, list[tuple[int, float, float]]] = {}
         # The concatenated logs of the current generation (flat_logs).
         self._flat: "FlatLogs | None" = None
-
-    #: Entries kept per device before the journal's oldest half is
-    #: coalesced; bounds memory and changed_since cost on long-running
-    #: streaming sessions.
-    _CHANGE_JOURNAL_CAP = 64
 
     # ------------------------------------------------------------------
     # Construction
@@ -351,8 +341,8 @@ class EventTable:
         the pending rows' relative order.
 
         Every freeze that merges rows advances :attr:`generation` and
-        records, per device, the time interval the new rows cover (the
-        change feed read by :meth:`changed_since`).
+        stamps it on each merged device (the change feed read by
+        :meth:`changed_since`).
         """
         if not self._dirty:
             return
@@ -374,15 +364,6 @@ class EventTable:
             self._set_log(mac, device, merged_times, merged_aps,
                           replaced=old)
             self._device_generation[mac] = self._generation
-            journal = self._changes.setdefault(mac, [])
-            journal.append(
-                (self._generation, float(times[0]), float(times[-1])))
-            if len(journal) > self._CHANGE_JOURNAL_CAP:
-                half = len(journal) // 2
-                merged = (journal[half - 1][0],
-                          min(entry[1] for entry in journal[:half]),
-                          max(entry[2] for entry in journal[:half]))
-                self._changes[mac] = [merged, *journal[half:]]
         self._pending.clear()
         self._dirty = False
 
@@ -480,8 +461,7 @@ class EventTable:
         return DeviceState(
             mac=device.mac, index=device.index, delta=device.delta,
             segment=segment, length=length,
-            generation=self._device_generation.get(device.mac, 0),
-            journal=tuple(self._changes.get(device.mac, ())))
+            generation=self._device_generation.get(device.mac, 0))
 
     @classmethod
     def attach(cls, descriptor: TableDescriptor) -> "EventTable":
@@ -489,9 +469,9 @@ class EventTable:
 
         Logs resolve lazily: each device's segment is mapped on first
         access, so attaching costs nothing until data is read.  The view
-        replicates registry order, δ estimates, generation counters and
-        the change journal verbatim — every read API (including
-        ``changed_since``) answers exactly as the owner's table does.
+        replicates registry order, δ estimates and generation counters
+        verbatim — every read API (including ``changed_since``) answers
+        exactly as the owner's table does.
         """
         store = SharedMemoryColumnStore.attached()
         table = cls(store=store)
@@ -521,27 +501,23 @@ class EventTable:
                 self._store.release(old.columns)
         if state.generation:
             self._device_generation[state.mac] = state.generation
-        if state.journal:
-            self._changes[state.mac] = [tuple(entry)
-                                        for entry in state.journal]
 
     def sync_payload(self, since_generation: int) -> TableSync:
         """The delta an attached view needs to advance from a generation.
 
         Carries, for every device whose log changed after
         ``since_generation``, the *current* segment name, δ estimate and
-        full change journal — :meth:`apply_sync` swaps them in wholesale
-        so the view lands bitwise on the owner's state regardless of how
-        many merges the delta spans.
+        last-change generation — :meth:`apply_sync` swaps them in
+        wholesale so the view lands bitwise on the owner's state
+        regardless of how many merges the delta spans.
         """
         self._ensure_frozen()
         if not self._store.is_shared:
             raise EventTableError(
                 "sync_payload() needs a shared-memory column store")
-        changed = [self.registry.get(mac)
-                   for mac, gen in self._device_generation.items()
-                   if gen > since_generation]
-        changed.sort(key=lambda device: device.index)
+        changed = sorted((self.registry.get(mac) for mac in
+                          self.changed_since(since_generation)),
+                         key=lambda device: device.index)
         return TableSync(
             generation_before=since_generation,
             generation=self._generation,
@@ -598,35 +574,16 @@ class EventTable:
         """Largest event id ever appended (−1 when none was stamped)."""
         return self._max_event_id
 
-    def device_generation(self, mac: str) -> int:
-        """Generation at which ``mac``'s log last changed (0 = never)."""
-        return self._device_generation.get(mac, 0)
+    def changed_since(self, generation: int) -> frozenset[str]:
+        """MACs of the devices whose logs changed after ``generation``.
 
-    def changed_since(self, generation: int) -> dict[str, TimeInterval]:
-        """Devices whose logs changed after ``generation``.
-
-        Returns, per changed MAC, a :class:`TimeInterval` whose start/end
-        are the earliest/latest timestamps merged since that generation —
-        the key consumers use for interval-scoped cache invalidation
-        (note ``end`` equals the latest merged timestamp itself; callers
-        widen by their validity slack).  Pending rows are frozen first so
-        the feed always reflects the current table.
-
-        The journal behind the feed is bounded (old entries coalesce),
-        so a query against a generation older than the oldest surviving
-        entry may return a *wider* interval than strictly changed —
-        over-invalidation, never staleness.
+        Pending rows are frozen first so the feed always reflects the
+        current table.
         """
         self._ensure_frozen()
-        out: dict[str, TimeInterval] = {}
-        for mac, entries in self._changes.items():
-            lo, hi = np.inf, -np.inf
-            for gen, start, end in entries:
-                if gen > generation:
-                    lo, hi = min(lo, start), max(hi, end)
-            if lo <= hi:
-                out[mac] = TimeInterval(lo, hi)
-        return out
+        return frozenset(mac for mac, changed in
+                         self._device_generation.items()
+                         if changed > generation)
 
     # ------------------------------------------------------------------
     # Reads

@@ -154,8 +154,7 @@ class FineLocalizer:
     # ------------------------------------------------------------------
     def locate(self, mac: str, timestamp: float, region_id: int,
                neighbor_order: "Sequence[NeighborDevice] | None" = None,
-               neighbor_caps:
-               "dict[str, float] | np.ndarray | None" = None,
+               neighbor_caps: "np.ndarray | None" = None,
                shared: "FineSharedState | None" = None) -> FineResult:
         """Pick the room of ``mac`` at ``timestamp`` within region ``gx``.
 
@@ -165,10 +164,9 @@ class FineLocalizer:
                 order.
             neighbor_caps: Optional per-neighbor upper bounds on group
                 affinity from the global affinity graph, used to tighten
-                the possible-world bounds of unprocessed neighbors.
-                Either a mapping keyed by neighbor MAC, or a float vector
-                aligned with ``neighbor_order`` (NaN = no cached bound),
-                as produced by
+                the possible-world bounds of unprocessed neighbors: a
+                float vector aligned with ``neighbor_order`` (NaN = no
+                cached bound), as produced by
                 :meth:`repro.cache.engine.CachingEngine.prepare_neighbors`.
             shared: Optional batch memo of prior/affinity computations
                 (see :class:`FineSharedState`).  Sharing never changes
@@ -183,7 +181,8 @@ class FineLocalizer:
             find_neighbors(self._building, self._table, mac, timestamp,
                            region_id, max_neighbors=self.max_neighbors)
         neighbors = neighbors[: self.max_neighbors]
-        caps = self._caps_vector(neighbors, neighbor_caps)
+        caps = None if neighbor_caps is None else \
+            neighbor_caps[: len(neighbors)]
 
         edge_weights: dict[str, float] = {}
         if self.mode is FineMode.INDEPENDENT:
@@ -220,28 +219,6 @@ class FineLocalizer:
             return tied[0]
         from repro.util.rng import _fnv1a
         return tied[_fnv1a(f"{mac}|{timestamp:.3f}") % len(tied)]
-
-    # ------------------------------------------------------------------
-    # Batch entry points
-    # ------------------------------------------------------------------
-    def make_shared_state(self) -> FineSharedState:
-        """A fresh affinity memo for one batch of queries."""
-        return FineSharedState()
-
-    def locate_many(self, queries: "Sequence[tuple[str, float, int]]",
-                    shared: "FineSharedState | None" = None
-                    ) -> list[FineResult]:
-        """Answer many (mac, timestamp, region_id) queries, sharing
-        affinity computations.
-
-        Results are identical to calling :meth:`locate` per query in the
-        same order (neighbors are discovered per query, as in the
-        sequential path).
-        """
-        if shared is None:
-            shared = self.make_shared_state()
-        return [self.locate(mac, timestamp, region_id, shared=shared)
-                for mac, timestamp, region_id in queries]
 
     # ------------------------------------------------------------------
     def _prior_at(self, mac: str, candidates: tuple[str, ...],
@@ -281,18 +258,6 @@ class FineLocalizer:
         if shared is not None:
             shared.pair_affinities[key] = alpha
         return alpha
-
-    def _caps_vector(self, neighbors: Sequence[NeighborDevice],
-                     neighbor_caps: "dict[str, float] | np.ndarray | None"
-                     ) -> "np.ndarray | None":
-        """Per-neighbor cap vector aligned with ``neighbors`` (NaN = use
-        the configured default), from either caller representation."""
-        if neighbor_caps is None:
-            return None
-        if isinstance(neighbor_caps, np.ndarray):
-            return neighbor_caps[: len(neighbors)]
-        return np.array([neighbor_caps.get(n.mac, np.nan)
-                         for n in neighbors])
 
     def _caps_for(self, caps_slice: "np.ndarray | None",
                   remaining: int) -> "np.ndarray | None":

@@ -214,7 +214,13 @@ class LogisticRegression:
 
     # ------------------------------------------------------------------
     def predict_proba(self, matrix: np.ndarray) -> np.ndarray:
-        """Class-probability matrix (n × classes) in ``classes_`` order."""
+        """Class-probability matrix (n × classes) in ``classes_`` order.
+
+        Raises:
+            TrainingError: Before :meth:`fit`, on a width other than the
+                trained one, or on a row holding a NaN or ±inf (whose
+                probabilities would all be NaN).
+        """
         if self.weights_ is None or self.bias_ is None:
             raise TrainingError("classifier used before fit()")
         data = np.asarray(matrix, dtype=float)
@@ -224,6 +230,7 @@ class LogisticRegression:
             raise TrainingError(
                 f"feature width {data.shape[1]} != trained width "
                 f"{self.weights_.shape[0]}")
+        check_finite("feature matrix", data)
         return _softmax(data @ self.weights_ + self.bias_)
 
     def predict(self, matrix: np.ndarray) -> list[Hashable]:

@@ -9,7 +9,7 @@ storage engine in batches, and maintains the in-memory
 Ingestion is an *online* operation: every :meth:`IngestionEngine.ingest`
 call merges the new rows incrementally (see ``EventTable.freeze``),
 re-estimates δ only for the devices whose logs actually changed, and
-returns an :class:`IngestReport` of what changed.  The engine notifies
+returns an :class:`IngestReport` naming them.  The engine notifies
 no one: the merge moves the table's generation, and every
 :class:`~repro.system.locater.Locater` over the table notices that at
 its next serve and invalidates what the new rows staled
@@ -21,14 +21,13 @@ than its rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
+from collections.abc import Iterable
 
 from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
 from repro.system.storage import StorageEngine
-from repro.util.timeutil import TimeInterval
 
 
 #: Rows per storage write.
@@ -47,19 +46,12 @@ class IngestReport:
             change feed does not count rows).
         generation: The table generation after the merge (pass to
             ``EventTable.changed_since`` to resume the change feed).
-        changed: Per changed MAC, the interval spanning the timestamps of
-            the rows merged by this call (``end`` is the latest merged
-            timestamp itself).
+        changed: The MACs of the devices whose logs the merge changed.
     """
 
     count: int
     generation: int
-    changed: Mapping[str, TimeInterval] = field(default_factory=dict)
-
-    @property
-    def macs(self) -> frozenset[str]:
-        """The devices whose logs changed."""
-        return frozenset(self.changed)
+    changed: frozenset[str] = frozenset()
 
 
 class IngestionEngine:
@@ -117,7 +109,7 @@ class IngestionEngine:
         """Consume a stream of events; returns what changed.
 
         The report's ``count`` says how many events were ingested; its
-        ``changed`` map says which devices changed over which interval.
+        ``changed`` set says which devices changed.
         When anything changed, the storage's cleaned answers are purged
         before this returns.
         """

@@ -62,7 +62,7 @@ class LocationAnswer:
 #: query timestamp); oldest-inserted snapshots evict first.
 MAX_SNAPSHOTS = 4096
 
-#: When any one of a Locater's affinity/feature memo dicts outgrows
+#: When any one of a Locater's affinity/gap-label memo dicts outgrows
 #: this by the end of a ``locate_batch`` call, it is cleared wholesale —
 #: memos are pure caches, so the only cost is recomputation, and
 #: wholesale clearing keeps the steady-state bookkeeping trivial.
@@ -251,7 +251,7 @@ class Locater:
         — grouped by (device, time bucket), groups executed in
         bucket-granular timestamp order so the caching engine warms
         front-to-back — then each group is answered with shared neighbor
-        snapshots, coarse gap features, and fine-grained affinity memos.
+        snapshots, coarse gap labels, and fine-grained affinity memos.
         Those live in the system's one warm state, which outlives the
         call: the next batch starts from it, after the pull at the top
         of every call has invalidated whatever the table merged since
@@ -459,8 +459,8 @@ class Locater:
             # survive (see _span_fingerprint), but the lazily-cached
             # window must track what a cold rebuild would resolve.
             self.coarse.advance_history(self._table.span())
-            self.coarse.invalidate_devices(report.macs)
-            self._device_index.invalidate_devices(report.macs)
+            self.coarse.invalidate_devices(report.changed)
+            self._device_index.invalidate_devices(report.changed)
         # Through the module attribute, so a wrapped policy sees the
         # call.
         streaming.prune_batch_state(self._state)

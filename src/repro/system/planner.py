@@ -10,7 +10,7 @@ across buckets, device-major inside a bucket — so that:
   the affinity edges that later buckets' neighbor ordering and bounds
   consume;
 * queries of one device inside one bucket run back to back, sharing the
-  device's trained coarse models and gap feature rows;
+  device's trained coarse models and gap labels;
 * queries landing on the same timestamp (occupancy grids, trajectory
   sampling, contact tracing) share one online-device snapshot for
   neighbor discovery and reuse memoized affinity computations.

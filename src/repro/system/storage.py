@@ -396,13 +396,12 @@ class SqliteStorage(StorageEngine):
                     cursor = self._conn.execute(
                         "DELETE FROM clean_answers")
                 else:
-                    # Escape LIKE metacharacters so the prefix matches
-                    # literally whatever the namespace layer produced.
-                    escaped = (mac_prefix.replace("\\", "\\\\")
-                               .replace("%", "\\%").replace("_", "\\_"))
+                    # An exact, case-sensitive prefix match (LIKE would
+                    # ignore ASCII case and need its wildcards escaped).
                     cursor = self._conn.execute(
                         "DELETE FROM clean_answers "
-                        "WHERE mac LIKE ? ESCAPE '\\'", (escaped + "%",))
+                        "WHERE substr(mac, 1, ?) = ?",
+                        (len(mac_prefix), mac_prefix))
             return int(cursor.rowcount)
 
     def store_metadata(self, key: str, value: dict) -> None:

@@ -24,11 +24,13 @@ from repro.cluster.sharded import _AttachedShardFactory
 from repro.errors import ClusterError, EventTableError
 from repro.eval.queries import generated_query_set, labeled_query_set
 from repro.events.columns import HeapColumnStore, SharedMemoryColumnStore
+from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.events.validity import DeltaEstimator
 from repro.sim.scenarios import ScenarioSpec, streaming_day_workload
 from repro.sim.simulator import Simulator
 from repro.system.config import LocaterConfig
+from repro.system.ingestion import IngestionEngine
 from repro.system.locater import Locater
 
 CONFIG = LocaterConfig(use_caching=False)
@@ -318,6 +320,41 @@ class TestAttachedTableViews:
                 view.append(workload.batches[0].ingest[0])
         finally:
             view.close()
+
+    def test_view_change_feed_matches_the_owners(self, world):
+        # Process shards invalidate from their view's changed_since, so
+        # after every sync the view's feed must be the owner's, for
+        # every generation a consumer could have seen: per-ingest syncs,
+        # a sync spanning two ingests, and one that registers a device.
+        dataset, _ = world
+        workload = streaming_day_workload(dataset, batches=3,
+                                          queries_per_burst=1, seed=7)
+        table = EventTable.from_events(workload.warmup,
+                                       store=SharedMemoryColumnStore())
+        engine = IngestionEngine(table)
+        view = EventTable.attach(table.describe())
+        last = workload.batches[-1].ingest[-1]
+        newcomer = ConnectivityEvent(last.timestamp + 60.0, "newcomer",
+                                     last.ap_id)
+        rounds = [[workload.batches[0].ingest],
+                  [workload.batches[1].ingest, workload.batches[2].ingest],
+                  [[newcomer]]]
+        try:
+            for ingests in rounds:
+                base = view.generation
+                for events in ingests:
+                    engine.ingest(events)
+                view.apply_sync(table.sync_payload(base))
+                assert view.generation == table.generation
+                for generation in range(table.generation + 1):
+                    assert view.changed_since(generation) == \
+                        table.changed_since(generation)
+            assert set(view.changed_since(table.generation - 1)) == \
+                {"newcomer"}
+            assert view.macs() == table.macs()
+        finally:
+            view.close()
+            table.close()
 
     def test_apply_sync_rejects_generation_divergence(self, owner):
         table, workload = owner

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.engine import CachingEngine
 from repro.fine.neighbors import NeighborDevice
 
-#: The clamp window of ``CachingEngine.neighbor_caps``.
+from oracles.cache import prepare_neighbors as reference_prepare
+
+#: The clamp window of ``CachingEngine.prepare_neighbors``'s caps.
 CAP_FLOOR = 0.02
 CAP_CEILING = 0.5
 
@@ -26,6 +28,11 @@ def _warm_engine(weight: float) -> CachingEngine:
     return engine
 
 
+def _caps(engine: CachingEngine, neighbors) -> np.ndarray:
+    _, caps = engine.prepare_neighbors("d1", neighbors, 0.0)
+    return caps
+
+
 weights = st.floats(min_value=0.0, max_value=1.0,
                     allow_nan=False, allow_infinity=False)
 room_counts = st.integers(min_value=0, max_value=12)
@@ -35,7 +42,7 @@ room_counts = st.integers(min_value=0, max_value=12)
 @settings(max_examples=80)
 def test_caps_always_land_in_clamp_window(weight, n_rooms):
     engine = _warm_engine(weight)
-    caps = engine.neighbor_caps("d1", [_neighbor("dn", n_rooms)], 0.0)
+    caps = _caps(engine, [_neighbor("dn", n_rooms)])
     assert caps.shape == (1,)
     assert CAP_FLOOR <= caps[0] <= CAP_CEILING
 
@@ -47,8 +54,7 @@ def test_caps_scale_monotonically_with_cached_affinity(ws, n_rooms):
     caps = []
     for w in sorted(ws):
         engine = _warm_engine(w)
-        caps.append(engine.neighbor_caps(
-            "d1", [_neighbor("dn", n_rooms)], 0.0)[0])
+        caps.append(_caps(engine, [_neighbor("dn", n_rooms)])[0])
     assert all(a <= b for a, b in zip(caps, caps[1:]))
 
 
@@ -58,7 +64,7 @@ def test_caps_scale_monotonically_with_candidate_room_count(weight, counts):
     # More candidate rooms spread a cached mean weight over more rooms,
     # so the implied co-location mass bound must never shrink.
     engine = _warm_engine(weight)
-    caps = [engine.neighbor_caps("d1", [_neighbor("dn", n)], 0.0)[0]
+    caps = [_caps(engine, [_neighbor("dn", n)])[0]
             for n in sorted(counts)]
     assert all(a <= b for a, b in zip(caps, caps[1:]))
 
@@ -67,9 +73,10 @@ def test_caps_scale_monotonically_with_candidate_room_count(weight, counts):
 @settings(max_examples=40)
 def test_uncached_neighbor_gets_no_cap(weight, n_rooms):
     engine = _warm_engine(weight)
-    caps = engine.neighbor_caps(
-        "d1", [_neighbor("dn", n_rooms), _neighbor("stranger", n_rooms)],
-        0.0)
+    caps = _caps(
+        engine, [_neighbor("stranger", n_rooms), _neighbor("dn", n_rooms)])
+    # The cached neighbor ranks first; the stranger has no cap.
+    assert not np.isnan(caps[0])
     assert np.isnan(caps[1])
 
 
@@ -77,7 +84,9 @@ def test_uncached_neighbor_gets_no_cap(weight, n_rooms):
 @settings(max_examples=40)
 def test_prepare_neighbors_caps_match_neighbor_caps(weight, n_rooms):
     engine = _warm_engine(weight)
-    neighbors = [_neighbor("dn", n_rooms), _neighbor("stranger", n_rooms)]
-    expected = engine.neighbor_caps("d1", neighbors, 0.0)
-    _, caps = engine.prepare_neighbors("d1", neighbors, 0.0)
+    neighbors = [_neighbor("stranger", n_rooms), _neighbor("dn", n_rooms)]
+    expected_order, expected, _ = reference_prepare(
+        engine.graph, "d1", neighbors, 0.0)
+    ordered, caps = engine.prepare_neighbors("d1", neighbors, 0.0)
+    assert ordered == expected_order
     assert np.array_equal(caps, expected, equal_nan=True)

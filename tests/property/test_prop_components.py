@@ -52,7 +52,7 @@ def _ingest_one_by_one(chunks):
             events.append(ConnectivityEvent(timestamp=float(clock),
                                             mac=mac, ap_id=ap_id))
             clock += 1
-        yield table, engine.ingest(events).macs
+        yield table, engine.ingest(events).changed
 
 
 def _route_key(router, mac):

@@ -12,6 +12,8 @@ from repro.errors import ConfigurationError
 from repro.fine.neighbors import NeighborDevice
 from repro.util.timeutil import SECONDS_PER_DAY
 
+from oracles.cache import prepare_neighbors as reference_prepare
+
 
 def _neighbor(mac: str) -> NeighborDevice:
     return NeighborDevice(mac=mac, region_id=0,
@@ -36,15 +38,6 @@ class TestLocalAffinityGraph:
         local = LocalAffinityGraph(center="d1", timestamp=100.0)
         with pytest.raises(ValueError):
             local.add_edge("d2", -0.1)
-
-    def test_edge_weight_formula(self):
-        # w = sum of per-room group affinities / |R(gx)| (paper §5).
-        weight = LocalAffinityGraph.edge_weight(
-            {"a": 0.4, "b": 0.2}, ["a", "b", "c"])
-        assert weight == pytest.approx(0.6 / 3)
-
-    def test_edge_weight_empty_candidates(self):
-        assert LocalAffinityGraph.edge_weight({}, []) == 0.0
 
 
 class TestGlobalAffinityGraph:
@@ -78,24 +71,6 @@ class TestGlobalAffinityGraph:
         assert near_first > 0.9
         assert near_second < 0.1
 
-    def test_rank_orders_by_affinity(self):
-        graph = GlobalAffinityGraph()
-        graph.add_observation("d1", "d2", 0.2, 0.0)
-        graph.add_observation("d1", "d3", 0.8, 0.0)
-        ranked = graph.rank("d1", ["d2", "d3", "d4"], 0.0)
-        assert [mac for mac, _ in ranked] == ["d3", "d2", "d4"]
-        assert ranked[2][1] == 0.0  # unseen device ranks last
-
-    def test_rank_cached_zero_outranks_unseen(self):
-        # Regression: a cached zero-weight edge is *evidence* (the pair
-        # was processed and found apart) and must not be conflated with
-        # a never-seen edge — the cached edge sorts first.
-        graph = GlobalAffinityGraph()
-        graph.add_observation("d1", "d9", 0.0, 0.0)
-        ranked = graph.rank("d1", ["d2", "d9"], 0.0)
-        assert [mac for mac, _ in ranked] == ["d9", "d2"]
-        assert [weight for _, weight in ranked] == [0.0, 0.0]
-
     def test_observation_cap_fifo(self):
         graph = GlobalAffinityGraph(max_observations_per_edge=3)
         for i in range(5):
@@ -126,43 +101,65 @@ class TestGlobalAffinityGraph:
         graph = GlobalAffinityGraph()
         graph.add_observation("a", "b", 0.5, 0.0)
         graph.add_observation("a", "c", 0.5, 0.0)
+        graph.add_observation("c", "a", 0.1, 1.0)  # same edge again
         assert graph.edge_count == 2
         assert graph.node_count == 3
-        assert graph.neighbors_of("a") == {"b", "c"}
         graph.clear()
         assert graph.edge_count == 0
+        assert graph.node_count == 0
 
 
 class TestCachingEngine:
     def test_cold_cache_keeps_order_and_counts_miss(self):
         engine = CachingEngine()
-        neighbors = [_neighbor("d2"), _neighbor("d3")]
-        ordered = engine.order_neighbors("d1", neighbors, 0.0)
-        assert [n.mac for n in ordered] == ["d2", "d3"]
+        neighbors = [_neighbor("d3"), _neighbor("d2")]
+        ordered, _ = engine.prepare_neighbors("d1", neighbors, 0.0)
+        assert [n.mac for n in ordered] == ["d3", "d2"]
         assert engine.stats()["misses"] == 1
 
     def test_warm_cache_reorders_and_counts_hit(self):
         engine = CachingEngine()
         engine.record("d1", 0.0, {"d3": 0.9, "d2": 0.1})
         neighbors = [_neighbor("d2"), _neighbor("d3")]
-        ordered = engine.order_neighbors("d1", neighbors, 0.0)
+        ordered, _ = engine.prepare_neighbors("d1", neighbors, 0.0)
         assert [n.mac for n in ordered] == ["d3", "d2"]
         assert engine.stats()["hits"] == 1
 
-    def test_neighbor_caps_only_for_cached(self):
+    def test_prepare_orders_by_affinity(self):
+        engine = CachingEngine()
+        engine.record("d1", 0.0, {"d2": 0.2, "d3": 0.8})
+        ordered, caps = engine.prepare_neighbors(
+            "d1", [_neighbor("d4"), _neighbor("d2"), _neighbor("d3")], 0.0)
+        assert [n.mac for n in ordered] == ["d3", "d2", "d4"]
+        assert np.isnan(caps[2])  # unseen device ranks last, no cap
+
+    def test_prepare_cached_zero_outranks_unseen(self):
+        # Regression: a cached zero-weight edge is *evidence* (the pair
+        # was processed and found apart) and must not be conflated with
+        # a never-seen edge — the cached edge sorts first, with the
+        # floor cap.
+        engine = CachingEngine()
+        engine.record("d1", 0.0, {"d9": 0.0})
+        ordered, caps = engine.prepare_neighbors(
+            "d1", [_neighbor("d2"), _neighbor("d9")], 0.0)
+        assert [n.mac for n in ordered] == ["d9", "d2"]
+        assert caps[0] == 0.02
+        assert np.isnan(caps[1])
+
+    def test_caps_only_for_cached(self):
         engine = CachingEngine()
         engine.record("d1", 0.0, {"d2": 0.2})
-        caps = engine.neighbor_caps("d1", [_neighbor("d2"),
-                                           _neighbor("d3")], 0.0)
+        ordered, caps = engine.prepare_neighbors(
+            "d1", [_neighbor("d3"), _neighbor("d2")], 0.0)
         # Aligned vector: a cap for cached d2, NaN for uncached d3.
+        assert [n.mac for n in ordered] == ["d2", "d3"]
         assert caps.shape == (2,)
         assert 0.0 < caps[0] <= 0.95
         assert np.isnan(caps[1])
 
     def test_cached_zero_weight_orders_before_unseen(self):
-        # Mirror of the graph-level rank regression: the engine's
-        # neighbor ordering must treat a recorded zero-weight edge as
-        # warmer than a never-recorded one.
+        # The engine's neighbor ordering must treat a recorded
+        # zero-weight edge as warmer than a never-recorded one.
         engine = CachingEngine()
         engine.record("d1", 0.0, {"d3": 0.0})
         ordered, _ = engine.prepare_neighbors(
@@ -170,60 +167,72 @@ class TestCachingEngine:
         assert [n.mac for n in ordered] == ["d3", "d2"]
 
     def test_empty_neighbors(self):
+        # An empty read on a warm cache returns nothing and counts
+        # neither a hit nor a miss.
         engine = CachingEngine()
-        assert engine.order_neighbors("d1", [], 0.0) == []
+        engine.record("d1", 0.0, {"d2": 0.4})
+        ordered, caps = engine.prepare_neighbors("d1", [], 0.0)
+        assert ordered == [] and caps.size == 0
+        assert (engine.hits, engine.misses) == (0, 0)
 
-    def test_order_neighbors_preserves_duplicate_multiplicity(self):
+    def test_prepare_neighbors_preserves_duplicate_multiplicity(self):
         # Regression: the old implementation collapsed same-MAC entries
         # through a dict; duplicates must come back, grouped per MAC in
-        # input order at the MAC's ranked position.
+        # input order at the MAC's ranked position, sharing the cap of
+        # the MAC's last entry.
         engine = CachingEngine()
         engine.record("d1", 0.0, {"d3": 0.9, "d2": 0.1})
         dup_a = _neighbor("d2")
         dup_b = NeighborDevice(mac="d2", region_id=1,
                                candidate_rooms=("c",),
                                shared_rooms=frozenset({"c"}))
-        ordered = engine.order_neighbors(
+        ordered, caps = engine.prepare_neighbors(
             "d1", [dup_a, _neighbor("d3"), dup_b], 0.0)
         assert [n.mac for n in ordered] == ["d3", "d2", "d2"]
         assert ordered[1] is dup_a and ordered[2] is dup_b
+        assert caps[1] == caps[2] == pytest.approx(0.1 * 2.0 * 1)
 
     def test_zero_weight_edges_count_as_hit(self):
         # Regression: a cached edge with weight 0.0 is information
-        # ("these two are not companions") and must count as a hit, per
-        # order_neighbors' documented contract — the old code treated
-        # an all-zero cache row as a miss.
+        # ("these two are not companions") and must count as a hit —
+        # the old code treated an all-zero cache row as a miss.
         engine = CachingEngine()
         engine.record("d1", 0.0, {"d2": 0.0, "d3": 0.0})
         ordered, caps = engine.prepare_neighbors(
             "d1", [_neighbor("d3"), _neighbor("d2")], 0.0)
         assert engine.stats() == {"hits": 1, "misses": 0, "edges": 2,
                                   "nodes": 3}
-        # All-zero weights rank by MAC (GlobalAffinityGraph.rank's tie
-        # rule), and zero-weight edges still produce (tiny) caps.
+        # All-zero weights rank by MAC (the ranking's tie rule), and
+        # zero-weight edges still produce (tiny) caps.
         assert [n.mac for n in ordered] == ["d2", "d3"]
         assert not np.isnan(caps).any()
 
-    def test_order_neighbors_duplicates_on_cold_cache(self):
+    def test_prepare_neighbors_duplicates_on_cold_cache(self):
         engine = CachingEngine()
         neighbors = [_neighbor("d2"), _neighbor("d2")]
-        ordered = engine.order_neighbors("d1", neighbors, 0.0)
-        assert len(ordered) == 2
+        ordered, caps = engine.prepare_neighbors("d1", neighbors, 0.0)
+        assert len(ordered) == 2 and np.isnan(caps).all()
         assert engine.stats()["misses"] == 1
 
     def test_prepare_neighbors_matches_two_call_path(self):
-        reference = CachingEngine()
-        combined = CachingEngine()
-        for engine in (reference, combined):
-            engine.record("d1", 0.0, {"d3": 0.9, "d2": 0.1})
-        neighbors = [_neighbor("d2"), _neighbor("d3"), _neighbor("d4")]
-        expected_order = reference.order_neighbors("d1", neighbors, 0.0)
-        expected_caps = reference.neighbor_caps("d1", expected_order, 0.0)
-        ordered, caps = combined.prepare_neighbors("d1", neighbors, 0.0)
-        assert ordered == expected_order
-        assert np.array_equal(caps, expected_caps, equal_nan=True)
-        assert combined.stats()["hits"] == reference.stats()["hits"]
-        assert combined.stats()["misses"] == reference.stats()["misses"]
+        # The one-read path against the two-pass oracle (rank, then a
+        # second read for the caps), warm and cold.
+        neighbors = [_neighbor("d2"), _neighbor("d3"), _neighbor("d4"),
+                     _neighbor("d5"), _neighbor("d6"), _neighbor("d2")]
+        for warm in (True, False):
+            engine = CachingEngine()
+            if warm:
+                engine.record("d1", 0.0, {"d3": 0.9, "d2": 0.1, "d5": 0.0})
+                engine.record("d4", 3600.0, {"d1": 0.3})
+            expected_order, expected_caps, hit = reference_prepare(
+                engine.graph, "d1", neighbors, 1800.0)
+            ordered, caps = engine.prepare_neighbors("d1", neighbors,
+                                                     1800.0)
+            assert ordered == expected_order
+            assert np.array_equal(caps, expected_caps, equal_nan=True)
+            assert hit is warm
+            assert (engine.hits, engine.misses) == \
+                ((1, 0) if hit else (0, 1))
 
     def test_prepare_neighbors_cold_cache(self):
         engine = CachingEngine()
@@ -239,18 +248,3 @@ class TestCachingEngine:
         assert ordered == [] and caps.size == 0
         assert engine.stats() == {"hits": 0, "misses": 0, "edges": 0,
                                   "nodes": 0}
-
-    def test_record_batch_merges_in_order(self):
-        sequential = CachingEngine()
-        bulk = CachingEngine()
-        records = [("d1", 10.0, {"d2": 0.4}),
-                   ("d2", 20.0, {}),            # empty: skipped
-                   ("d1", 30.0, {"d2": 0.6, "d3": 0.2})]
-        for mac, t, weights in records:
-            if weights:
-                sequential.record(mac, t, weights)
-        merged = bulk.record_batch(records)
-        assert merged == 2
-        assert bulk.stats() == sequential.stats()
-        assert bulk.graph.observations("d1", "d2") == \
-            sequential.graph.observations("d1", "d2")

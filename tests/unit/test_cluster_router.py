@@ -175,7 +175,7 @@ class TestComponentAffinityRouter:
         engine = IngestionEngine(table)
         for chunk in chunks[1:]:
             report = engine.ingest(chunk)
-            incremental.observe_table(table, report.macs)
+            incremental.observe_table(table, report.changed)
         whole = ComponentAffinityRouter.from_table(table, _unit_building())
         for mac in table.macs():
             assert incremental.representative(mac) == \

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.coarse.localizer import CoarseLocalizer
+from repro.coarse.localizer import CoarseLocalizer, CoarseSharedState
 from repro.events.event import ConnectivityEvent
 from repro.events.table import EventTable
 from repro.util.timeutil import SECONDS_PER_DAY, minutes
@@ -166,28 +166,37 @@ class TestLocateMany:
         reference = CoarseLocalizer(fig1_building, fig1_table)
         expected = [reference.locate("d1", t) for t in timestamps]
         batch = CoarseLocalizer(fig1_building, fig1_table)
-        assert batch.locate_many("d1", timestamps) == expected
+        shared = CoarseSharedState()
+        assert [batch.locate("d1", t, shared=shared)
+                for t in timestamps] == expected
 
     def test_shared_state_fills_gap_memo(self, fig1_building):
-        from repro.coarse.localizer import CoarseSharedState
         # The rich table trains a building-level classifier, so sampling
-        # the same lunch gap twice shares one feature row and one label.
+        # the same lunch gap twice builds one feature row and shares one
+        # label.
         table = _rich_table()
         localizer = CoarseLocalizer(fig1_building, table)
         assert localizer.models_for("m1").building_clf is not None
+        rows = []
+        transform = localizer._transform_gap
+
+        def counting(*args):
+            rows.append(args[0])
+            return transform(*args)
+
+        localizer._transform_gap = counting  # type: ignore[method-assign]
         shared = CoarseSharedState()
         t_gap = 3 * SECONDS_PER_DAY + 11 * 3600
         first = localizer.locate("m1", t_gap, shared=shared)
         second = localizer.locate("m1", t_gap + 600, shared=shared)
         assert first.inside == second.inside
-        assert len(shared.features) == 1
+        assert len(rows) == 1
         assert len(shared.building_labels) == 1
-        key = next(iter(shared.features))
+        key = next(iter(shared.building_labels))
         assert key[0] == "m1"
 
     def test_shared_answers_match_unshared(self, fig1_building,
                                            fig1_table):
-        from repro.coarse.localizer import CoarseSharedState
         h = 3600.0
         timestamps = [10.5 * h, 11.0 * h, 11.3 * h, 8.5 * h, 100.0]
         plain = CoarseLocalizer(fig1_building, fig1_table)

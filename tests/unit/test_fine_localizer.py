@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fine.affinity import DeviceAffinityIndex, RoomAffinityModel
-from repro.fine.localizer import FineLocalizer, FineMode
+from repro.fine.localizer import FineLocalizer, FineMode, FineSharedState
 
 
 def _localizer(fig1_building, fig1_metadata, fig1_table,
@@ -134,7 +134,7 @@ class TestSharedState:
                                mode=mode)
             shared_loc = _localizer(fig1_building, fig1_metadata,
                                     fig1_table, mode=mode)
-            shared = shared_loc.make_shared_state()
+            shared = FineSharedState()
             for mac, t, region in queries:
                 expected = plain.locate(mac, t, region)
                 got = shared_loc.locate(mac, t, region, shared=shared)
@@ -144,7 +144,7 @@ class TestSharedState:
                                    fig1_table):
         localizer = _localizer(fig1_building, fig1_metadata, fig1_table,
                                mode=FineMode.DEPENDENT)
-        shared = localizer.make_shared_state()
+        shared = FineSharedState()
         wap3 = fig1_building.region_of_ap("wap3").region_id
         localizer.locate("d1", 8.5 * 3600, wap3, shared=shared)
         stats = shared.stats()
@@ -162,4 +162,6 @@ class TestSharedState:
         expected = [reference.locate(mac, t, region)
                     for mac, t, region in queries]
         batch = _localizer(fig1_building, fig1_metadata, fig1_table)
-        assert batch.locate_many(queries) == expected
+        shared = FineSharedState()
+        assert [batch.locate(mac, t, region, shared=shared)
+                for mac, t, region in queries] == expected

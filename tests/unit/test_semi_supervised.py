@@ -7,6 +7,7 @@ import pytest
 
 from repro.coarse.semi_supervised import SelfTrainingClassifier
 from repro.errors import TrainingError
+from repro.ml.logistic import LogisticRegression
 
 
 def _clusters(seed: int = 0):
@@ -117,3 +118,26 @@ def test_non_finite_training_data_rejected(where, bad):
     row = 3 if where == "labeled" else 13
     with pytest.raises(TrainingError, match=f"training matrix row {row} "):
         clf.model.fit(np.vstack([labeled, pool]), ["in"] * 20)
+
+
+@pytest.mark.parametrize("call", ["predict", "predict_one",
+                                  "constant-predict_one"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected_at_prediction(call, bad):
+    # A non-finite feature would give all-NaN probabilities, and so
+    # silently the first class; it raises like a width mismatch, naming
+    # the first bad row.
+    if call == "constant-predict_one":
+        clf = SelfTrainingClassifier(classes=["x", "y"])
+        clf.fit([[0.0, 1.0], [1.0, 2.0]], ["x", "x"], np.zeros((0, 2)))
+        with pytest.raises(TrainingError, match="row 0 "):
+            clf.predict_one([bad, 1.0])
+        return
+    model = LogisticRegression(classes=["x", "y"]).fit(
+        [[0, 1], [1, 2], [1, 0]], ["x", "y", "x"])
+    if call == "predict":
+        with pytest.raises(TrainingError, match="row 1 "):
+            model.predict([[0.0, 1.0], [bad, 1.0]])
+    else:
+        with pytest.raises(TrainingError, match="row 0 "):
+            model.predict_one([bad, 1.0])

@@ -82,7 +82,7 @@ class TestIngestReports:
     def test_empty_ingest_is_a_no_op_report(self, cluster):
         report = cluster.ingest([])
         assert report.count == 0
-        assert not report.macs
+        assert not report.changed
 
     def test_dirty_events_partition_into_namespaces_once(
             self, small_dataset):

@@ -132,6 +132,23 @@ class TestStorageContract:
         assert store.find_answer("bb0", 0.0) is None
         assert store.clear_answers() == 0
 
+    def test_clear_answers_prefix_is_literal_and_case_sensitive(
+            self, backend):
+        # A prefix matches exactly what str.startswith matches: no ASCII
+        # case folding, and "%" and "_" are plain characters.
+        _, store = backend
+        store.store_answer("aa:01", 1.0, "room")
+        store.store_answer("AA:02", 1.0, "room")
+        assert store.clear_answers(mac_prefix="AA") == 1
+        assert store.find_answer("aa:01", 1.0) == "room"
+        assert store.find_answer("AA:02", 1.0) is None
+        store.store_answer("50%_a", 1.0, "room")
+        store.store_answer("50xya", 1.0, "room")
+        store.store_answer("50%_b", 1.0, "room")
+        assert store.clear_answers(mac_prefix="50%_") == 2
+        assert store.find_answer("50xya", 1.0) == "room"
+        assert store.find_answer("50%_a", 1.0) is None
+
     def test_closed_store_raises(self, backend):
         _, store = backend
         store.close()
