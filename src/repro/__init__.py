@@ -220,17 +220,23 @@ Contracts
 ---------
 
 Every equivalence suite above asserts *bitwise* identical answers, and
-that property rests on invariants the tests cannot see directly.  Two
+that property rests on invariants the tests cannot see directly.  Four
 hold by construction.  No memo outlives the events it was computed
 from: every ``Locater`` resets its warm batch state whole whenever the
 table's generation moves, while trained coarse models and device
-affinities are still invalidated per changed device.  And the reference
+affinities are still invalidated per changed device.  The reference
 oracles the property suites judge the array cores by live in
-``tests/oracles/``, where nothing in ``src/`` can import them.  The
-rest are coding conventions that ``repro-lint``
-(:mod:`repro.tools.lint`; run with ``python -m repro.tools.lint
-src/repro``) enforces mechanically — each rule is checked by the named
-module and exercised by seeded-mutation fixtures in ``tests/lint/``:
+``tests/oracles/``, where nothing in ``src/`` can import them.  Only
+the owner of a shared-memory segment can unlink it: a table view reads
+through an attached store that has no ``put`` and no unlink path (the
+rule stated under *Memory architecture*).  And one pipe type in
+:mod:`repro.cluster.executor` holds every shard ``Connection`` and
+raises the typed shard errors the supervisor's recovery policy
+dispatches on, so no raw pipe error escapes dispatch.  The rest are
+coding conventions that ``repro-lint`` (:mod:`repro.tools.lint`; run
+with ``python -m repro.tools.lint src/repro``) enforces mechanically —
+each rule is checked by the named module and exercised by
+seeded-mutation fixtures in ``tests/lint/``:
 
 * **RL002 determinism**
   (:mod:`repro.tools.lint.checkers.determinism`) — answer-path modules
@@ -238,21 +244,11 @@ module and exercised by seeded-mutation fixtures in ``tests/lint/``:
   sets or ``.keys()`` without ``sorted()``, never call ``time.time()``,
   the global ``random`` module, legacy ``np.random`` state, or an
   unseeded ``np.random.default_rng()``.
-* **RL003 shared-memory-lifecycle**
-  (:mod:`repro.tools.lint.checkers.lifecycle`) — classes that create
-  ``SharedMemory`` segments reach both ``close()`` and ``unlink()``
-  from a teardown path, and every unlink is ownership-gated (attached
-  views never unlink — the rule stated under *Memory architecture*).
 * **RL004 dtype-contracts**
   (:mod:`repro.tools.lint.checkers.dtypes`) — array constructors in the
   column-store and posterior modules always pin an explicit ``dtype=``
   (the byte-layout contracts ``TIMES_DTYPE``/``APS_DTYPE`` depend on
   declared widths, not numpy defaults).
-* **RL006 typed-pipe-failures**
-  (:mod:`repro.tools.lint.checkers.supervision`) — cluster pipe
-  send/recv always maps transport failures to the typed shard errors
-  the supervisor's recovery policy dispatches on; a bare ``send``
-  would turn a crashed worker into an untyped hang.
 * **RL007 event-loop-hygiene**
   (:mod:`repro.tools.lint.checkers.eventloop`) — coroutine bodies in
   the serving layer (``repro/serve``) never call the blocking

@@ -26,12 +26,15 @@ Three pieces; only the executor is a choice:
   in-process (sharing the cluster's event table object);
   :class:`ProcessShardExecutor` starts one actor worker per shard
   (``fork`` or ``spawn``) and speaks pickled (method, args) over a
-  pipe.  Every worker attaches, read-only and by segment name, to one
+  pipe; one pipe type owns each worker and its ``Connection``, and a
+  worker exits on its own once its owner is gone, SIGKILL included.
+  Every worker attaches, read-only and by segment name, to one
   shared-memory copy of the table: the cluster moves a heap table into
-  a :class:`~repro.events.SharedMemoryColumnStore` at construction and
-  back to the heap on ``close()``, so it unlinks every segment it
-  created.  Both executors return results in shard order, so executor
-  choice never changes an answer.
+  a :class:`~repro.events.SharedMemoryColumnStore`, the segments'
+  owner, at construction and back to the heap on ``close()``, so it
+  unlinks every segment it created; a worker's attached view has no
+  unlink path.  Both executors return results in shard order, so
+  executor choice never changes an answer.
 * **Shard** (:mod:`repro.cluster.shard`) — one full ``Locater``, over
   the cluster's table object or, in a process worker, over an attached
   view of it.  Shards are created by the executor from a factory at
@@ -118,7 +121,8 @@ Pass ``recovery=RecoveryPolicy()`` to :class:`ShardedLocater
 worker crashes instead of surfacing them:
 
 * **Detection** (:mod:`repro.cluster.executor`) — every pipe failure is
-  typed: a dead worker raises
+  typed by the pipe type that owns the ``Connection``: a dead worker
+  raises
   :class:`~repro.errors.ShardUnavailableError` (with exit-code
   forensics: ``killed by SIGKILL``, ``exit code 1``...), a silent one
   raises :class:`~repro.errors.ShardTimeoutError` once the executor's

@@ -26,26 +26,33 @@ executes its own calls sequentially — so any per-shard computation is
 bit-for-bit reproducible across executor choices.
 
 Failure contract: no OS-level exception escapes the executor boundary.
-A dead worker (pipe EOF, broken pipe on send) surfaces as
-:class:`~repro.errors.ShardUnavailableError`, a hung worker (with
-``call_timeout`` set) as :class:`~repro.errors.ShardTimeoutError`, and
-a fan-out where some shards failed as a single
+Each worker process and its pipe belong to one :class:`_ShardPipe`, the
+only code that holds a shard ``Connection``; its methods raise the
+typed errors themselves.  A dead worker (pipe EOF, broken pipe on send)
+surfaces as :class:`~repro.errors.ShardUnavailableError`, a hung worker
+(with ``call_timeout`` set) as :class:`~repro.errors.ShardTimeoutError`,
+and a fan-out where some shards failed as a single
 :class:`~repro.errors.ClusterCallError` aggregating *every* failure
 with the partial results — all under :class:`~repro.errors.ClusterError`.
-A failed shard is marked dead (a timed-out pipe is desynchronized and
-must never be reused) until :meth:`ShardExecutor.restart_shard` rebuilds
-it from the factory; the supervision layer
-(:mod:`repro.cluster.supervision`) drives that recovery loop.
+A failed pipe stays dead (a timed-out pipe is desynchronized and must
+never be reused) until :meth:`ShardExecutor.restart_shard` replaces it
+with a new worker built from the factory; the supervision layer
+(:mod:`repro.cluster.supervision`) drives that recovery loop.  Workers
+exit on their own once the owning process is gone, even one killed by
+SIGKILL.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import signal as _signal
+import threading
 import traceback
+import weakref
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable, Sequence
-from typing import Any
+from multiprocessing.connection import Connection
+from typing import Any, ClassVar
 
 from repro.errors import (
     ClusterCallError,
@@ -212,10 +219,9 @@ class ShardExecutor(ABC):
         self.close()
 
 
-class _InProcessExecutor(ShardExecutor):
-    """Common base for executors whose shards live in this process."""
-
-    in_process = True
+class SerialShardExecutor(ShardExecutor):
+    """Shards in this process; every call runs sequentially in the
+    calling thread."""
 
     def _start(self, factory: ShardFactory, shard_count: int) -> None:
         # Built incrementally so a factory failure at shard k still
@@ -230,6 +236,11 @@ class _InProcessExecutor(ShardExecutor):
         """The live shard objects (cluster wiring needs direct access)."""
         self._check_started()
         return self._shards
+
+    def _call_all(self, method: str,
+                  args_per_shard: Sequence[tuple]) -> list[Any]:
+        return [getattr(shard, method)(*args)
+                for shard, args in zip(self._shards, args_per_shard)]
 
     def _call_one(self, shard_id: int, method: str, args: tuple) -> Any:
         return getattr(self._shards[shard_id], method)(*args)
@@ -248,72 +259,190 @@ class _InProcessExecutor(ShardExecutor):
                 close()
         self._shards = []
 
-
-class SerialShardExecutor(_InProcessExecutor):
-    """Run every shard call sequentially in the calling thread."""
-
-    def _call_all(self, method: str,
-                  args_per_shard: Sequence[tuple]) -> list[Any]:
-        return [getattr(shard, method)(*args)
-                for shard, args in zip(self._shards, args_per_shard)]
-
     def __repr__(self) -> str:
         return "SerialShardExecutor()"
 
 
-def _worker_send(connection, payload) -> bool:
-    """Send on the worker side; ``False`` when the parent is gone.
+class _ShardPipe:
+    """One shard worker process and the only handle on its pipe.
 
-    A worker whose parent died (or closed the pipe) has nobody to
-    answer; exiting quietly beats dying on an unhandled
-    ``BrokenPipeError`` and leaving a corpse in the process table.
+    Parent side: the executor holds one per shard and never touches a
+    ``Connection`` itself.  :meth:`send` and :meth:`receive` turn every
+    pipe failure into a typed shard error here — a dead worker raises
+    :class:`~repro.errors.ShardUnavailableError` with its exit code or
+    signal, a silent one :class:`~repro.errors.ShardTimeoutError` — and
+    a failed pipe stays dead: a timed-out pipe is desynchronized, so
+    only a new ``_ShardPipe`` (:meth:`ShardExecutor.restart_shard`)
+    serves the shard again.
+
+    Worker side (:meth:`_serve`): any pipe failure means the parent is
+    gone, and the worker exits quietly.  A ``fork`` worker inherits the
+    parent end of every live pipe, its own included, and closes them
+    before serving; otherwise its own reads would never see EOF, and a
+    worker whose owner was SIGKILLed would live on, pinning every
+    segment it mapped.
     """
-    try:
-        connection.send(payload)
-    except (BrokenPipeError, OSError):
-        return False
-    return True
 
+    #: Parent ends of this process's live pipes, of every executor: a
+    #: fork inherits all of them.
+    _parent_ends: "ClassVar[weakref.WeakSet[Connection]]" = weakref.WeakSet()
+    _parent_ends_lock: ClassVar[threading.Lock] = threading.Lock()
 
-def _worker_main(connection, factory: ShardFactory, shard_id: int) -> None:
-    """Actor loop of one shard worker.
-
-    Builds the shard from the factory, then serves pickled
-    ``(method, args)`` commands until the parent sends ``None``.
-    Failures are answered as ``(False, message)`` rather than killing
-    the worker, so one bad call doesn't take the shard down.
-    """
-    try:
-        shard = factory(shard_id)
-    except BaseException:
-        _worker_send(connection, (False, f"shard {shard_id} factory failed:\n"
-                                  f"{traceback.format_exc()}"))
-        connection.close()
-        return
-    if not _worker_send(connection, (True, None)):  # ready handshake
-        connection.close()
-        return
-    while True:
+    def __init__(self, context: Any, shard_id: int,
+                 factory: ShardFactory) -> None:
+        self.shard_id = shard_id
+        self._dead = False
+        self._connection, worker_end = context.Pipe(duplex=True)
+        with self._parent_ends_lock:
+            self._parent_ends.add(self._connection)
+            inherited = (tuple(self._parent_ends)
+                         if context.get_start_method() == "fork" else ())
+        self._process = context.Process(
+            target=_ShardPipe._serve,
+            args=(worker_end, inherited, factory, shard_id),
+            name=f"shard-{shard_id}", daemon=True)
         try:
-            message = connection.recv()
-        except EOFError:
-            break
-        if message is None:
-            break
-        method, args = message
+            self._process.start()
+        finally:
+            worker_end.close()
+
+    # -- parent side ---------------------------------------------------
+    @property
+    def pid(self) -> "int | None":
+        """The worker's process id."""
+        return self._process.pid
+
+    def alive(self) -> bool:
+        """Whether the pipe can serve: not failed, worker running."""
+        return not self._dead and self._process.is_alive()
+
+    def join(self, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds for the worker to exit."""
+        self._process.join(timeout=timeout)
+
+    def send(self, payload: Any) -> None:
+        """Send one command; a dead worker raises typed."""
+        if self._dead:
+            raise ShardUnavailableError(
+                self.shard_id, f"shard worker {self.shard_id} is dead "
+                f"(awaiting restart)")
         try:
-            result = getattr(shard, method)(*args)
-            ok = _worker_send(connection, (True, result))
-        except BaseException:
-            ok = _worker_send(
-                connection, (False, f"shard {shard_id}.{method} failed:\n"
-                             f"{traceback.format_exc()}"))
+            self._connection.send(payload)
+        except OSError as exc:
+            self._dead = True
+            raise ShardUnavailableError(
+                self.shard_id,
+                self._death_notice("pipe broken on send")) from exc
+
+    def receive(self, timeout: "float | None") -> Any:
+        """The worker's next answer; a shard-side failure raises
+        :class:`~repro.errors.ClusterError` and keeps the pipe usable."""
+        try:
+            if timeout is not None and not self._connection.poll(timeout):
+                self._dead = True
+                raise ShardTimeoutError(
+                    self.shard_id,
+                    f"shard worker {self.shard_id} did not answer within "
+                    f"{timeout}s (hung; pipe desynchronized, restart "
+                    f"required)")
+            ok, payload = self._connection.recv()
+        except (EOFError, OSError) as exc:
+            self._dead = True
+            raise ShardUnavailableError(
+                self.shard_id, self._death_notice("pipe closed")) from exc
         if not ok:
-            break
-    close = getattr(shard, "close", None)
-    if close is not None:
-        close()
-    connection.close()
+            raise ClusterError(payload)
+        return payload
+
+    def retire(self) -> None:
+        """Stop the worker unconditionally (stop command, then SIGTERM,
+        then SIGKILL) and close the pipe.  Idempotent."""
+        if not self._dead:
+            try:
+                self._connection.send(None)
+            except OSError:
+                self._dead = True
+        self.join(0.2 if self._dead else 5.0)
+        self._dead = True
+        if self._process.is_alive():
+            self._process.terminate()
+            self.join(1.0)
+        if self._process.is_alive():
+            # SIGTERM stays pending for a stopped (SIGSTOP) worker;
+            # SIGKILL acts even on stopped processes.
+            self._process.kill()
+            self.join(5.0)
+        self._connection.close()
+        with self._parent_ends_lock:
+            self._parent_ends.discard(self._connection)
+
+    def _death_notice(self, cause: str) -> str:
+        """Describe a dead worker, inspecting its exit code / signal."""
+        self.join(1.0)
+        code = self._process.exitcode
+        if code is None:
+            detail = "worker still running"
+        elif code < 0:
+            try:
+                name = _signal.Signals(-code).name
+            except ValueError:
+                name = f"signal {-code}"
+            detail = f"killed by {name}"
+        else:
+            detail = f"exit code {code}"
+        return f"shard worker {self.shard_id} died ({cause}; {detail})"
+
+    # -- worker side ---------------------------------------------------
+    @staticmethod
+    def _serve(connection: "Connection", inherited: "tuple[Connection, ...]",
+               factory: ShardFactory, shard_id: int) -> None:
+        """Actor loop of one shard worker.
+
+        Builds the shard from the factory, then answers pickled
+        ``(method, args)`` commands until the parent sends ``None`` or
+        goes away.  Failures are answered as ``(False, message)`` rather
+        than killing the worker, so one bad call doesn't take the shard
+        down.
+        """
+        for end in inherited:
+            end.close()
+        try:
+            shard = factory(shard_id)
+        except BaseException:
+            _ShardPipe._reply(connection, (
+                False, f"shard {shard_id} factory failed:\n"
+                f"{traceback.format_exc()}"))
+            connection.close()
+            return
+        serving = _ShardPipe._reply(connection, (True, None))  # ready
+        while serving:
+            try:
+                message = connection.recv()
+            except (EOFError, OSError):
+                break  # the parent is gone
+            if message is None:
+                break
+            method, args = message
+            try:
+                serving = _ShardPipe._reply(
+                    connection, (True, getattr(shard, method)(*args)))
+            except BaseException:
+                serving = _ShardPipe._reply(connection, (
+                    False, f"shard {shard_id}.{method} failed:\n"
+                    f"{traceback.format_exc()}"))
+        close = getattr(shard, "close", None)
+        if close is not None:
+            close()
+        connection.close()
+
+    @staticmethod
+    def _reply(connection: "Connection", payload: Any) -> bool:
+        """Send one answer; ``False`` when the parent is gone."""
+        try:
+            connection.send(payload)
+        except OSError:
+            return False
+        return True
 
 
 class ProcessShardExecutor(ShardExecutor):
@@ -361,87 +490,13 @@ class ProcessShardExecutor(ShardExecutor):
         self.start_method = start_method
         self.call_timeout = call_timeout
         self._context = multiprocessing.get_context(start_method)
-        self._dead: set[int] = set()
+        self._pipes: list[_ShardPipe] = []
 
     def _start(self, factory: ShardFactory, shard_count: int) -> None:
-        self._connections = []
-        self._workers = []
         for shard_id in range(shard_count):
-            self._spawn_worker(shard_id, factory, append=True)
-        for shard_id, connection in enumerate(self._connections):
-            self._receive(shard_id, connection)  # ready handshake
-
-    def _spawn_worker(self, shard_id: int, factory: ShardFactory,
-                      append: bool) -> None:
-        parent_end, worker_end = self._context.Pipe(duplex=True)
-        worker = self._context.Process(
-            target=_worker_main, args=(worker_end, factory, shard_id),
-            name=f"shard-{shard_id}", daemon=True)
-        worker.start()
-        worker_end.close()
-        if append:
-            self._connections.append(parent_end)
-            self._workers.append(worker)
-        else:
-            self._connections[shard_id] = parent_end
-            self._workers[shard_id] = worker
-
-    def _death_notice(self, shard_id: int, cause: str) -> str:
-        """Describe a dead worker, inspecting its exit code / signal."""
-        worker = self._workers[shard_id]
-        worker.join(timeout=1.0)
-        code = worker.exitcode
-        if code is None:
-            detail = "worker still running"
-        elif code < 0:
-            try:
-                name = _signal.Signals(-code).name
-            except ValueError:
-                name = f"signal {-code}"
-            detail = f"killed by {name}"
-        else:
-            detail = f"exit code {code}"
-        return f"shard worker {shard_id} died ({cause}; {detail})"
-
-    def _send(self, shard_id: int, payload) -> None:
-        if shard_id in self._dead:
-            raise ShardUnavailableError(
-                shard_id, f"shard worker {shard_id} is dead "
-                f"(awaiting restart)")
-        try:
-            self._connections[shard_id].send(payload)
-        except (BrokenPipeError, ConnectionError, OSError) as exc:
-            self._dead.add(shard_id)
-            raise ShardUnavailableError(
-                shard_id,
-                self._death_notice(shard_id, "pipe broken on send")) from exc
-
-    def _receive(self, shard_id: int, connection) -> Any:
-        if self.call_timeout is not None:
-            try:
-                ready = connection.poll(self.call_timeout)
-            except (BrokenPipeError, ConnectionError, OSError) as exc:
-                self._dead.add(shard_id)
-                raise ShardUnavailableError(
-                    shard_id,
-                    self._death_notice(shard_id, "pipe closed")) from exc
-            if not ready:
-                self._dead.add(shard_id)
-                raise ShardTimeoutError(
-                    shard_id,
-                    f"shard worker {shard_id} did not answer within "
-                    f"{self.call_timeout}s (hung; pipe desynchronized, "
-                    f"restart required)")
-        try:
-            ok, payload = connection.recv()
-        except (EOFError, ConnectionError, OSError) as exc:
-            self._dead.add(shard_id)
-            raise ShardUnavailableError(
-                shard_id,
-                self._death_notice(shard_id, "pipe closed")) from exc
-        if not ok:
-            raise ClusterError(payload)
-        return payload
+            self._pipes.append(_ShardPipe(self._context, shard_id, factory))
+        for pipe in self._pipes:
+            pipe.receive(self.call_timeout)  # ready handshake
 
     def _call_all(self, method: str,
                   args_per_shard: Sequence[tuple]) -> list[Any]:
@@ -461,15 +516,15 @@ class ProcessShardExecutor(ShardExecutor):
         failures: dict[int, Exception] = {}
         for shard_id, args in zip(shard_ids, args_per_shard):
             try:
-                self._send(shard_id, (method, args))
+                self._pipes[shard_id].send((method, args))
                 sent.append(shard_id)
             except ClusterError as exc:
                 failures[shard_id] = exc
         results_by_id: dict[int, Any] = {}
         for shard_id in sent:
             try:
-                results_by_id[shard_id] = self._receive(
-                    shard_id, self._connections[shard_id])
+                results_by_id[shard_id] = self._pipes[shard_id].receive(
+                    self.call_timeout)
             except ClusterError as exc:
                 failures[shard_id] = exc
         results = [results_by_id.get(shard_id) for shard_id in shard_ids]
@@ -478,54 +533,29 @@ class ProcessShardExecutor(ShardExecutor):
         return results
 
     def _call_one(self, shard_id: int, method: str, args: tuple) -> Any:
-        self._send(shard_id, (method, args))
-        return self._receive(shard_id, self._connections[shard_id])
+        pipe = self._pipes[shard_id]
+        pipe.send((method, args))
+        return pipe.receive(self.call_timeout)
 
     def _alive(self, shard_id: int) -> bool:
-        return (shard_id not in self._dead
-                and self._workers[shard_id].is_alive())
-
-    def _retire_worker(self, shard_id: int) -> None:
-        """Stop one worker unconditionally (terminate, then kill)."""
-        connection = self._connections[shard_id]
-        if shard_id not in self._dead:
-            try:
-                connection.send(None)
-            except (BrokenPipeError, ConnectionError, OSError):
-                self._dead.add(shard_id)
-        worker = self._workers[shard_id]
-        worker.join(timeout=0.2 if shard_id in self._dead else 5.0)
-        if worker.is_alive():
-            worker.terminate()
-            worker.join(timeout=1.0)
-        if worker.is_alive():
-            # SIGTERM stays pending for a stopped (SIGSTOP) worker;
-            # SIGKILL acts even on stopped processes.
-            worker.kill()
-            worker.join(timeout=5.0)
-        try:
-            connection.close()
-        except OSError:
-            pass
+        return self._pipes[shard_id].alive()
 
     def _restart(self, shard_id: int, factory: ShardFactory) -> None:
-        self._retire_worker(shard_id)
-        self._spawn_worker(shard_id, factory, append=False)
-        self._dead.discard(shard_id)
-        # Ready handshake: a factory failure in the new worker marks the
-        # shard dead again and surfaces as a ClusterError.
+        self._pipes[shard_id].retire()
+        pipe = self._pipes[shard_id] = _ShardPipe(
+            self._context, shard_id, factory)
         try:
-            self._receive(shard_id, self._connections[shard_id])
+            pipe.receive(self.call_timeout)  # ready handshake
         except ClusterError:
-            self._dead.add(shard_id)
+            # A worker whose factory failed has exited: the shard stays
+            # dead until the next restart.
+            pipe.retire()
             raise
 
     def _close(self) -> None:
-        for shard_id in range(len(getattr(self, "_connections", []))):
-            self._retire_worker(shard_id)
-        self._connections = []
-        self._workers = []
-        self._dead = set()
+        for pipe in self._pipes:
+            pipe.retire()
+        self._pipes = []
 
     def __repr__(self) -> str:
         return (f"ProcessShardExecutor(start_method={self.start_method!r}, "

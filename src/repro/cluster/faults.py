@@ -220,14 +220,14 @@ class FaultInjectingExecutor:
                     f"shard worker {fault.shard_id} did not answer "
                     f"(injected hang; restart required)")
             return self._unavailable(fault.shard_id)
-        worker = self.inner._workers[fault.shard_id]
+        pipe = self.inner._pipes[fault.shard_id]
         if fault.kind == "kill":
             with contextlib.suppress(ProcessLookupError):
-                os.kill(worker.pid, signal.SIGKILL)
-            worker.join(timeout=5.0)  # reaped → deterministic dead pipe
+                os.kill(pipe.pid, signal.SIGKILL)
+            pipe.join(5.0)  # reaped → deterministic dead pipe
         else:  # hang
             with contextlib.suppress(ProcessLookupError):
-                os.kill(worker.pid, signal.SIGSTOP)
+                os.kill(pipe.pid, signal.SIGSTOP)
         return None
 
     def _emulated_failure(self, shard_id: int) -> "Exception | None":

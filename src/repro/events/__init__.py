@@ -21,14 +21,16 @@ ColumnStore`, not in plain attributes.  The store contract
   ordinary heap arrays.
 * :class:`~repro.events.columns.SharedMemoryColumnStore` places columns
   in named ``multiprocessing.shared_memory`` segments so other
-  processes *attach* by name instead of copying.  Lifecycle rule: the
-  **owner** store (the one that ``put`` the data) unlinks segments on
-  ``release``/``close``; **attached** stores (built via ``attached()``
-  + ``adopt()`` from a :class:`~repro.events.table.TableDescriptor`)
-  only close their maps and never unlink — views they handed out stay
-  readable until the last reference dies, and attached arrays are
-  mapped read-only (``writeable=False``) so a shard can never mutate
-  the table behind the owner's back.
+  processes *attach* by name instead of copying.  Lifecycle rule, held
+  by two store types: the **owner** store (the one that ``put`` the
+  data) unlinks segments on ``release``/``close``; the **attached**
+  store that :meth:`EventTable.attach
+  <repro.events.table.EventTable.attach>` builds from a
+  :class:`~repro.events.table.TableDescriptor` has ``adopt()``, no
+  ``put`` and no unlink path — it only closes its maps, views it
+  handed out stay readable until the last reference dies, and attached
+  arrays are mapped read-only (``writeable=False``) so a shard can
+  never mutate the table behind the owner's back.
 
 ``EventTable.describe()`` / ``EventTable.attach()`` ride on this:
 workers reconstruct a read-only table from segment names (O(1) bytes

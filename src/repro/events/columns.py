@@ -7,12 +7,15 @@ This module owns *where those bytes live*, behind one small contract:
 * :class:`HeapColumnStore` (the default) keeps each device's columns as
   ordinary process-heap numpy arrays, exactly as before the abstraction
   existed.
-* :class:`SharedMemoryColumnStore` packs both columns of a device into
-  one ``multiprocessing.shared_memory`` segment.  The owning process
-  creates and unlinks segments; any other process *attaches by segment
-  name* and reads the same physical pages — one copy of the log no
-  matter how many shard workers serve from it, and no dependence on
-  ``fork`` copy-on-write semantics (a spawned worker can attach too).
+* :class:`SharedMemoryColumnStore` is the **owner** of named
+  ``multiprocessing.shared_memory`` segments, one per device log: it
+  creates them on ``put`` and unlinks them on release.  Any other
+  process reads the same physical pages through a table view
+  (:meth:`EventTable.attach <repro.events.table.EventTable.attach>`),
+  whose private attached store adopts segments *by name* and has no
+  ``put`` and no unlink path — one copy of the log no matter how many
+  shard workers serve from it, and no dependence on ``fork``
+  copy-on-write semantics (a spawned worker can attach too).
 
 Contract (what :class:`~repro.events.table.EventTable` relies on):
 
@@ -20,8 +23,8 @@ Contract (what :class:`~repro.events.table.EventTable` relies on):
   ``arrays()`` resolves to arrays bitwise-equal to the ones put in.
   Column data behind a handle is **immutable** — a merge produces new
   arrays and a new handle; the old handle is passed to ``release``.
-* Handles resolve lazily.  A not-yet-attached (shared) handle maps its
-  arrays on the first ``arrays()`` call; resolution never changes
+* Handles resolve lazily.  An adopted (attached) handle maps its
+  segment on the first ``arrays()`` call; resolution never changes
   values, only where they are read from.
 * Lifecycle: ``release(handle)`` frees one handle's storage (the owner
   unlinks its segment; an attached store merely unmaps).  ``close()``
@@ -161,77 +164,89 @@ class _ResidentColumns(ColumnHandle):
             f"resident columns of {self.key!r} lost their arrays")
 
 
+def _segment_views(segment: shared_memory.SharedMemory,
+                   length: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Read-only ``(times, ap_indices)`` views into one segment."""
+    buf = segment.buf
+    times = np.frombuffer(buf, dtype=TIMES_DTYPE, count=length)
+    aps = np.frombuffer(buf, dtype=APS_DTYPE, count=length,
+                        offset=8 * length)
+    # Readers must never mutate the one physical copy in place.
+    times.flags.writeable = False
+    aps.flags.writeable = False
+    return times, aps
+
+
 class SharedColumnHandle(ColumnHandle):
-    """Columns inside one shared-memory segment, resolved by name."""
+    """Columns in a shared-memory segment this process created.
+
+    Only :class:`SharedMemoryColumnStore` builds these, mapped from the
+    start; its release is the one place a segment is unlinked.
+    """
 
     __slots__ = ("segment_name", "_segment")
 
-    def __init__(self, key: str, segment_name: str, length: int,
-                 segment: "shared_memory.SharedMemory | None" = None
-                 ) -> None:
+    def __init__(self, key: str, segment: shared_memory.SharedMemory,
+                 length: int) -> None:
+        super().__init__(key, length)
+        self.segment_name = segment.name
+        self._segment = segment
+        self._times, self._aps = _segment_views(segment, length)
+
+    def _load(self) -> "tuple[np.ndarray, np.ndarray]":
+        raise EventTableError(
+            f"the segment of {self.key!r} was released")
+
+
+class _AttachedColumns(ColumnHandle):
+    """Columns in a segment another store published, mapped by name on
+    first read.  Releasing one only unmaps: it has no unlink path."""
+
+    __slots__ = ("segment_name", "_segment")
+
+    def __init__(self, key: str, segment_name: str, length: int) -> None:
         super().__init__(key, length)
         self.segment_name = segment_name
-        self._segment = segment
-        if segment is not None:
-            self._map_views()
-
-    def _map_views(self) -> None:
-        n = self.length
-        buf = self._segment.buf
-        times = np.frombuffer(buf, dtype=TIMES_DTYPE, count=n)
-        aps = np.frombuffer(buf, dtype=APS_DTYPE, count=n, offset=8 * n)
-        # Readers must never mutate the one physical copy in place.
-        times.flags.writeable = False
-        aps.flags.writeable = False
-        self._times = times
-        self._aps = aps
+        self._segment: "shared_memory.SharedMemory | None" = None
 
     def _load(self) -> "tuple[np.ndarray, np.ndarray]":
         if self._segment is None:
             self._segment = _attach_segment(self.segment_name)
-        self._map_views()
-        return self._times, self._aps  # type: ignore[return-value]
+        views = _segment_views(self._segment, self.length)
+        self._times, self._aps = views
+        return views
 
-    def _discard(self, unlink: bool) -> None:
+    def _unmap(self) -> None:
         self._times = None
         self._aps = None
         if self._segment is not None:
             _close_quietly(self._segment)
-            if unlink:
-                try:
-                    self._segment.unlink()
-                except FileNotFoundError:
-                    pass
             self._segment = None
-        elif unlink:
-            # Owner releasing a handle it created in another life-cycle
-            # stage cannot happen (owners always hold the segment), but
-            # be safe for adopted names.
-            try:
-                shared_memory.SharedMemory(name=self.segment_name).unlink()
-            except FileNotFoundError:
-                pass
 
 
 class ColumnStore:
-    """Base class: owns the column storage of one event table."""
+    """Base class: the column handles of one event table and their
+    teardown.
+
+    A store a table writes through (:class:`HeapColumnStore`,
+    :class:`SharedMemoryColumnStore`) also has ``put(key, times,
+    ap_indices)``, returning the resolving handle.  The attached store
+    behind an :meth:`EventTable.attach
+    <repro.events.table.EventTable.attach>` view has ``adopt`` instead,
+    and no ``put``.
+    """
 
     #: Human-readable backend tag (surfaced by accounting/stats).
     kind: str = "abstract"
     #: Whether other processes can resolve this store's handles by name.
     is_shared: bool = False
-    #: Whether this store resolves handles created elsewhere (a reader
-    #: view); attached stores never unlink on release/close.
+    #: Whether this store resolves handles another process created (a
+    #: table view's store, which never writes).
     is_attached: bool = False
 
     def __init__(self) -> None:
         self._handles: "set[ColumnHandle]" = set()
         self._closed = False
-
-    def put(self, key: str, times: np.ndarray,
-            ap_indices: np.ndarray) -> ColumnHandle:
-        """Store one log's columns; returns the resolving handle."""
-        raise NotImplementedError
 
     def release(self, handle: ColumnHandle) -> None:
         """Free one handle's storage (a merge replaced it).
@@ -282,6 +297,7 @@ class HeapColumnStore(ColumnStore):
 
     def put(self, key: str, times: np.ndarray,
             ap_indices: np.ndarray) -> ColumnHandle:
+        """Store one log's columns; returns the resolving handle."""
         if times.shape != ap_indices.shape:
             raise EventTableError("times and ap_indices must align")
         handle = _ResidentColumns(key, times, ap_indices)
@@ -294,81 +310,82 @@ class HeapColumnStore(ColumnStore):
 
 
 class SharedMemoryColumnStore(ColumnStore):
-    """Columns in named shared-memory segments, one per device log.
+    """The owner of named shared-memory segments, one per device log.
 
-    Two roles share the class:
-
-    * **owner** (``SharedMemoryColumnStore()``): creates segments on
-      ``put``, unlinks them on ``release``/``close``.  Exactly one
-      process — the one maintaining the authoritative table — owns the
-      segments.
-    * **attached** (``SharedMemoryColumnStore.attached()``): resolves
-      handles adopted by name (``adopt``) against segments some owner
-      created; ``release``/``close`` merely unmap, never unlink.
+    ``put`` creates a segment, and ``release``/``close`` unlink it.
+    Exactly one process — the one maintaining the authoritative table —
+    owns the segments; other processes read them through the attached
+    store of an :meth:`EventTable.attach
+    <repro.events.table.EventTable.attach>` view, which only unmaps.
     """
 
     kind = "shared"
     is_shared = True
 
-    def __init__(self, prefix: "str | None" = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
         # Segment names must be unique machine-wide and short (NAME_MAX
         # applies); the prefix keys all segments of one store.  The full
         # owner pid is embedded so :func:`purge_orphan_segments` can
         # tell a crashed owner's leftovers from a live one's segments.
-        self._prefix = prefix if prefix is not None else \
-            f"loc-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+        self._prefix = f"loc-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         self._sequence = 0
-
-    @classmethod
-    def attached(cls) -> "SharedMemoryColumnStore":
-        """A reader-side store resolving adopted handles by name."""
-        store = cls(prefix="attached")
-        store.is_attached = True
-        return store
 
     def put(self, key: str, times: np.ndarray,
             ap_indices: np.ndarray) -> SharedColumnHandle:
-        if self.is_attached:
-            raise EventTableError(
-                "attached column stores are read-only views; only the "
-                "owner creates segments")
+        """Copy one log's columns into a new segment; returns its handle."""
         if times.shape != ap_indices.shape:
             raise EventTableError("times and ap_indices must align")
         n = int(times.size)
         self._sequence += 1
-        name = f"{self._prefix}-{self._sequence:06d}"
         segment = shared_memory.SharedMemory(
-            create=True, size=max(1, n * BYTES_PER_EVENT), name=name)
+            create=True, size=max(1, n * BYTES_PER_EVENT),
+            name=f"{self._prefix}-{self._sequence:06d}")
         buf = segment.buf
         np.frombuffer(buf, dtype=TIMES_DTYPE, count=n)[:] = \
             np.ascontiguousarray(times, dtype=TIMES_DTYPE)
         np.frombuffer(buf, dtype=APS_DTYPE, count=n, offset=8 * n)[:] = \
             np.ascontiguousarray(ap_indices, dtype=APS_DTYPE)
-        handle = SharedColumnHandle(key, name, n, segment=segment)
+        handle = SharedColumnHandle(key, segment, n)
         self._handles.add(handle)
         return handle
 
+    def _release(self, handle: SharedColumnHandle) -> None:
+        handle._times = None
+        handle._aps = None
+        _close_quietly(handle._segment)
+        try:
+            handle._segment.unlink()
+        except FileNotFoundError:
+            pass
+
+
+class _AttachedColumnStore(ColumnStore):
+    """A table view's store: segments adopted by name, never written.
+
+    Built only by :meth:`EventTable.attach
+    <repro.events.table.EventTable.attach>`.  Its handles are
+    :class:`_AttachedColumns`, so ``release``/``close`` only unmap.
+    """
+
+    kind = "shared-attached"
+    is_shared = True
+    is_attached = True
+
     def adopt(self, key: str, segment_name: str,
-              length: int) -> SharedColumnHandle:
+              length: int) -> _AttachedColumns:
         """Register a handle for a segment some owner published.
 
         Resolution is lazy: the segment is attached on the first
         ``arrays()`` call, so adopting a descriptor's worth of names is
         free and a reader maps only the logs it actually touches.
         """
-        handle = SharedColumnHandle(key, segment_name, length)
+        handle = _AttachedColumns(key, segment_name, length)
         self._handles.add(handle)
         return handle
 
-    def _release(self, handle: SharedColumnHandle) -> None:
-        handle._discard(unlink=not self.is_attached)
-
-    def stats(self) -> dict:
-        out = super().stats()
-        if self.is_attached:
-            out["kind"] = "shared-attached"
-        return out
+    def _release(self, handle: _AttachedColumns) -> None:
+        handle._unmap()
 
 
 #: Segment names minted by owner-mode stores: ``loc-<pid>-<token>-<seq>``.

@@ -40,7 +40,7 @@ from repro.events.columns import (
     ColumnHandle,
     ColumnStore,
     HeapColumnStore,
-    SharedMemoryColumnStore,
+    _AttachedColumnStore,
     _ResidentColumns,
 )
 from repro.events.device import Device, DeviceRegistry
@@ -473,8 +473,7 @@ class EventTable:
         verbatim — every read API (including ``changed_since``) answers
         exactly as the owner's table does.
         """
-        store = SharedMemoryColumnStore.attached()
-        table = cls(store=store)
+        table = cls(store=_AttachedColumnStore())
         table._ap_vocab = list(descriptor.ap_vocab)
         table._ap_index = {ap: i for i, ap in enumerate(table._ap_vocab)}
         for state in descriptor.devices:

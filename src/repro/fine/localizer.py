@@ -181,8 +181,15 @@ class FineLocalizer:
             find_neighbors(self._building, self._table, mac, timestamp,
                            region_id, max_neighbors=self.max_neighbors)
         neighbors = neighbors[: self.max_neighbors]
-        caps = None if neighbor_caps is None else \
-            neighbor_caps[: len(neighbors)]
+        # Resolved once per query (NaN → the default cap, clipped below
+        # 1); each stop check reads the suffix of its unprocessed
+        # neighbors.  None lets RoomPosterior fill in its default cap.
+        caps = None
+        if neighbor_caps is not None:
+            caps = neighbor_caps[: len(neighbors)]
+            caps = np.minimum(
+                np.where(np.isnan(caps), self.affinity_cap, caps),
+                1.0 - 1e-6)
 
         edge_weights: dict[str, float] = {}
         if self.mode is FineMode.INDEPENDENT:
@@ -259,23 +266,13 @@ class FineLocalizer:
             shared.pair_affinities[key] = alpha
         return alpha
 
-    def _caps_for(self, caps_slice: "np.ndarray | None",
-                  remaining: int) -> "np.ndarray | None":
-        """Resolved cap vector for the unprocessed suffix."""
-        if caps_slice is None:
-            return None  # RoomPosterior fills in its default cap
-        return np.minimum(
-            np.where(np.isnan(caps_slice), self.affinity_cap, caps_slice),
-            1.0 - 1e-6)
-
     def _stop_satisfied(self, posterior: RoomPosterior, remaining: int,
-                        caps_slice: "np.ndarray | None") -> bool:
+                        caps: "np.ndarray | None") -> bool:
         """The loosened stop conditions over the top-2 rooms."""
         post = posterior.posterior_array()
         (room_a, _), (room_b, _) = posterior.top_two(post)
         if not room_b:
             return True  # single candidate: nothing to disambiguate
-        caps = self._caps_for(caps_slice, remaining)
         bounds_a, bounds_b = posterior.bounds_pair(
             room_a, room_b, remaining, caps, posterior_map=post)
         return (bounds_a.minimum >= bounds_b.expected

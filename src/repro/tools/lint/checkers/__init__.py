@@ -13,6 +13,4 @@ from repro.tools.lint.checkers import (  # noqa: F401  (registration imports)
     determinism,
     dtypes,
     eventloop,
-    lifecycle,
-    supervision,
 )

@@ -29,7 +29,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 
-#: ``# repro-lint: disable=RL002`` / ``disable-file=RL002,RL003 why...``
+#: ``# repro-lint: disable=RL002`` / ``disable-file=RL002,RL004 why...``
 _SUPPRESS_RE = re.compile(
     r"#\s*repro-lint:\s*(disable(?:-file)?)\s*=\s*([A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)")
 

@@ -1,4 +1,4 @@
-"""Tier-1 suite for repro-lint (RL002–RL004, RL006, RL007).
+"""Tier-1 suite for repro-lint (RL002, RL004, RL007).
 
 Two halves:
 
@@ -7,12 +7,15 @@ Two halves:
   clean counterpart.  This is the proof the checkers actually detect
   the bug class they claim to.
 * **the real tree** — ``run_lint(src/repro)`` must be clean, which is
-  what turns the contracts (determinism, shared-memory lifecycle, dtype
-  pinning, typed pipe failures, event-loop hygiene) into CI gates.
+  what turns the contracts (determinism, dtype pinning, event-loop
+  hygiene) into CI gates.
 
-Warm-state freshness and oracle isolation need no rule: a ``Locater``
-resets its warm state whole whenever the table's generation moves, and
-the oracles live under ``tests/oracles/``.
+Four invariants need no rule.  A ``Locater`` resets its warm state
+whole whenever the table's generation moves, and the oracles live under
+``tests/oracles/``.  One pipe type in ``repro.cluster.executor`` owns
+every shard ``Connection`` and raises the typed shard errors itself,
+and an attached column store has no unlink path; the chaos suites and
+``tests/unit/test_columns.py`` check those two at runtime.
 """
 
 import io
@@ -49,18 +52,13 @@ def lint_fixture(name, *codes):
 RED_FIXTURES = [
     ("rl002_unordered.py", "RL002", 3),
     ("rl002_ambient.py", "RL002", 4),
-    ("rl003_leaky_owner.py", "RL003", 1),
-    ("rl003_attached_unlink.py", "RL003", 1),
     ("rl004_default_dtype.py", "RL004", 3),
-    ("rl006_bare_send.py", "RL006", 3),
     ("rl007_blocking_loop.py", "RL007", 5),
 ]
 
 CLEAN_FIXTURES = [
     ("rl002_clean.py", "RL002"),
-    ("rl003_clean.py", "RL003"),
     ("rl004_clean.py", "RL004"),
-    ("rl006_clean.py", "RL006"),
     ("rl007_clean.py", "RL007"),
 ]
 
@@ -134,10 +132,9 @@ def test_suppression_multiple_codes():
 # Registry and driver plumbing.
 
 def test_registry_has_the_seven_contracts():
-    # Seven codes were issued; RL001 and RL005 are retired, because
-    # their invariants now hold by construction.
-    assert sorted(REGISTRY) == ["RL002", "RL003", "RL004", "RL006",
-                                "RL007"]
+    # Seven codes were issued; RL001, RL003, RL005 and RL006 are
+    # retired, because their invariants now hold by construction.
+    assert sorted(REGISTRY) == ["RL002", "RL004", "RL007"]
 
 
 def test_register_rejects_duplicates_and_blank_codes():

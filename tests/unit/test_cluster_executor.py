@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pathlib
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.cluster.executor import (
     ProcessShardExecutor,
     SerialShardExecutor,
@@ -182,8 +186,8 @@ def test_process_partial_start_leaves_no_workers_behind():
 def test_sigkill_surfaces_typed_with_signal_forensics():
     with ProcessShardExecutor() as executor:
         executor.start(Echo, 2)
-        os.kill(executor._workers[1].pid, signal.SIGKILL)
-        executor._workers[1].join(timeout=5.0)
+        os.kill(executor._pipes[1].pid, signal.SIGKILL)
+        executor._pipes[1].join(5.0)
         with pytest.raises(ShardUnavailableError) as excinfo:
             executor.call_one(1, "whoami")
         assert excinfo.value.shard_id == 1
@@ -209,7 +213,7 @@ def test_sigkill_mid_call_surfaces_on_receive():
         thread = threading.Thread(target=serve)
         thread.start()
         time.sleep(0.3)  # let the worker dequeue the nap
-        os.kill(executor._workers[0].pid, signal.SIGKILL)
+        os.kill(executor._pipes[0].pid, signal.SIGKILL)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert len(caught) == 1
@@ -222,8 +226,8 @@ def test_sigkill_mid_call_surfaces_on_receive():
 def test_dead_shard_refuses_calls_until_restarted():
     with ProcessShardExecutor() as executor:
         executor.start(Echo, 2)
-        os.kill(executor._workers[0].pid, signal.SIGKILL)
-        executor._workers[0].join(timeout=5.0)
+        os.kill(executor._pipes[0].pid, signal.SIGKILL)
+        executor._pipes[0].join(5.0)
         with pytest.raises(ShardUnavailableError):
             executor.call_one(0, "whoami")
         # Marked dead: the next call fails fast, without touching the pipe.
@@ -256,8 +260,8 @@ def test_hung_worker_times_out_typed_and_needs_restart():
 def test_fanout_aggregates_failures_with_partial_results():
     with ProcessShardExecutor() as executor:
         executor.start(Echo, 3)
-        os.kill(executor._workers[1].pid, signal.SIGKILL)
-        executor._workers[1].join(timeout=5.0)
+        os.kill(executor._pipes[1].pid, signal.SIGKILL)
+        executor._pipes[1].join(5.0)
         with pytest.raises(ClusterCallError) as excinfo:
             executor.call_all("add", [(1, 1), (2, 2), (3, 3)])
         error = excinfo.value
@@ -271,6 +275,112 @@ def test_fanout_aggregates_failures_with_partial_results():
         executor.restart_shard(1)
         assert executor.call_all("add", [(1, 1), (2, 2), (3, 3)]) == \
             [2, 104, 206]
+
+
+@pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
+@pytest.mark.parametrize("failure", ["sigkill", "retire"])
+def test_broken_pipe_raises_only_typed_errors(failure):
+    # The pipe type is the one holder of a shard Connection, so every
+    # pipe failure must leave it typed: no BrokenPipeError, EOFError or
+    # closed-handle OSError escapes, whether the worker died under it
+    # or the parent retired it.
+    with ProcessShardExecutor() as executor:
+        executor.start(Echo, 1)
+        pipe = executor._pipes[0]
+        if failure == "sigkill":
+            os.kill(pipe.pid, signal.SIGKILL)
+            pipe.join(5.0)
+        else:
+            pipe.retire()
+        assert not pipe.alive()
+        with pytest.raises(ShardUnavailableError):
+            pipe.send(("whoami", ()))
+        with pytest.raises(ShardUnavailableError):
+            pipe.receive(1.0)
+        with pytest.raises(ShardUnavailableError):
+            pipe.receive(None)
+        pipe.retire()  # idempotent
+        with pytest.raises(ShardUnavailableError):
+            pipe.send(("whoami", ()))
+
+
+#: An owner process: a 2-shard fork executor (optionally after one
+#: restart), printing its workers' pids and then waiting to be killed.
+_OWNER_SCRIPT = """
+import multiprocessing, sys, time
+from repro.cluster.executor import ProcessShardExecutor
+
+class Idle:
+    def __init__(self, shard_id):
+        self.shard_id = shard_id
+
+executor = ProcessShardExecutor()
+executor.start(Idle, 2)
+if sys.argv[1] == "restart":
+    executor.restart_shard(0)
+print(*sorted(child.pid for child in multiprocessing.active_children()
+              if child.name.startswith("shard-")), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (``/proc`` state)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not FORK_AVAILABLE or not os.path.exists("/proc/self"),
+                    reason="needs fork and /proc")
+@pytest.mark.parametrize("restart", ["fresh", "restart"])
+def test_workers_exit_when_their_owner_is_sigkilled(restart):
+    # A fork worker inherits the parent ends of its own pipe and of
+    # every earlier shard's; unless it closes them, its reads never see
+    # EOF and it outlives an owner killed without any teardown.
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    owner = subprocess.Popen([sys.executable, "-c", _OWNER_SCRIPT, restart],
+                             stdout=subprocess.PIPE, text=True, env=env)
+    workers: list[int] = []
+    try:
+        workers = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(workers) == 2
+        os.kill(owner.pid, signal.SIGKILL)
+        owner.wait(timeout=10.0)
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in workers if _running(pid)] == [], \
+            "shard workers outlived their SIGKILLed owner"
+    finally:
+        if owner.poll() is None:
+            owner.kill()
+            owner.wait(timeout=10.0)
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        owner.stdout.close()
+
+
+@pytest.mark.skipif(not FORK_AVAILABLE, reason="fork unavailable")
+def test_worker_exits_quietly_when_its_answer_is_never_read():
+    # Closing a pipe with unread data resets it: the worker's next read
+    # raises ConnectionResetError rather than EOFError, and must still
+    # mean "the parent is gone".
+    with ProcessShardExecutor() as executor:
+        executor.start(Echo, 1)
+        pipe = executor._pipes[0]
+        pipe.send(("add", (1, 2)))
+        assert pipe._connection.poll(5.0)  # the answer sits unread
+        pipe._connection.close()
+        pipe.join(10.0)
+        with pytest.raises(ShardUnavailableError, match=r"exit code 0\)"):
+            executor.call_one(0, "whoami")
 
 
 def test_restart_shard_in_process_rebuilds_from_factory():

@@ -29,6 +29,15 @@ from repro.events.columns import (
     _ResidentColumns,
     purge_orphan_segments,
 )
+from repro.events.event import ConnectivityEvent
+from repro.events.table import EventTable
+
+
+def _shared_table():
+    """An owner table on a shared store: two devices over three APs."""
+    events = [ConnectivityEvent(float(t), mac, f"ap-{t % 3}")
+              for t in range(40) for mac in ("d1", "d2")]
+    return EventTable.from_events(events, store=SharedMemoryColumnStore())
 
 
 def _columns(n=64, seed=0):
@@ -103,27 +112,74 @@ class TestSharedMemoryStore:
             assert handle.nbytes == 0
 
     def test_adopt_resolves_same_bytes(self):
-        times, aps = _columns(n=77, seed=7)
-        with SharedMemoryColumnStore() as owner:
-            handle = owner.put("d1", times, aps)
-            reader = SharedMemoryColumnStore.attached()
-            adopted = reader.adopt("d1", handle.segment_name, handle.length)
+        owner = _shared_table()
+        try:
+            handle = owner.log("d1").columns
+            times, aps = handle.arrays()
+            view = EventTable.attach(owner.describe())
+            adopted = view.log("d1").columns
+            assert adopted.segment_name == handle.segment_name
             assert not adopted.resident  # lazy until first arrays()
             got_t, got_a = adopted.arrays()
             assert got_t.tobytes() == times.tobytes()
             assert got_a.tobytes() == aps.tobytes()
-            assert reader.stats()["kind"] == "shared-attached"
+            assert view.store.stats()["kind"] == "shared-attached"
             # Attached close unmaps but must not unlink: the owner's
-            # views keep reading the same bytes afterwards.
-            reader.close()
+            # views keep reading the same bytes afterwards, and the
+            # name still resolves.
+            view.close()
             still_t, _ = handle.arrays()
             assert still_t.tobytes() == times.tobytes()
+            from multiprocessing import shared_memory
+            shared_memory.SharedMemory(name=handle.segment_name).close()
+        finally:
+            owner.close()
 
     def test_attached_store_rejects_put(self):
-        reader = SharedMemoryColumnStore.attached()
-        with pytest.raises(EventTableError):
-            reader.put("d1", *_columns(n=4))
-        reader.close()
+        # A view's store is a different type from the owner's: it has no
+        # put at all, and the view refuses rows before they reach it.
+        owner = _shared_table()
+        try:
+            view = EventTable.attach(owner.describe())
+            assert view.store.is_attached
+            assert not hasattr(view.store, "put")
+            assert hasattr(owner.store, "put")
+            with pytest.raises(EventTableError):
+                view.append(ConnectivityEvent(5.0, "d1", "ap-0"))
+            view.close()
+        finally:
+            owner.close()
+
+    def test_only_owner_teardown_unlinks(self, monkeypatch):
+        # Attached views, closed before or after their owner, never
+        # unlink; the owner's close unlinks each of its segments once.
+        from multiprocessing import shared_memory
+        unlinked = []
+        unlink = shared_memory.SharedMemory.unlink
+
+        def recording_unlink(segment):
+            unlinked.append(segment.name.lstrip("/"))
+            unlink(segment)
+
+        monkeypatch.setattr(shared_memory.SharedMemory, "unlink",
+                            recording_unlink)
+        owner = _shared_table()
+        names = sorted(owner.log(mac).columns.segment_name
+                       for mac in ("d1", "d2"))
+        early, late = (EventTable.attach(owner.describe())
+                       for _ in range(2))
+        for view in (early, late):
+            for mac in ("d1", "d2"):
+                view.log(mac).columns.arrays()  # map every segment
+        early.close()
+        assert unlinked == []
+        owner.close()
+        assert sorted(unlinked) == names
+        late.close()
+        assert sorted(unlinked) == names
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
     def test_owner_release_unlinks_segment(self):
         times, aps = _columns(n=12)
